@@ -7,7 +7,7 @@ table).  Machine-readable output goes to stdout, diagnostics to stderr.
 
 Exit codes: 0 success, 2 formula syntax or interval error, 3 insufficient
 trace horizon, 4 bad risk parameter or non-finite robustness, 5 bad
-case-study config, 1 anything else.
+case-study config, 1 anything else, including internal errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -32,7 +31,7 @@ from .errors import (
 from .formula import horizon, predicate_names
 from .parser import format_formula, parse
 from .predicates import load_predicates
-from .risk import RiskParams, risk_of_formula
+from .risk import RiskParams, format_number, risk_of_formula
 from .scenario import CaseStudyConfig, run_case_study
 from .semantics import eval_boolean, eval_robust
 from .trace import load_ensemble, load_trace_csv
@@ -45,22 +44,10 @@ EXIT_RISK_PARAM = 4
 EXIT_CONFIG = 5
 
 
-def _fmt12(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return f"{v:.12g}"
-
-
 def _fail(message: str, code: int, span=None) -> int:
     where = f" (at offset {span.start}-{span.end})" if span is not None else ""
     print(f"error: {message}{where}", file=sys.stderr)
     return code
-
-
-def _depth(v) -> str:
-    return "inf" if v == math.inf else str(v)
 
 
 def cmd_check(args) -> int:
@@ -70,7 +57,7 @@ def cmd_check(args) -> int:
         return _fail(str(exc), EXIT_PARSE, exc.span)
     h = horizon(f)
     print(format_formula(f))
-    print(f"horizon: future={_depth(h.future_depth)} past={_depth(h.past_depth)}")
+    print(f"horizon: future={h.future_depth} past={h.past_depth}")
     print("predicates: " + " ".join(sorted(predicate_names(f))))
     return EXIT_OK
 
@@ -86,7 +73,7 @@ def cmd_monitor(args) -> int:
         if args.mode == "boolean":
             print("true" if eval_boolean(f, trace, args.time, predicates) else "false")
         else:
-            print(_fmt12(eval_robust(f, trace, args.time, predicates)))
+            print(format_number(eval_robust(f, trace, args.time, predicates)))
     except InsufficientHorizonError as exc:
         return _fail(str(exc), EXIT_HORIZON)
     except StlRiskError as exc:
@@ -272,10 +259,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except StlRiskError as exc:
+    except (StlRiskError, OSError) as exc:
         return _fail(str(exc), EXIT_OTHER)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_OTHER)
+    except Exception as exc:  # an internal error still ends in one line, not a traceback
+        return _fail(f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}", EXIT_OTHER)
 
 
 if __name__ == "__main__":

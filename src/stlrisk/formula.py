@@ -33,6 +33,8 @@ __all__ = [
     "Horizon",
     "desugar",
     "horizon",
+    "operands",
+    "postorder",
     "predicate_names",
 ]
 
@@ -200,46 +202,52 @@ class Horizon:
     past_depth: Union[int, float]
 
 
-def horizon(f: Formula) -> Horizon:
-    """Nesting sum of window upper bounds along the deepest syntactic path."""
+def operands(f: Formula) -> tuple:
+    """The direct subformulas of f, left to right."""
     match f:
         case TrueFormula() | Predicate():
-            return Horizon(0, 0)
-        case Not(child):
-            return horizon(child)
-        case And(left, right) | Or(left, right):
-            hl, hr = horizon(left), horizon(right)
-            return Horizon(max(hl.future_depth, hr.future_depth), max(hl.past_depth, hr.past_depth))
-        case UntilFuture(left, right, interval):
-            hl, hr = horizon(left), horizon(right)
-            return Horizon(
-                interval.hi + max(hl.future_depth, hr.future_depth),
-                max(hl.past_depth, hr.past_depth),
-            )
-        case UntilPast(left, right, interval):
-            hl, hr = horizon(left), horizon(right)
-            return Horizon(
-                max(hl.future_depth, hr.future_depth),
-                interval.hi + max(hl.past_depth, hr.past_depth),
-            )
-        case EventuallyFuture(child, interval) | AlwaysFuture(child, interval):
-            hc = horizon(child)
-            return Horizon(interval.hi + hc.future_depth, hc.past_depth)
-        case EventuallyPast(child, interval) | AlwaysPast(child, interval):
-            hc = horizon(child)
-            return Horizon(hc.future_depth, interval.hi + hc.past_depth)
+            return ()
+        case Not(child) | EventuallyFuture(child, _) | AlwaysFuture(child, _) | EventuallyPast(child, _) | AlwaysPast(child, _):
+            return (child,)
+        case And(left, right) | Or(left, right) | UntilFuture(left, right, _) | UntilPast(left, right, _):
+            return (left, right)
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def postorder(f: Formula) -> list:
+    """Each distinct node object of f once, after all of its operands.
+
+    The walk keeps an explicit stack, so any nesting depth is fine, and keys
+    nodes by identity, so a subformula object shared by several parents is
+    listed once.
+    """
+    order, seen, stack = [], set(), [(f, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in reversed(operands(node)))
+    return order
+
+
+def horizon(f: Formula) -> Horizon:
+    """Nesting sum of window upper bounds along the deepest syntactic path."""
+    reach: dict = {}
+    for node in postorder(f):
+        below = [reach[id(child)] for child in operands(node)]
+        future = max((h.future_depth for h in below), default=0)
+        past = max((h.past_depth for h in below), default=0)
+        if isinstance(node, (UntilFuture, EventuallyFuture, AlwaysFuture)):
+            future = node.interval.hi + future
+        elif isinstance(node, (UntilPast, EventuallyPast, AlwaysPast)):
+            past = node.interval.hi + past
+        reach[id(node)] = Horizon(future, past)
+    return reach[id(f)]
 
 
 def predicate_names(f: Formula) -> frozenset:
     """All predicate names referenced anywhere in the formula."""
-    match f:
-        case TrueFormula():
-            return frozenset()
-        case Predicate(name):
-            return frozenset((name,))
-        case Not(child) | EventuallyFuture(child, _) | AlwaysFuture(child, _) | EventuallyPast(child, _) | AlwaysPast(child, _):
-            return predicate_names(child)
-        case And(left, right) | Or(left, right) | UntilFuture(left, right, _) | UntilPast(left, right, _):
-            return predicate_names(left) | predicate_names(right)
-    raise TypeError(f"not a formula node: {f!r}")
+    return frozenset(node.name for node in postorder(f) if isinstance(node, Predicate))

@@ -255,6 +255,20 @@ def apply_cost(z: RobustnessSamples, cost: Callable[[float], float]) -> Robustne
     return RobustnessSamples(np.asarray(transformed))
 
 
+def format_number(v: float) -> str:
+    """Text form of every number the tools print: 12 significant digits,
+    with unbounded values as the tokens "inf" and "-inf"."""
+    return f"{v:.12g}"
+
+
+def json_number(v: Optional[float]):
+    """JSON form of a number: itself, or the "inf"/"-inf" token when
+    unbounded, since JSON has no infinities."""
+    if v in (math.inf, -math.inf):
+        return format_number(v)
+    return v
+
+
 @dataclass(frozen=True)
 class RiskResult:
     """A risk value with the parameters that produced it.
@@ -274,20 +288,11 @@ class RiskResult:
     epsilon: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        def num(v):
-            if v is None:
-                return None
-            if v == math.inf:
-                return "inf"
-            if v == -math.inf:
-                return "-inf"
-            return v
-
         return {
             "measure": self.measure,
-            "value": num(self.value),
-            "lower": num(self.lower),
-            "upper": num(self.upper),
+            "value": json_number(self.value),
+            "lower": json_number(self.lower),
+            "upper": json_number(self.upper),
             "beta": self.beta,
             "delta": self.delta,
             "n": self.n,

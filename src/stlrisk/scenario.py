@@ -50,7 +50,7 @@ from .formula import (
     TimeInterval,
 )
 from .predicates import NormBall, StateSlice
-from .risk import RobustnessSamples, var_bounds
+from .risk import RobustnessSamples, format_number, json_number, var_bounds
 from .semantics import eval_robust_ensemble
 from .trace import Ensemble, Trace
 
@@ -298,8 +298,8 @@ class CaseStudyResult:
         lines = ["trajectory,beta,var_lower,var_point,var_upper"]
         for row in self.rows:
             lines.append(
-                f"{row.trajectory},{_fmt(row.beta)},{_fmt(row.var_lower)},"
-                f"{_fmt(row.var_point)},{_fmt(row.var_upper)}"
+                f"{row.trajectory},{format_number(row.beta)},{format_number(row.var_lower)},"
+                f"{format_number(row.var_point)},{format_number(row.var_upper)}"
             )
         return "\n".join(lines) + "\n"
 
@@ -313,29 +313,13 @@ class CaseStudyResult:
                 {
                     "trajectory": row.trajectory,
                     "beta": row.beta,
-                    "var_lower": _json_num(row.var_lower),
-                    "var_point": _json_num(row.var_point),
-                    "var_upper": _json_num(row.var_upper),
+                    "var_lower": json_number(row.var_lower),
+                    "var_point": json_number(row.var_point),
+                    "var_upper": json_number(row.var_upper),
                 }
                 for row in self.rows
             ],
         }
-
-
-def _fmt(v: float) -> str:
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return f"{v:.12g}"
-
-
-def _json_num(v: float):
-    if v == math.inf:
-        return "inf"
-    if v == -math.inf:
-        return "-inf"
-    return v
 
 
 def run_case_study(config: CaseStudyConfig) -> CaseStudyResult:

@@ -45,6 +45,16 @@ class TestCheck:
     def test_syntax_error_exits_2(self, capsys):
         assert main(["check", "--formula", "p &"]) == 2
 
+    def test_internal_error_is_one_line_exit_1(self, monkeypatch, capsys):
+        def broken(text):
+            raise RuntimeError("parser exploded")
+
+        monkeypatch.setattr("stlrisk.cli.parse", broken)
+        assert main(["check", "--formula", "p"]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: RuntimeError: parser exploded\n"
+        assert "Traceback" not in err
+
 
 class TestMonitor:
     def test_robust_value(self, workdir, capsys):
@@ -215,3 +225,13 @@ class TestCaseStudy:
 
     def test_missing_config_exits_5(self, tmp_path, capsys):
         assert main(["casestudy", "--config", str(tmp_path / "nope.json")]) == 5
+
+    def test_default_run_matches_golden_digests(self, tmp_path, capsys):
+        # Seed-42 defaults (N=6500, six trajectories).  A change to these
+        # digests is a numerics change and needs a deliberate re-baseline.
+        assert main(["casestudy", "--out", str(tmp_path)]) == 0
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["outputs"] == {
+            "table.csv": "23ed0ed66bd8d96cbb5a3f001fcd1077348b710df08ff935252a7485952f7d0e",
+            "table.json": "90689002809dc54438abacc5b4d571156e4984164af1798319fabc3e8e1b32f8",
+        }

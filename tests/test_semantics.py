@@ -7,17 +7,22 @@ from stlrisk.errors import InsufficientHorizonError, UnknownPredicateError
 from stlrisk.formula import (
     TRUE,
     AlwaysFuture,
+    AlwaysPast,
+    And,
     EventuallyFuture,
+    EventuallyPast,
     Not,
     Predicate,
     TimeInterval,
     UntilFuture,
+    UntilPast,
+    horizon,
 )
 from stlrisk.predicates import Halfspace, NormBall
 from stlrisk.semantics import eval_boolean, eval_robust, eval_robust_ensemble
 from stlrisk.trace import Ensemble, Trace
 
-from .helpers import beta_oracle, random_admissible_case, random_formula, rho_oracle
+from .helpers import beta_oracle, random_admissible_case, random_formula, random_trace, rho_oracle
 
 P = Predicate("p")
 Q = Predicate("q")
@@ -63,6 +68,15 @@ class TestRobustExamples:
         for _ in range(300):
             f, trace, t, preds = random_admissible_case(rng)
             assert eval_robust(Not(f), trace, t, preds) == -eval_robust(f, trace, t, preds)
+
+
+class TestDeepNesting:
+    def test_evaluation_does_not_recurse(self):
+        f = P
+        for _ in range(5000):
+            f = Not(AlwaysFuture(f, TimeInterval(0, 0)))
+        assert eval_robust(f, TR312, 0, PREDS) == 3.0
+        assert eval_boolean(f, TR312, 0, PREDS) is True
 
 
 class TestHorizonRefusal:
@@ -115,6 +129,35 @@ class TestOracleEquivalence:
         for _ in range(500):
             f, trace, t, preds = random_admissible_case(rng, max_depth=3, max_length=8)
             assert eval_boolean(f, trace, t, preds) == beta_oracle(f, trace, t, preds)
+
+    def test_ensemble_members_match_single_trace_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        for _ in range(200):
+            f, trace, t, preds = random_admissible_case(rng, max_depth=3, max_length=8)
+            others = tuple(random_trace(rng, trace.length, trace.dim) for _ in range(int(rng.integers(1, 5))))
+            ensemble = Ensemble((trace,) + others)
+            z = eval_robust_ensemble(f, ensemble, t, preds)
+            for i, member in enumerate(ensemble.traces):
+                assert z[i].tobytes() == np.float64(-eval_robust(f, member, t, preds)).tobytes()
+
+    def test_shared_subformula_under_windows_of_different_reach(self):
+        # One object g is read over different anchor ranges by its parents,
+        # so its values must cover the hull of what they all need.
+        g = EventuallyFuture(P, TimeInterval(0, 1))
+        h = AlwaysPast(Q, TimeInterval(0, 1))
+        formulas = [
+            And(AlwaysFuture(g, TimeInterval(0, 2)), EventuallyPast(g, TimeInterval(1, 1))),
+            UntilFuture(g, And(g, EventuallyPast(g, TimeInterval(0, 2))), TimeInterval(1, 2)),
+            And(UntilPast(h, g, TimeInterval(0, 0)), UntilPast(P, h, TimeInterval(1, 3))),
+        ]
+        rng = np.random.default_rng(29)
+        for _ in range(100):
+            trace = Trace(rng.normal(scale=3.0, size=(int(rng.integers(7, 10)), 1)))
+            for f in formulas:
+                reach = horizon(f)
+                for t in range(reach.past_depth, trace.length - reach.future_depth):
+                    assert eval_robust(f, trace, t, PREDS) == rho_oracle(f, trace, t, PREDS)
+                    assert eval_boolean(f, trace, t, PREDS) == beta_oracle(f, trace, t, PREDS)
 
 
 class TestSoundness:
