@@ -34,7 +34,7 @@ from .predicates import load_predicates
 from .risk import RiskParams, format_number, risk_of_formula
 from .scenario import CaseStudyConfig, run_case_study
 from .semantics import eval_boolean, eval_robust
-from .trace import load_ensemble, load_trace_csv
+from .trace import load_ensemble, load_trace_csv, member_files
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -122,7 +122,7 @@ def cmd_risk(args) -> int:
         if ens_path.is_file():
             inputs[str(ens_path)] = _digest_file(ens_path)
         elif ens_path.is_dir():
-            for member in sorted(p for p in ens_path.iterdir() if p.suffix == ".csv"):
+            for member in member_files(ens_path):
                 inputs[str(member)] = _digest_file(member)
         _write_manifest(
             outdir,

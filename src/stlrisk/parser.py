@@ -19,6 +19,10 @@ first: ``!`` and the temporal unaries, then ``U``/``S``, then ``&``, then
 like ``a U[0,1] b U[0,2] c`` must be parenthesized.  Identifiers match
 ``[A-Za-z_][A-Za-z0-9_]*``; the operator letters and ``true`` are reserved
 and cannot name predicates.
+
+Each ``!``, temporal unary prefix and ``(`` opens a nesting level; text
+nested deeper than 100 levels is a FormulaSyntaxError, so that parsing and
+printing stay within Python's recursion limit.
 """
 
 from __future__ import annotations
@@ -46,6 +50,8 @@ from .formula import (
 )
 
 __all__ = ["SourceSpan", "parse", "format_formula"]
+
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -119,6 +126,15 @@ class _Parser:
         if tok.kind != "eof":
             self.pos += 1
         return tok
+
+    def nest(self, tok: _Token, parse_inner):
+        """parse_inner() one nesting level below tok."""
+        if self.depth >= _MAX_DEPTH:
+            raise FormulaSyntaxError(f"formula nests deeper than {_MAX_DEPTH} levels", tok.span)
+        self.depth += 1
+        inner = parse_inner()
+        self.depth -= 1
+        return inner
 
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
@@ -170,11 +186,11 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "!":
             self.take()
-            return Not(self.unary())
+            return Not(self.nest(tok, self.unary))
         if tok.kind == "kw" and tok.text in ("G", "F", "H", "O"):
             self.take()
             interval = self.interval()
-            child = self.unary()
+            child = self.nest(tok, self.unary)
             node = {
                 "G": AlwaysFuture,
                 "F": EventuallyFuture,
@@ -194,7 +210,7 @@ class _Parser:
             return Predicate(tok.text)
         if tok.kind == "(":
             self.take()
-            f = self.disj()
+            f = self.nest(tok, self.disj)
             self.expect(")", "')'")
             return f
         raise FormulaSyntaxError(

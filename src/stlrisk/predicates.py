@@ -7,6 +7,13 @@ outside (minus the distance to the set's closure), zero on the boundary.
 The Boolean reading is ``signed_distance >= 0``, so boundaries count as
 satisfying, matching the closed ">= 0"-style sets below.
 
+``margins`` is the array form the evaluator uses: it maps an ``(..., d)``
+array of states to their margins, equal bit for bit to ``signed_distance``,
+which stays the per-state reference.  To stay equal on every Python version
+both sum a halfspace's dot product left to right from 0 (``sum`` of floats
+compensates from Python 3.12), and both take Euclidean norms with
+``math.hypot`` (``np.hypot`` rounds some pairs differently).
+
 Supported families:
 
 * ``Halfspace(a, b)``      -- {x : a.x + b >= 0}, margin (a.x + b)/|a|.
@@ -35,6 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
+import numpy as np
+
 from .errors import DimensionError, FormatError
 
 __all__ = [
@@ -45,6 +54,7 @@ __all__ = [
     "CustomPredicate",
     "PredicateDef",
     "signed_distance",
+    "margins",
     "load_predicates",
     "parse_predicate_table",
 ]
@@ -132,7 +142,10 @@ def signed_distance(p: PredicateDef, state: Sequence[float]) -> float:
             raise DimensionError(
                 f"halfspace of dim {len(p.a)} applied to state of dim {len(state)}"
             )
-        dot = sum(ai * float(si) for ai, si in zip(p.a, state))
+        # Left to right from 0, not sum(), which compensates from Python 3.12.
+        dot = 0
+        for ai, si in zip(p.a, state):
+            dot = dot + ai * float(si)
         return (dot + p.b) / math.hypot(*p.a)
     if isinstance(p, NormBall):
         point = [_component(state, i) for i in p.pos]
@@ -152,6 +165,48 @@ def signed_distance(p: PredicateDef, state: Sequence[float]) -> float:
         return -signed_distance(p.inner, state)
     if isinstance(p, CustomPredicate):
         return float(p.fn(state))
+    raise TypeError(f"not a predicate definition: {p!r}")
+
+
+def _hypot(x: np.ndarray) -> np.ndarray:
+    """math.hypot over the last axis of x."""
+    columns = [c.ravel().tolist() for c in np.moveaxis(x, -1, 0)]
+    return np.fromiter(map(math.hypot, *columns), float, x.size // x.shape[-1]).reshape(x.shape[:-1])
+
+
+def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
+    """Margins of an (..., d) array of states, shaped (...).
+
+    Entry i equals ``signed_distance(p, states[i])`` bit for bit.
+    """
+    states = np.asarray(states, dtype=float)
+    dim = states.shape[-1]
+    if isinstance(p, Halfspace):
+        if dim != len(p.a):
+            raise DimensionError(f"halfspace of dim {len(p.a)} applied to state of dim {dim}")
+        dot = 0
+        for j, aj in enumerate(p.a):
+            dot = dot + aj * states[..., j]
+        return (dot + p.b) / math.hypot(*p.a)
+    if isinstance(p, NormBall):
+        slice_center = isinstance(p.center, StateSlice)
+        for i in p.pos + (p.center.indices if slice_center else ()):
+            if i >= dim:
+                raise DimensionError(f"predicate needs state component {i}, state has dim {dim}")
+        point = states[..., list(p.pos)]
+        center = states[..., list(p.center.indices)] if slice_center else np.array(p.center)
+        diffs = np.abs(point - center)
+        if p.norm == L2:
+            return p.radius - _hypot(diffs)
+        # Linf box: inside through the nearest face, outside clamped per
+        # coordinate, as in signed_distance.
+        outside = -_hypot(np.maximum(diffs - p.radius, 0.0))
+        return np.where(diffs.max(-1) <= p.radius, (p.radius - diffs).min(-1), outside)
+    if isinstance(p, Complement):
+        return -margins(p.inner, states)
+    if isinstance(p, CustomPredicate):
+        rows = states.reshape(-1, dim).tolist()
+        return np.array([float(p.fn(row)) for row in rows], dtype=float).reshape(states.shape[:-1])
     raise TypeError(f"not a predicate definition: {p!r}")
 
 

@@ -25,12 +25,13 @@ Both semantics, for one trace or a whole ensemble, run through one array
 engine over an (N, T, d) stack of member states.  It walks the formula's
 nodes once in postorder without recursion, gives each node the contiguous
 range of anchor times its parents need, and computes each node bottom-up as
-an (N, times) array: minimum and maximum for the connectives, sliding-window
-minimum and maximum for always and eventually (Donze, Ferrere & Maler,
-"Efficient Robust Monitoring for STL", CAV 2013), and the candidate scan
-above, vectorized over members and anchors, for until.  The two semantics
-differ only in the leaf map (margin or margin >= 0), the value of truth and
-the negation.  The cost is O(formula size x N x anchors x window width).
+an (N, times) array: the array kernels ``predicates.margins`` for the
+leaves, minimum and maximum for the connectives, sliding-window minimum and
+maximum for always and eventually (Donze, Ferrere & Maler, "Efficient
+Robust Monitoring for STL", CAV 2013), and for until window maxima over a
+doubling table of left minima (see ``_until``).  The two semantics differ
+only in the leaf map (margin or margin >= 0), the value of truth and the
+negation.  The cost is O(formula size x N x anchors x window width).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import math
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InsufficientHorizonError, UnknownPredicateError
 from .formula import (
@@ -59,7 +60,7 @@ from .formula import (
     postorder,
     predicate_names,
 )
-from .predicates import PredicateDef, signed_distance
+from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
 
 __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
@@ -103,6 +104,74 @@ def _needs(node: Formula) -> list:
     return []
 
 
+def _nearest(values: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
+    """values at the first True of mask at or after each of the first n columns
+    (at the last column where there is none)."""
+    width = mask.shape[-1]
+    index = np.where(mask, np.arange(width), width - 1)
+    index = np.minimum.accumulate(index[:, ::-1], axis=-1)[:, ::-1]
+    return np.take_along_axis(values, index[:, :n], axis=-1)
+
+
+def _until(node, a: int, b: int, at, top) -> np.ndarray:
+    """Until at anchors a..b.
+
+    Candidate k = lo..hi, k steps from the anchor, is the minimum of right
+    there and of left at the k - 1 steps between (``top`` for k <= 1); the
+    value is the best candidate.  The past, reversed in time, is the future.
+    Minima of left over w = 1, 2, 4, ... steps come from a table doubled once
+    per w.  The k - 1 steps before candidate k, for k - 1 in [w, 2w), are the
+    first w of them and the last w, so min(table[i], table[i + k - 1 - w]);
+    the first term is the same for all these k, so each w takes one window
+    maximum over min(table, right).  The work is O(log hi) passes over the
+    operands plus the window maxima, O(N x anchors x hi) in all.
+    """
+    lo, hi = node.interval.lo, node.interval.hi
+    n = b - a + 1
+    # right[:, i + k - lo] and left[:, i + j - 1] sit k and j steps from anchor i.
+    if isinstance(node, UntilFuture):
+        right = at(node.right, a + lo, b + hi)
+        left = at(node.left, a + 1, b + hi - 1) if hi >= 2 else None
+    else:
+        right = at(node.right, a - hi, b - lo)[:, ::-1]
+        left = at(node.left, a - hi + 1, b - 1)[:, ::-1] if hi >= 2 else None
+
+    def best(values: np.ndarray, count: int) -> np.ndarray:
+        """Maximum over each run of count columns, for the n anchors."""
+        # windows[c, :, i] = values[:, i + c].  Reduced over this leading axis,
+        # numpy takes the maximum of whole slices; over a trailing window axis
+        # it is many times slower for few columns.
+        row, column = values.strides
+        windows = as_strided(values, (count, values.shape[0], n), (column, row, column), writeable=False)
+        return windows.max(axis=0)
+
+    value = best(right, min(hi, 1) - lo + 1) if lo <= 1 else None
+    table, w = left, 1  # table[:, x] is the minimum of left[:, x : x + w]
+    while w <= hi - 1:
+        k1, k2 = max(lo, w + 1), min(hi, 2 * w)
+        if k1 <= k2:
+            # Candidate k of anchor i: min(table[i], table[i + k - 1 - w], right at k).
+            tails = np.minimum(table[:, k1 - 1 - w :], right[:, k1 - lo :])
+            part = np.minimum(table[:, :n], best(tails, k2 - k1 + 1))
+            value = part if value is None else np.maximum(value, part, out=value)
+        if 2 * w <= hi - 1:
+            table = np.minimum(table[:, :-w], table[:, w:])
+        w *= 2
+    if value.dtype.kind == "f" and (value == 0).any():
+        # A zero takes the sign a nearest-first scan of the candidates keeps
+        # (a running minimum of left keeps its first zero, min(inner, right)
+        # keeps right's, the best keeps the nearest): right at the nearest
+        # candidate with right >= 0 if that is a zero, else left at the
+        # nearest step where it is zero.
+        zero = _nearest(right, right >= 0, n)
+        if left is not None:
+            zero = np.where(zero == 0, zero, _nearest(left, left == 0, n))
+        value = np.where(value == 0, zero, value)
+    # Contiguous, like every other node's value: the window min/max of a
+    # parent G/F/H/O may return the other zero of a tie on a reversed view.
+    return value if isinstance(node, UntilFuture) else np.ascontiguousarray(value[:, ::-1])
+
+
 def _evaluate(
     f: Formula, states: np.ndarray, t: int, predicates: Mapping[str, PredicateDef], leaf, top, neg
 ) -> np.ndarray:
@@ -128,9 +197,11 @@ def _evaluate(
         start = spans[id(g)][0]
         return values[id(g)][:, lo - start : hi - start + 1]
 
-    # np.minimum/np.maximum keep their second operand on ties (0.0 against
-    # -0.0), min/max their first; operands are passed swapped to match the
-    # scalar definitions.
+    # Zero signs: where 0.0 and -0.0 tie, the connectives and until return
+    # the zero a left-to-right fold keeps (np.minimum and np.maximum keep
+    # their second operand, so operands are passed swapped; _until restores
+    # the sign of a zero it returns).  The G/F/H/O window min/max may return
+    # the other zero; the two are equal as reals.
     for node in order:
         a, b = spans[id(node)]
         shape = (states.shape[0], b - a + 1)
@@ -138,9 +209,7 @@ def _evaluate(
             case TrueFormula():
                 value = np.full(shape, top)
             case Predicate(name):
-                p = predicates[name]
-                members = states[:, a : b + 1]  # as lists one member at a time, to bound memory
-                value = leaf(np.array([[signed_distance(p, row) for row in m.tolist()] for m in members]))
+                value = leaf(margins(predicates[name], states[:, a : b + 1]))
             case Not(child):
                 value = neg(at(child, a, b))
             case And(left, right):
@@ -154,19 +223,8 @@ def _evaluate(
                     value = windows.max(axis=-1)
                 else:
                     value = windows.min(axis=-1)
-            case UntilFuture(left, right, iv) | UntilPast(left, right, iv):
-                # Candidates at offsets k = 0..hi from each anchor, toward the
-                # future or the past; inner holds the minimum of left strictly
-                # between the anchor and the candidate.
-                step = 1 if isinstance(node, UntilFuture) else -1
-                best, inner = np.full(shape, neg(top)), np.full(shape, top)
-                for k in range(iv.hi + 1):
-                    s = step * k
-                    if k >= iv.lo:
-                        best = np.maximum(np.minimum(inner, at(right, a + s, b + s)), best)
-                    if k > 0:
-                        inner = np.minimum(at(left, a + s, b + s), inner)
-                value = best
+            case UntilFuture() | UntilPast():
+                value = _until(node, a, b, at, top)
         values[id(node)] = value
     return values[id(f)][:, 0]
 

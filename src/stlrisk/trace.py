@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyError, FormatError, GapError, MismatchError
 
-__all__ = ["Trace", "Ensemble", "load_trace_csv", "save_trace_csv", "load_ensemble"]
+__all__ = ["Trace", "Ensemble", "load_trace_csv", "save_trace_csv", "member_files", "load_ensemble"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,12 +161,17 @@ def save_trace_csv(trace: Trace, path) -> None:
             writer.writerow([str(t)] + [f"{v:.17g}" for v in trace.states[t]])
 
 
+def member_files(directory: Path) -> list:
+    """The trace CSVs of an ensemble directory, in member order (by file name)."""
+    return sorted((p for p in directory.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
+
+
 def load_ensemble(path) -> Ensemble:
     """Load an ensemble from a directory of CSVs or a JSON manifest."""
     path = Path(path)
     metadata: dict = {"source": str(path)}
     if path.is_dir():
-        files = sorted(p for p in path.iterdir() if p.suffix == ".csv")
+        files = member_files(path)
         if not files:
             raise EmptyError(f"{path}: no trace CSVs in directory")
     else:

@@ -45,6 +45,12 @@ class TestCheck:
     def test_syntax_error_exits_2(self, capsys):
         assert main(["check", "--formula", "p &"]) == 2
 
+    @pytest.mark.parametrize("text", ["(" * 300 + "p" + ")" * 300, "!" * 1000 + "p"])
+    def test_deep_nesting_exits_2_with_span(self, text, capsys):
+        assert main(["check", "--formula", text]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: formula nests deeper than 100 levels (at offset 100-101)\n"
+
     def test_internal_error_is_one_line_exit_1(self, monkeypatch, capsys):
         def broken(text):
             raise RuntimeError("parser exploded")

@@ -94,6 +94,31 @@ class TestParse:
                 assert 0 <= span.start <= span.end <= len(text)
 
 
+class TestNestingLimit:
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 300 + "p" + ")" * 300, "!" * 1000 + "p", "G[0,1] " * 101 + "p", "!(" * 51 + "p" + ")" * 51],
+    )
+    def test_deeper_than_limit_is_syntax_error(self, text):
+        with pytest.raises(FormulaSyntaxError, match="nests deeper than 100 levels") as info:
+            parse(text)
+        span = info.value.span
+        assert 0 <= span.start < span.end <= len(text)
+
+    @pytest.mark.parametrize(
+        "text, printed",
+        [
+            ("(" * 100 + "p & q" + ")" * 100, "p & q"),
+            ("!" * 100 + "p", "!" * 100 + "p"),
+            ("F[0,1] (" * 50 + "p | q" + ")" * 50, "F[0,1] " * 49 + "F[0,1](p | q)"),
+        ],
+    )
+    def test_exactly_100_levels_parse_and_print(self, text, printed):
+        f = parse(text)
+        assert format_formula(f) == printed
+        assert parse(format_formula(f)) == f
+
+
 class TestFormat:
     def test_single_negation(self):
         assert format_formula(Not(P)) == "!p"

@@ -10,6 +10,7 @@ from stlrisk.predicates import (
     Halfspace,
     NormBall,
     StateSlice,
+    margins,
     parse_predicate_table,
     signed_distance,
 )
@@ -141,6 +142,103 @@ class TestComplementAndCustom:
     def test_custom_callable(self):
         p = CustomPredicate(lambda s: s[0] - 1.0)
         assert signed_distance(p, [3.0]) == 2.0
+
+
+def assert_margins_bit_equal(p, states):
+    got = margins(p, states)
+    assert got.shape == states.shape[:-1]
+    for index in np.ndindex(got.shape):
+        expected = np.float64(signed_distance(p, states[index].tolist()))
+        assert got[index].tobytes() == expected.tobytes(), (p, index)
+
+
+class TestArrayMargins:
+    """``margins`` over (N, span, d) arrays equals ``signed_distance`` per row, bit for bit."""
+
+    def test_halfspaces(self):
+        rng = np.random.default_rng(14)
+        for _ in range(100):
+            dim = int(rng.integers(1, 5))
+            a = rng.normal(size=dim)
+            p = Halfspace(tuple(a), float(rng.normal()))
+            assert_margins_bit_equal(p, rng.normal(scale=3.0, size=(3, 5, dim)))
+
+    def test_halfspace_dot_is_summed_left_to_right(self):
+        # 1e16 + 1 rounds to 1e16, so the left-to-right sum is 0; a compensated
+        # sum (Python 3.12's sum() of floats) would give 1.
+        p = Halfspace((1.0, 1.0, 1.0), 0.0)
+        state = [1e16, 1.0, -1e16]
+        assert signed_distance(p, state) == 0.0
+        assert_margins_bit_equal(p, np.array([[state]]))
+
+    def test_halfspace_negative_zero_dot(self):
+        # The products are -0.0; summed left to right from 0, the dot product
+        # is +0.0, and +0.0 + b stays +0.0 for b = -0.0.
+        p = Halfspace((-1.0, 2.0), -0.0)
+        states = np.array([[[0.0, -0.0], [0.0, 0.0], [-0.0, 0.0], [1.0, 0.5]]])
+        assert_margins_bit_equal(p, states)
+        assert not np.signbit(margins(p, states)[0, 0])
+
+    def test_balls_constant_and_slice_centers(self):
+        rng = np.random.default_rng(15)
+        for _ in range(200):
+            dim = int(rng.integers(2, 6))
+            k = int(rng.integers(1, dim // 2 + 1))
+            pos = tuple(int(v) for v in rng.choice(dim, size=k, replace=False))
+            if rng.random() < 0.5:
+                center = StateSlice(tuple(int(v) for v in rng.choice(dim, size=k)))
+            else:
+                center = tuple(rng.normal(size=k))
+            norm = "l2" if rng.random() < 0.5 else "linf"
+            p = NormBall(pos, center, float(rng.uniform(0.3, 2.0)), norm)
+            # Small scale puts some states inside, large scale others outside.
+            assert_margins_bit_equal(p, rng.normal(scale=float(rng.choice([0.3, 3.0])), size=(4, 6, dim)))
+
+    def test_exact_boundary(self):
+        states = np.array([[[1.0, 0.0], [0.0, -1.0], [0.5, 0.5], [2.0, 0.0]]])
+        for norm in ("l2", "linf"):
+            p = NormBall((0, 1), (0.0, 0.0), 1.0, norm)
+            assert_margins_bit_equal(p, states)
+            assert margins(p, states)[0, 0] == 0.0 and margins(p, states)[0, 1] == 0.0
+
+    def test_pinned_hypot_pair(self):
+        # np.hypot rounds this pair to ...658, math.hypot to ...656.
+        x, y = 1.760667296993123, 0.19921798301385701
+        states = np.array([[[x, y, 0.0, 0.0]]])
+        for center in ((0.0, 0.0), StateSlice((2, 3))):
+            p = NormBall((0, 1), center, 1.0, "l2")
+            assert_margins_bit_equal(p, states)
+            assert margins(p, states)[0, 0] == 1.0 - math.hypot(x, y)
+        outside = NormBall((0, 1), (-1.0, -1.0), 1.0, "linf")
+        assert_margins_bit_equal(outside, states + np.array([1.0, 1.0, 0.0, 0.0]))
+
+    def test_complement_and_custom(self):
+        rng = np.random.default_rng(16)
+        states = rng.normal(size=(3, 4, 3))
+        assert_margins_bit_equal(Complement(NormBall((0, 2), StateSlice((1, 1)), 0.8, "linf")), states)
+        assert_margins_bit_equal(Complement(Halfspace((1.0, -2.0, 0.5), 0.1)), states)
+        seen = []
+
+        def fn(row):
+            seen.append(row)
+            return row[0] * row[2] - 1.0
+
+        assert_margins_bit_equal(CustomPredicate(fn), states)
+        assert all(type(row) is list for row in seen)
+
+    def test_short_state_raises_the_scalar_message(self):
+        states = np.zeros((2, 3, 2))
+        for p in (
+            Halfspace((1.0, 1.0, 1.0), 0.0),
+            NormBall((0, 3), (0.0, 0.0), 0.5, "l2"),
+            NormBall((0, 1), StateSlice((1, 2)), 0.5, "linf"),
+            Complement(NormBall((4,), (0.0,), 0.5, "linf")),
+        ):
+            with pytest.raises(DimensionError) as scalar:
+                signed_distance(p, [0.0, 0.0])
+            with pytest.raises(DimensionError) as array:
+                margins(p, states)
+            assert str(array.value) == str(scalar.value)
 
 
 class TestPredicateTable:

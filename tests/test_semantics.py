@@ -18,7 +18,7 @@ from stlrisk.formula import (
     UntilPast,
     horizon,
 )
-from stlrisk.predicates import Halfspace, NormBall
+from stlrisk.predicates import Complement, CustomPredicate, Halfspace, NormBall, StateSlice
 from stlrisk.semantics import eval_boolean, eval_robust, eval_robust_ensemble
 from stlrisk.trace import Ensemble, Trace
 
@@ -158,6 +158,56 @@ class TestOracleEquivalence:
                 for t in range(reach.past_depth, trace.length - reach.future_depth):
                     assert eval_robust(f, trace, t, PREDS) == rho_oracle(f, trace, t, PREDS)
                     assert eval_boolean(f, trace, t, PREDS) == beta_oracle(f, trace, t, PREDS)
+
+
+class TestEngineCoverage:
+    def test_slice_centers_complements_and_custom_predicates_match_oracles(self):
+        table = {
+            "near": NormBall((0, 1), StateSlice((2, 3)), 1.5, "l2"),
+            "box": NormBall((0, 1), StateSlice((3, 2)), 1.0, "linf"),
+            "away": Complement(NormBall((1,), StateSlice((3,)), 0.7, "linf")),
+            "below": Complement(Halfspace((1.0, -1.0, 0.0, 0.5), 0.2)),
+            "custom": CustomPredicate(lambda s: s[0] * s[1] - s[3]),
+        }
+        rng = np.random.default_rng(30)
+        for _ in range(300):
+            f = random_formula(rng, table, depth=int(rng.integers(0, 4)))
+            h = horizon(f)
+            length = h.future_depth + h.past_depth + int(rng.integers(1, 4))
+            t = int(rng.integers(h.past_depth, length - h.future_depth))
+            members = tuple(random_trace(rng, length, 4) for _ in range(3))
+            z = eval_robust_ensemble(f, Ensemble(members), t, table)
+            for i, trace in enumerate(members):
+                rho = rho_oracle(f, trace, t, table)
+                assert eval_robust(f, trace, t, table) == rho
+                assert z[i].tobytes() == np.float64(-eval_robust(f, trace, t, table)).tobytes()
+                assert eval_boolean(f, trace, t, table) == beta_oracle(f, trace, t, table)
+
+    def test_until_over_many_anchors_matches_oracles(self):
+        # Windows of 0..9 steps reach the first four levels of the until's
+        # table of left minima, with lo below, inside and above each level.
+        # Integer states put many margins at exactly 0.0 or -0.0 (under the
+        # complement), so the until must also keep the sign of zero that the
+        # oracle's left-to-right min/max keeps.
+        table = {"p": Halfspace((1.0,), 0.0), "q": Complement(Halfspace((1.0,), -1.0))}
+        p, q = Predicate("p"), Predicate("q")
+        rng = np.random.default_rng(31)
+        for lo in (0, 1, 2, 3, 5):
+            for hi in (0, 1, 2, 3, 4, 5, 8, 9):
+                if hi < lo:
+                    continue
+                iv = TimeInterval(lo, hi)
+                for until in (UntilFuture(And(p, Not(q)), q, iv), UntilPast(Not(p), And(q, Not(p)), iv)):
+                    outer = (AlwaysFuture(until, TimeInterval(0, 5)), UntilFuture(q, until, TimeInterval(0, 5)))
+                    for _ in range(12):
+                        trace = Trace(rng.integers(-2, 3, size=(16 + hi, 1)).astype(float))
+                        for f in outer:
+                            t = horizon(f).past_depth
+                            rho, robust = rho_oracle(f, trace, t, table), eval_robust(f, trace, t, table)
+                            assert robust == rho
+                            if isinstance(f, UntilFuture):  # untils all the way down: bit-equal
+                                assert np.float64(robust).tobytes() == np.float64(rho).tobytes()
+                            assert eval_boolean(f, trace, t, table) == beta_oracle(f, trace, t, table)
 
 
 class TestSoundness:
