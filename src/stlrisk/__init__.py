@@ -79,4 +79,4 @@ from .scenario import (
     sample_ensemble,
 )
 from .semantics import eval_boolean, eval_robust, eval_robust_ensemble
-from .trace import Ensemble, Trace, load_ensemble, load_trace_csv, save_trace_csv
+from .trace import Ensemble, Trace, load_ensemble, load_trace_csv, read_ensemble, save_trace_csv

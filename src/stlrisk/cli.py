@@ -34,7 +34,7 @@ from .predicates import load_predicates
 from .risk import RiskParams, format_number, risk_of_formula
 from .scenario import CaseStudyConfig, run_case_study
 from .semantics import eval_boolean, eval_robust
-from .trace import load_ensemble, load_trace_csv, member_files
+from .trace import load_trace_csv, read_ensemble
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -98,7 +98,7 @@ def cmd_risk(args) -> int:
         return _fail(str(exc), EXIT_PARSE, exc.span)
     try:
         predicates = load_predicates(args.predicates)
-        ensemble = load_ensemble(args.ensemble)
+        ensemble, sources = read_ensemble(args.ensemble)
         bounds = _parse_bounds(args.bounds) if args.bounds else None
         params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
         result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
@@ -115,15 +115,9 @@ def cmd_risk(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         result_path = outdir / "result.json"
         result_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        inputs = {
-            str(args.predicates): _digest_file(args.predicates),
-        }
-        ens_path = Path(args.ensemble)
-        if ens_path.is_file():
-            inputs[str(ens_path)] = _digest_file(ens_path)
-        elif ens_path.is_dir():
-            for member in member_files(ens_path):
-                inputs[str(member)] = _digest_file(member)
+        # The ensemble's files are hashed from the bytes that were evaluated.
+        inputs = {name: _digest(data) for name, data in sources.items()}
+        inputs[str(args.predicates)] = _digest_file(args.predicates)
         _write_manifest(
             outdir,
             command="risk",
@@ -196,8 +190,12 @@ def cmd_casestudy(args) -> int:
     return EXIT_OK
 
 
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 def _digest_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _digest(Path(path).read_bytes())
 
 
 def _write_manifest(outdir: Path, command: str, parameters: dict, inputs: dict, outputs: dict) -> None:

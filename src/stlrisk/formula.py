@@ -35,6 +35,7 @@ __all__ = [
     "horizon",
     "operands",
     "postorder",
+    "postorder_horizon",
     "predicate_names",
 ]
 
@@ -235,8 +236,13 @@ def postorder(f: Formula) -> list:
 
 def horizon(f: Formula) -> Horizon:
     """Nesting sum of window upper bounds along the deepest syntactic path."""
+    return postorder_horizon(postorder(f))
+
+
+def postorder_horizon(order: list) -> Horizon:
+    """``horizon`` of the formula whose ``postorder`` is ``order``."""
     reach: dict = {}
-    for node in postorder(f):
+    for node in order:
         below = [reach[id(child)] for child in operands(node)]
         future = max((h.future_depth for h in below), default=0)
         past = max((h.past_depth for h in below), default=0)
@@ -245,7 +251,7 @@ def horizon(f: Formula) -> Horizon:
         elif isinstance(node, (UntilPast, EventuallyPast, AlwaysPast)):
             past = node.interval.hi + past
         reach[id(node)] = Horizon(future, past)
-    return reach[id(f)]
+    return reach[id(order[-1])]
 
 
 def predicate_names(f: Formula) -> frozenset:

@@ -21,8 +21,8 @@ like ``a U[0,1] b U[0,2] c`` must be parenthesized.  Identifiers match
 and cannot name predicates.
 
 Each ``!``, temporal unary prefix and ``(`` opens a nesting level; text
-nested deeper than 100 levels is a FormulaSyntaxError, so that parsing and
-printing stay within Python's recursion limit.
+nested deeper than 100 levels is a FormulaSyntaxError, so that parsing
+stays within Python's recursion limit.  Printing keeps an explicit stack.
 """
 
 from __future__ import annotations
@@ -268,41 +268,48 @@ def _level(f: Formula) -> int:
             return _LVL_ATOM
 
 
-def _fmt(f: Formula, min_level: int) -> str:
-    if _level(f) < min_level:
-        return "(" + _fmt(f, _LVL_OR) + ")"
-    match f:
-        case TrueFormula():
-            return "true"
-        case Predicate(name):
-            return name
-        case Not(child):
-            return "!" + _fmt(child, _LVL_UNARY)
-        case And(left, right):
-            return _fmt(left, _LVL_AND) + " & " + _fmt(right, _LVL_UNTIL)
-        case Or(left, right):
-            return _fmt(left, _LVL_OR) + " | " + _fmt(right, _LVL_AND)
-        case UntilFuture(left, right, interval):
-            return f"{_fmt(left, _LVL_UNARY)} U{interval} {_fmt(right, _LVL_UNARY)}"
-        case UntilPast(left, right, interval):
-            return f"{_fmt(left, _LVL_UNARY)} S{interval} {_fmt(right, _LVL_UNARY)}"
-        case EventuallyFuture(child, interval):
-            return _unary_fmt("F", interval, child)
-        case AlwaysFuture(child, interval):
-            return _unary_fmt("G", interval, child)
-        case EventuallyPast(child, interval):
-            return _unary_fmt("O", interval, child)
-        case AlwaysPast(child, interval):
-            return _unary_fmt("H", interval, child)
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _unary_fmt(op: str, interval: TimeInterval, child: Formula) -> str:
-    body = _fmt(child, _LVL_UNARY)
-    sep = "" if body.startswith("(") else " "
-    return f"{op}{interval}{sep}{body}"
+_UNARY_OPS = {EventuallyFuture: "F", AlwaysFuture: "G", EventuallyPast: "O", AlwaysPast: "H"}
 
 
 def format_formula(f: Formula) -> str:
-    """Canonical text with minimal parentheses; parse(format_formula(f)) == f."""
-    return _fmt(f, _LVL_OR)
+    """Canonical text with minimal parentheses; parse(format_formula(f)) == f.
+
+    The walk keeps an explicit stack of pending text and (node, minimum
+    precedence level) pairs, so any nesting depth and chain length is fine;
+    a node below the level its position needs is parenthesized.
+    """
+    out, stack = [], [(f, _LVL_OR)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        node, min_level = item
+        if _level(node) < min_level:
+            out.append("(")
+            stack += [")", (node, _LVL_OR)]
+            continue
+        match node:
+            case TrueFormula():
+                out.append("true")
+            case Predicate(name):
+                out.append(name)
+            case Not(child):
+                out.append("!")
+                stack.append((child, _LVL_UNARY))
+            case And(left, right):
+                stack += [(right, _LVL_UNTIL), " & ", (left, _LVL_AND)]
+            case Or(left, right):
+                stack += [(right, _LVL_AND), " | ", (left, _LVL_OR)]
+            case UntilFuture(left, right, interval):
+                stack += [(right, _LVL_UNARY), f" U{interval} ", (left, _LVL_UNARY)]
+            case UntilPast(left, right, interval):
+                stack += [(right, _LVL_UNARY), f" S{interval} ", (left, _LVL_UNARY)]
+            case EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
+                # No space before an operand that gets parentheses.
+                sep = "" if _level(node.child) < _LVL_UNARY else " "
+                out.append(f"{_UNARY_OPS[type(node)]}{node.interval}{sep}")
+                stack.append((node.child, _LVL_UNARY))
+            case _:
+                raise TypeError(f"not a formula node: {node!r}")
+    return "".join(out)

@@ -188,11 +188,15 @@ def cvar_point(z: RobustnessSamples, beta: float) -> float:
     _check_level(beta)
     srt = z.sorted()
     n = z.n
+    # Relative to the median, so that a large common offset does not cancel
+    # in tail - above * srt and cost precision.
+    pivot = srt[n // 2]
+    srt = srt - pivot
     # Sum of (s_j - s_i) over j > i via suffix sums.
     tail = np.concatenate((np.cumsum(srt[::-1])[::-1][1:], [0.0]))
     above = n - 1 - np.arange(n)
     g = srt + (tail - above * srt) / ((1.0 - beta) * n)
-    return float(g.min())
+    return float(g.min() + pivot)
 
 
 def expected(z: RobustnessSamples) -> float:

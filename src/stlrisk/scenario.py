@@ -264,14 +264,14 @@ def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:
     sd = math.sqrt(config.region_d.variance)
     cx0, cy0 = config.region_c.mean
     dx0, dy0 = config.region_d.mean
-    traces = []
+    states = np.empty((config.n, _STEPS, _STATE_DIM), dtype=float)
     for i in range(config.n):
         z = normals[4 * i : 4 * i + 4]
         c = (cx0 + sc * z[0], cy0 + sc * z[1])
         d = (dx0 + sd * z[2], dy0 + sd * z[3])
-        traces.append(Trace(_trace_states(waypoints, c, d)))
+        states[i] = _trace_states(waypoints, c, d)
     metadata = {"seed": config.seed, "trajectory": trajectory_index, "n": config.n}
-    return Ensemble(tuple(traces), metadata)
+    return Ensemble.from_states(states, metadata)
 
 
 @dataclass(frozen=True)

@@ -22,14 +22,15 @@ strengthen "eventually".  Within an admissible call every window lies inside
 the trace.
 
 Both semantics, for one trace or a whole ensemble, run through one array
-engine over an (N, T, d) stack of member states.  It walks the formula's
-nodes once in postorder without recursion, gives each node the contiguous
-range of anchor times its parents need, and computes each node bottom-up as
-an (N, times) array: the array kernels ``predicates.margins`` for the
-leaves, minimum and maximum for the connectives, sliding-window minimum and
-maximum for always and eventually (Donze, Ferrere & Maler, "Efficient
-Robust Monitoring for STL", CAV 2013), and for until window maxima over a
-doubling table of left minima (see ``_until``).  The two semantics differ
+engine over (N, T, d) member states: an ensemble's ``states``, or a trace
+as N = 1.  It walks the formula's nodes once in postorder without
+recursion, gives each node the contiguous range of anchor times its parents
+need, and computes each node bottom-up as an (N, times) array: the array
+kernels ``predicates.margins`` for the leaves, minimum and maximum for the
+connectives, sliding-window minimum and maximum for always and eventually
+(Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013),
+and for until window maxima over a doubling table of left minima (see
+``_until``).  The two semantics differ
 only in the leaf map (margin or margin >= 0), the value of truth and the
 negation.  The cost is O(formula size x N x anchors x window width).
 """
@@ -56,9 +57,8 @@ from .formula import (
     TrueFormula,
     UntilFuture,
     UntilPast,
-    horizon,
     postorder,
-    predicate_names,
+    postorder_horizon,
 )
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
@@ -68,13 +68,15 @@ __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
 INF = math.inf
 
 
-def _check_admissible(f: Formula, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
-    missing = sorted(predicate_names(f) - set(predicates))
+def _check_admissible(order: list, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
+    """Refuse a formula, given as its postorder, that names an undefined
+    predicate or does not fit the trace around t."""
+    missing = sorted({node.name for node in order if isinstance(node, Predicate)} - set(predicates))
     if missing:
         raise UnknownPredicateError(f"formula references undefined predicates: {', '.join(missing)}")
     if not 0 <= t < length:
         raise InsufficientHorizonError(f"time {t} outside the trace index range [0, {length - 1}]")
-    h = horizon(f)
+    h = postorder_horizon(order)
     if t + h.future_depth > length - 1:
         raise InsufficientHorizonError(
             f"formula looks {h.future_depth} steps ahead but only "
@@ -180,8 +182,8 @@ def _evaluate(
     ``leaf`` maps predicate margins to values, ``top`` is the value of truth
     and ``neg`` negates; every other operation is a minimum or a maximum.
     """
-    _check_admissible(f, states.shape[1], t, predicates)
     order = postorder(f)
+    _check_admissible(order, states.shape[1], t, predicates)
     spans = {id(f): (t, t)}
     for node in reversed(order):  # every parent before its operands
         if id(node) not in spans:
@@ -257,5 +259,4 @@ def eval_robust_ensemble(
     the whole evaluation.  The result may contain infinities; the risk
     estimators reject those at intake.
     """
-    states = np.stack([trace.states for trace in ensemble.traces])
-    return -_evaluate(f, states, t, predicates, *_ROBUST)
+    return -_evaluate(f, ensemble.states, t, predicates, *_ROBUST)

@@ -4,16 +4,23 @@ Trace CSV wire format: header ``t,x1,...,xn``, one row per step with
 consecutive integer times starting at 0, UTF-8, LF or CRLF line endings.
 An ensemble is either a directory of such CSVs (members ordered by file
 name) or a JSON manifest ``{"traces": [paths...], "seed": ...}`` with paths
-resolved relative to the manifest.
+resolved relative to the manifest.  In memory it is one read-only (N, T, d)
+array.  Loading reads each file once and converts the members of the plain
+layout ``save_trace_csv`` writes in one batch; any other member sends the
+whole ensemble through the strict per-file reader (``csv.reader``, cell by
+cell), which decides acceptance and error messages.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import chain
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -21,7 +28,15 @@ import numpy as np
 
 from .errors import EmptyError, FormatError, GapError, MismatchError
 
-__all__ = ["Trace", "Ensemble", "load_trace_csv", "save_trace_csv", "member_files", "load_ensemble"]
+__all__ = [
+    "Trace",
+    "Ensemble",
+    "load_trace_csv",
+    "save_trace_csv",
+    "member_files",
+    "load_ensemble",
+    "read_ensemble",
+]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,21 +78,30 @@ class Trace:
     def __len__(self) -> int:
         return self.length
 
+    @classmethod
+    def _view(cls, states: np.ndarray) -> "Trace":
+        """A trace over a read-only array that is already checked, uncopied."""
+        trace = cls.__new__(cls)
+        object.__setattr__(trace, "states", states)
+        return trace
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """N traces of equal dimension and length, in a significant order.
 
-    The order only matters for reproducibility of derived logs; every risk
-    estimator downstream is permutation invariant.
+    ``states`` is one read-only (N, T, d) array: ``states[i]`` is member i's
+    trace.  Build an ensemble from a sequence of ``Trace`` objects, or from an
+    array with ``Ensemble.from_states``.  The order only matters for
+    reproducibility of derived logs; every risk estimator downstream is
+    permutation invariant.
     """
 
-    traces: tuple
-    metadata: Optional[Mapping] = field(default=None)
+    states: np.ndarray
+    metadata: Optional[Mapping] = None
 
-    def __post_init__(self):
-        traces = tuple(self.traces)
-        object.__setattr__(self, "traces", traces)
+    def __init__(self, traces: Sequence[Trace], metadata: Optional[Mapping] = None):
+        traces = tuple(traces)
         if not traces:
             raise EmptyError("an ensemble needs at least one trace")
         dim, length = traces[0].dim, traces[0].length
@@ -87,18 +111,44 @@ class Ensemble:
                     f"trace {i} has dim={tr.dim}, length={tr.length}; "
                     f"expected dim={dim}, length={length}"
                 )
+        self._freeze(np.stack([tr.states for tr in traces]), metadata)
+
+    @classmethod
+    def from_states(cls, states, metadata: Optional[Mapping] = None) -> "Ensemble":
+        """An ensemble over a copy of an (N, T, d) array of finite states."""
+        arr = np.array(states, dtype=float)
+        if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
+            raise ValueError(f"states must be an (N, T, d) array with T, d >= 1, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise EmptyError("an ensemble needs at least one trace")
+        if not np.isfinite(arr).all():
+            raise ValueError("ensemble states must be finite (no NaN or inf)")
+        ensemble = cls.__new__(cls)
+        ensemble._freeze(arr, metadata)
+        return ensemble
+
+    def _freeze(self, states: np.ndarray, metadata: Optional[Mapping]) -> None:
+        states.flags.writeable = False
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "metadata", metadata)
+
+    @cached_property
+    def traces(self) -> tuple:
+        """The members as ``Trace`` objects over rows of ``states``, built on
+        first use."""
+        return tuple(Trace._view(s) for s in self.states)
 
     @property
     def n(self) -> int:
-        return len(self.traces)
+        return self.states.shape[0]
 
     @property
     def dim(self) -> int:
-        return self.traces[0].dim
+        return self.states.shape[2]
 
     @property
     def length(self) -> int:
-        return self.traces[0].length
+        return self.states.shape[1]
 
     def __len__(self) -> int:
         return self.n
@@ -120,11 +170,10 @@ def _parse_cell(row_no: int, name: str, cell: str) -> float:
     return value
 
 
-def load_trace_csv(path) -> Trace:
-    """Read one trace from CSV, validating the schema strictly."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+def _parse_trace(path: Path, fh) -> Trace:
+    """One trace from the text of a CSV file, opened with ``newline=""``,
+    validating the schema strictly."""
+    rows = list(csv.reader(fh))
     if not rows:
         raise EmptyError(f"{path}: empty file")
     header = rows[0]
@@ -151,6 +200,93 @@ def load_trace_csv(path) -> Trace:
     return Trace(states)
 
 
+def _batch_states(contents: list) -> Optional[np.ndarray]:
+    """The (N, T, d) states of N member CSVs in the plain layout, or None.
+
+    Plain: UTF-8 without quotes or lone CRs, a header exactly ``t,x1,...,xd``
+    and the same number of rows in every file, and rows ``i,v1,...,vd`` with
+    the time i written as ``str(i)`` and finite float cells.  The value cells
+    of all members go through one ``float`` map into one array.  Anything
+    else, valid or not, gives None, and the caller reads each file with the
+    strict per-file parser, which accepts the same files with the same bits
+    and raises the same errors.
+    """
+    header = None
+    cells = []
+    for data in contents:
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        # Without quotes and lone CRs, csv.reader splits at exactly the
+        # commas and line breaks.
+        if '"' in text:
+            return None
+        if "\r" in text:
+            text = text.replace("\r\n", "\n")
+            if "\r" in text:
+                return None
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()  # the line break that ends the last row
+        if header is None:
+            if len(lines) < 2:
+                return None
+            header = lines[0]
+            dim = header.count(",")
+            if dim < 1 or header != ",".join(["t"] + [f"x{j}" for j in range(1, dim + 1)]):
+                return None
+            starts = [f"{i}," for i in range(len(lines) - 1)]
+        if len(lines) != len(starts) + 1 or lines[0] != header:
+            return None
+        for start, row in zip(starts, lines[1:]):
+            if not row.startswith(start) or row.count(",") != dim:
+                return None
+            cells.append(row[len(start) :])
+    try:
+        flat = np.fromiter(map(float, chain.from_iterable(row.split(",") for row in cells)), dtype=float)
+    except ValueError:
+        return None
+    states = flat.reshape(len(contents), len(starts), dim)
+    return states if np.isfinite(states).all() else None
+
+
+def _read(path: Path) -> bytes:
+    with open(path, "rb", buffering=0) as fh:  # unbuffered: one read of the whole file
+        return fh.read()
+
+
+def _load_members(files: list, metadata: dict) -> tuple:
+    """The ensemble of the member CSVs ``files``, each read once, and the
+    bytes read, by path text."""
+    contents = []
+    for p in files:
+        try:
+            contents.append(_read(p))
+        except OSError:
+            break  # raised again below, after the members before it are checked
+    states = _batch_states(contents) if len(contents) == len(files) else None
+    if states is not None:
+        ensemble = Ensemble.from_states(states, metadata)
+    else:
+        # Member by member, as files are read: the first bad member raises
+        # its own error, before a later member or the mismatch check does.
+        traces = []
+        for i, p in enumerate(files):
+            if i == len(contents):
+                contents.append(_read(p))
+            with io.TextIOWrapper(io.BytesIO(contents[i]), encoding="utf-8", newline="") as fh:
+                traces.append(_parse_trace(p, fh))
+        ensemble = Ensemble(traces, metadata)
+    return ensemble, dict(zip(map(str, files), contents))
+
+
+def load_trace_csv(path) -> Trace:
+    """Read one trace from CSV, validating the schema strictly."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        return _parse_trace(Path(path), fh)
+
+
 def save_trace_csv(trace: Trace, path) -> None:
     """Write a trace back to CSV; values survive a reload bit-exactly."""
     path = Path(path)
@@ -166,17 +302,22 @@ def member_files(directory: Path) -> list:
     return sorted((p for p in directory.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
 
 
-def load_ensemble(path) -> Ensemble:
-    """Load an ensemble from a directory of CSVs or a JSON manifest."""
+def read_ensemble(path) -> tuple:
+    """The ensemble at ``path`` (a directory of CSVs or a JSON manifest) and
+    the bytes of every file it was built from, keyed by the file's path as
+    text: the manifest, if any, and each member, each read once."""
     path = Path(path)
     metadata: dict = {"source": str(path)}
+    sources = {}
     if path.is_dir():
         files = member_files(path)
         if not files:
             raise EmptyError(f"{path}: no trace CSVs in directory")
     else:
+        sources[str(path)] = _read(path)
         try:
-            with open(path, encoding="utf-8") as fh:
+            # Decoded as open() in text mode would: same newlines, same error offsets.
+            with io.TextIOWrapper(io.BytesIO(sources[str(path)]), encoding="utf-8") as fh:
                 manifest = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not a valid JSON manifest: {exc}") from None
@@ -190,5 +331,11 @@ def load_ensemble(path) -> Ensemble:
         files = [path.parent / p for p in listed]
         if "seed" in manifest:
             metadata["seed"] = manifest["seed"]
-    traces = tuple(load_trace_csv(p) for p in files)
-    return Ensemble(traces, metadata)
+    ensemble, members = _load_members(files, metadata)
+    sources.update(members)
+    return ensemble, sources
+
+
+def load_ensemble(path) -> Ensemble:
+    """Load an ensemble from a directory of CSVs or a JSON manifest."""
+    return read_ensemble(path)[0]

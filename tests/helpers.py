@@ -4,14 +4,22 @@ The evaluation oracles below deliberately re-derive the semantics as naive
 nested loops over explicit time-index sets, with the extended inf/sup
 conventions spelled out, so they share no code path with the memoized
 evaluators they check.  Likewise the quantile oracles scan the empirical
-CDF literally instead of indexing order statistics.
+CDF literally instead of indexing order statistics, and the ingest oracle
+reads trace CSVs one cell at a time through ``csv.reader``.
 """
 
 from __future__ import annotations
 
+import csv
+import json
 import math
+import re
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+
+from stlrisk.errors import EmptyError, FormatError, GapError, MismatchError
 
 from stlrisk.formula import (
     TRUE,
@@ -162,6 +170,100 @@ def cvar_scan(values, beta: float) -> float:
         g = a + sum(max(v - a, 0.0) for v in z) / ((1.0 - beta) * n)
         best = min(best, g)
     return best
+
+
+def cvar_exact(values, beta: float) -> Fraction:
+    """The conditional-value-at-risk objective's minimum over the samples, in
+    exact rational arithmetic."""
+    s = sorted(Fraction(v) for v in values)
+    n = len(s)
+    scale = (1 - Fraction(beta)) * n
+    best, tail = None, Fraction(0)
+    for i in range(n - 1, -1, -1):  # tail = sum of s[j] over j > i
+        g = s[i] + (tail - (n - 1 - i) * s[i]) / scale
+        best = g if best is None or g < best else best
+        tail += s[i]
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Trace CSV ingest oracle: the strict csv.reader loader, one file at a time
+
+_INT_RE = re.compile(r"^[+-]?\d+$")
+
+
+def load_trace_csv_oracle(path) -> np.ndarray:
+    """The (T, d) states of one trace CSV, read cell by cell."""
+    path = Path(path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    if not rows:
+        raise EmptyError(f"{path}: empty file")
+    header = rows[0]
+    if len(header) < 2 or header[0].strip() != "t":
+        raise FormatError(f"{path}: header must be t,x1,...,xn, got {header!r}")
+    dim = len(header) - 1
+    for i, name in enumerate(header[1:], start=1):
+        if name.strip() != f"x{i}":
+            raise FormatError(f"{path}: header must be t,x1,...,xn, got {header!r}")
+    data = rows[1:]
+    if not data:
+        raise EmptyError(f"{path}: no data rows")
+    states = np.empty((len(data), dim), dtype=float)
+    for idx, row in enumerate(data):
+        if len(row) != dim + 1:
+            raise FormatError(f"{path}: row {idx}: expected {dim + 1} cells, got {len(row)}")
+        t_cell = row[0].strip()
+        if not _INT_RE.match(t_cell):
+            raise FormatError(f"{path}: row {idx}: time cell {t_cell!r} is not an integer")
+        if int(t_cell) != idx:
+            raise GapError(f"{path}: expected t={idx}, got t={t_cell} (times must be consecutive from 0)")
+        for j, cell in enumerate(row[1:]):
+            name, cell = f"x{j + 1}", cell.strip()
+            try:
+                value = float(cell)
+            except ValueError:
+                raise FormatError(f"row {idx}: non-numeric {name} cell {cell!r}") from None
+            if not math.isfinite(value):
+                raise FormatError(f"row {idx}: non-finite {name} value {cell!r}")
+            states[idx, j] = value
+    return states
+
+
+def load_ensemble_oracle(path) -> tuple:
+    """(states (N, T, d), metadata) of an ensemble directory or manifest,
+    each member read on its own, in order, before the shapes are compared."""
+    path = Path(path)
+    metadata: dict = {"source": str(path)}
+    if path.is_dir():
+        files = sorted((p for p in path.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
+        if not files:
+            raise EmptyError(f"{path}: no trace CSVs in directory")
+    else:
+        try:
+            with open(path, encoding="utf-8") as fh:
+                manifest = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise FormatError(f"{path}: not a valid JSON manifest: {exc}") from None
+        if not isinstance(manifest, dict) or "traces" not in manifest:
+            raise FormatError(f'{path}: manifest must be an object with a "traces" list')
+        listed = manifest["traces"]
+        if not isinstance(listed, list):
+            raise FormatError(f'{path}: manifest "traces" must be a list of paths')
+        if not listed:
+            raise EmptyError(f"{path}: manifest lists no traces")
+        files = [path.parent / p for p in listed]
+        if "seed" in manifest:
+            metadata["seed"] = manifest["seed"]
+    members = [load_trace_csv_oracle(p) for p in files]
+    length, dim = members[0].shape
+    for i, m in enumerate(members):
+        if m.shape != (length, dim):
+            raise MismatchError(
+                f"trace {i} has dim={m.shape[1]}, length={m.shape[0]}; "
+                f"expected dim={dim}, length={length}"
+            )
+    return np.stack(members), metadata
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,16 @@
+import builtins
+import hashlib
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stlrisk
 from stlrisk.cli import main
 from stlrisk.trace import Trace, save_trace_csv
 
@@ -50,6 +58,14 @@ class TestCheck:
         assert main(["check", "--formula", text]) == 2
         err = capsys.readouterr().err
         assert err == "error: formula nests deeper than 100 levels (at offset 100-101)\n"
+
+    @pytest.mark.parametrize("op", ["&", "|"])
+    def test_long_chain_printed(self, op, capsys):
+        text = f" {op} ".join(f"p{i % 7}" for i in range(2000))
+        assert main(["check", "--formula", text]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0] == text
+        assert out[2] == "predicates: " + " ".join(f"p{i}" for i in range(7))
 
     def test_internal_error_is_one_line_exit_1(self, monkeypatch, capsys):
         def broken(text):
@@ -186,6 +202,85 @@ class TestRisk:
             ]
         )
         assert code == 4
+
+
+class TestRiskManifest:
+    def risk_out(self, workdir, ensemble, out):
+        args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"),
+                "--ensemble", str(ensemble), "--out", str(out)]
+        assert main(args) == 0
+        return json.loads((out / "manifest.json").read_text())
+
+    def test_directory_members_digested(self, workdir, capsys):
+        manifest = self.risk_out(workdir, workdir / "ensemble", workdir / "out")
+        members = sorted((workdir / "ensemble").iterdir())
+        assert manifest["inputs"] == {
+            str(workdir / "preds.json"): sha256((workdir / "preds.json").read_bytes()),
+            **{str(p): sha256(p.read_bytes()) for p in members},
+        }
+
+    def test_manifest_ensemble_digests_its_members(self, workdir, capsys):
+        listing = workdir / "ens.json"
+        listing.write_text(json.dumps({"traces": ["ensemble/tr001.csv", "ensemble/tr000.csv"]}))
+        first = self.risk_out(workdir, listing, workdir / "a")
+        members = [workdir / "ensemble" / "tr001.csv", workdir / "ensemble" / "tr000.csv"]
+        assert first["inputs"] == {
+            str(workdir / "preds.json"): sha256((workdir / "preds.json").read_bytes()),
+            str(listing): sha256(listing.read_bytes()),
+            **{str(p): sha256(p.read_bytes()) for p in members},
+        }
+        # An edited member shows in the manifest even though the listing is unchanged.
+        save_trace_csv(Trace(np.array([[1.0], [2.0], [3.0]])), members[0])
+        second = self.risk_out(workdir, listing, workdir / "b")
+        assert second["inputs"][str(listing)] == first["inputs"][str(listing)]
+        assert second["inputs"][str(members[0])] != first["inputs"][str(members[0])]
+        assert second["inputs"][str(members[0])] == sha256(members[0].read_bytes())
+
+    def test_digests_the_bytes_that_were_evaluated(self, workdir, monkeypatch, capsys):
+        # Each member is rewritten as soon as it has been read; the manifest
+        # must describe what was evaluated, so each member is read once.
+        members = sorted((workdir / "ensemble").iterdir())
+        original = {str(p): p.read_bytes() for p in members}
+        reads = []
+        real_open = io.open
+
+        def open_then_edit(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if str(file) not in original:
+                return fh
+            reads.append(str(file))
+            with fh:
+                data = fh.read()
+            with real_open(file, "w", encoding="utf-8") as out:
+                out.write("t,x1\n0,-9\n1,-9\n2,-9\n")
+            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+
+        monkeypatch.setattr(builtins, "open", open_then_edit)
+        monkeypatch.setattr(io, "open", open_then_edit)
+        out = workdir / "out"
+        manifest = self.risk_out(workdir, workdir / "ensemble", out)
+        monkeypatch.undo()
+        assert sorted(reads) == sorted(original)
+        for name, data in original.items():
+            assert manifest["inputs"][name] == sha256(data) != sha256(Path(name).read_bytes())
+        assert json.loads((out / "result.json").read_text())["n"] == 100
+
+    def test_import_leaves_hashlib_unloaded(self):
+        # hashlib costs several milliseconds to import; only the CLI needs it.
+        code = (
+            "import sys, numpy; print('hashlib' in sys.modules)\n"
+            "import stlrisk; print('hashlib' in sys.modules)"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(stlrisk.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        by_numpy, by_stlrisk = done.stdout.split()
+        if by_numpy == "True":
+            pytest.skip("this numpy imports hashlib itself")
+        assert by_stlrisk == "False"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 class TestCaseStudy:

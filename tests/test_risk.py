@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from stlrisk.risk import (
 )
 from stlrisk.trace import Ensemble, Trace
 
-from .helpers import cvar_scan, var_bounds_scan, var_scan
+from .helpers import cvar_exact, cvar_scan, var_bounds_scan, var_scan
 
 
 def S(*values):
@@ -154,6 +155,16 @@ class TestCvar:
             assert cvar_point(RobustnessSamples(z), beta) == pytest.approx(
                 cvar_scan(z, beta), rel=1e-12, abs=1e-12
             )
+
+    @pytest.mark.parametrize("offset", [0.0, 1e6, 1e9])
+    def test_exact_under_a_common_offset(self, offset):
+        # Suffix sums of the raw values cancel about 1e-6 away at offset 1e9
+        # (some 16 ulp); taken about the median they stay within one ulp.
+        z = np.random.default_rng(36).normal(size=2000) + offset
+        for beta in (0.5, 0.9, 0.99):
+            exact = cvar_exact(z, beta)
+            got = cvar_point(RobustnessSamples(z), beta)
+            assert abs(Fraction(got) - exact) <= math.ulp(float(exact)) + 1e-12
 
     def test_at_least_var(self):
         rng = np.random.default_rng(35)

@@ -110,6 +110,40 @@ class TestHorizonRefusal:
         with pytest.raises(UnknownPredicateError):
             eval_robust(Predicate("nope"), TR312, 0, PREDS)
 
+    @pytest.mark.parametrize(
+        "text, t, error, message",
+        [
+            ("G[0,2] p & (s | r)", 0, UnknownPredicateError, "formula references undefined predicates: r, s"),
+            ("p", 3, InsufficientHorizonError, "time 3 outside the trace index range [0, 2]"),
+            ("p", -1, InsufficientHorizonError, "time -1 outside the trace index range [0, 2]"),
+            ("G[0,2] p", 1, InsufficientHorizonError, "formula looks 2 steps ahead but only 1 remain after t=1"),
+            ("H[0,1] O[0,1] p", 1, InsufficientHorizonError, "formula looks 2 steps back but only 1 precede t=1"),
+            ("F[0,inf] p", 0, InsufficientHorizonError, "formula looks inf steps ahead but only 2 remain after t=0"),
+        ],
+    )
+    def test_refusal_messages(self, text, t, error, message):
+        with pytest.raises(error) as info:
+            eval_robust(parse_helper(text), TR312, t, PREDS)
+        assert str(info.value) == message
+
+    def test_formula_walked_once_per_evaluation(self, monkeypatch):
+        import stlrisk.formula
+        import stlrisk.semantics
+
+        calls = []
+
+        def counted(f, real=stlrisk.formula.postorder):
+            calls.append(f)
+            return real(f)
+
+        monkeypatch.setattr(stlrisk.formula, "postorder", counted)
+        monkeypatch.setattr(stlrisk.semantics, "postorder", counted)
+        f = parse_helper("G[0,1] p & (q U[0,1] p) & H[0,1] q")
+        eval_robust(f, TR312, 1, PREDS)
+        eval_boolean(f, TR312, 1, PREDS)
+        eval_robust_ensemble(f, Ensemble((TR312, TR312)), 1, PREDS)
+        assert len(calls) == 3
+
 
 def parse_helper(text):
     from stlrisk.parser import parse
@@ -301,6 +335,14 @@ class TestEnsembleEvaluation:
         f = AlwaysFuture(P, TimeInterval(0, 1))
         with pytest.raises(InsufficientHorizonError):
             eval_robust_ensemble(f, Ensemble(traces), 0, PREDS)
+
+    def test_reads_the_ensemble_states(self):
+        traces = tuple(Trace(np.array([[v], [v + 1.0]])) for v in (1.0, -2.0, 0.5))
+        e = Ensemble(traces)
+        f = AlwaysFuture(P, TimeInterval(0, 1))
+        from_array = Ensemble.from_states(e.states)
+        assert eval_robust_ensemble(f, from_array, 0, PREDS).tolist() == [-1.0, 2.0, -0.5]
+        assert eval_robust_ensemble(f, e, 0, PREDS).tolist() == [-1.0, 2.0, -0.5]
 
     def test_case_study_ensemble_finite(self):
         from stlrisk.scenario import CaseStudyConfig, build_case_study_formula, sample_ensemble

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from stlrisk.errors import EmptyError, FormatError, GapError, MismatchError
-from stlrisk.trace import Ensemble, Trace, load_ensemble, load_trace_csv, save_trace_csv
+from stlrisk.trace import Ensemble, Trace, load_ensemble, load_trace_csv, read_ensemble, save_trace_csv
+
+from .helpers import load_ensemble_oracle
 
 
 def write(tmp_path, name, text):
@@ -138,3 +140,197 @@ class TestLoadEnsemble:
     def test_ensemble_needs_a_trace(self):
         with pytest.raises(EmptyError):
             Ensemble(())
+
+
+class TestEnsembleLayout:
+    def test_states_stack_the_traces(self):
+        traces = (Trace(np.array([[1.0, 2.0], [3.0, 4.0]])), Trace(np.array([[5.0, 6.0], [7.0, 8.0]])))
+        e = Ensemble(traces)
+        assert e.states.shape == (2, 2, 2) and (e.n, e.length, e.dim) == (2, 2, 2)
+        assert np.array_equal(e.states, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
+        assert e.traces == traces
+        assert list(e) == list(traces)
+        with pytest.raises(ValueError):
+            e.states[0, 0, 0] = 9.0
+
+    def test_from_states_copies_and_validates(self):
+        source = np.arange(12.0).reshape(3, 2, 2)
+        e = Ensemble.from_states(source, {"seed": 1})
+        source[0, 0, 0] = 99.0
+        assert e.states[0, 0, 0] == 0.0 and not e.states.flags.writeable
+        assert e.metadata == {"seed": 1}
+        assert [tr.states.tolist() for tr in e.traces] == np.arange(12.0).reshape(3, 2, 2).tolist()
+        with pytest.raises(ValueError):
+            Ensemble.from_states(np.ones((2, 2)))
+        with pytest.raises(ValueError):
+            Ensemble.from_states(np.ones((2, 0, 1)))
+        with pytest.raises(ValueError):
+            Ensemble.from_states(np.array([[[1.0]], [[np.nan]]]))
+        with pytest.raises(EmptyError):
+            Ensemble.from_states(np.ones((0, 2, 1)))
+
+    def test_mismatch_reported_before_stacking(self):
+        with pytest.raises(MismatchError, match="trace 1 has dim=2, length=1; expected dim=1, length=1"):
+            Ensemble((Trace(np.ones((1, 1))), Trace(np.ones((1, 2)))))
+
+
+# A plain member: the layout save_trace_csv writes.
+PLAIN = "t,x1,x2\n0,0.5,-1\n1,2.25,1e-3\n2,-0,7\n"
+
+INGEST_CASES = {
+    "plain": [PLAIN, PLAIN.replace("0.5", "0.25")],
+    "crlf": [PLAIN.replace("\n", "\r\n")] * 2,
+    "crlf_and_lf": [PLAIN, PLAIN.replace("\n", "\r\n")],
+    "lone_cr": [PLAIN, PLAIN.replace("\n", "\r")],
+    "cr_before_crlf": [PLAIN, "t,x1,x2\n" + PLAIN[8:].replace("\n", "\r\r\n")],
+    "final_lone_cr": [PLAIN, PLAIN.rstrip("\n") + "\r"],
+    "quoted_cells": [PLAIN, 't,x1,x2\n0,"0.5",-1\n"1",2.25,"1e-3"\n2,-0,7\n'],
+    "quoted_comma": [PLAIN, 't,x1,x2\n0,"0,5",-1\n1,2.25,1e-3\n2,-0,7\n'],
+    "no_final_line_break": [PLAIN.rstrip("\n")] * 2,
+    "blank_line_inside": [PLAIN, "t,x1,x2\n0,1,2\n\n1,2,3\n2,3,4\n"],
+    "trailing_blank_line": [PLAIN, PLAIN + "\n"],
+    "padded_cells": [PLAIN, "t, x1 ,x2\n 0 , 0.5 ,\t-1\n1,2.25 ,1e-3\n2,-0,7\n"],
+    "unicode_space": [PLAIN, PLAIN.replace("2.25", " 2.25\x0c")],
+    "signed_and_zero_padded_times": [PLAIN, "t,x1,x2\n+0,1,2\n01,2,3\n2,3,4\n"],
+    "unicode_digit_time": [PLAIN, PLAIN.replace("\n1,", "\n١,")],
+    "underscore_value": [PLAIN, "t,x1,x2\n0,1_0,2\n1,2,3\n2,3,4\n"],
+    "underscore_time": [PLAIN, "t,x1,x2\n0,1,2\n1_0,2,3\n2,3,4\n"],
+    "float_spellings": [PLAIN, "t,x1,x2\n0,.5,5.\n1,-.5e-3,1E5\n2,-0.0,+7\n"],
+    "nan": [PLAIN, PLAIN.replace("2.25", "NaN")],
+    "inf": [PLAIN, PLAIN.replace("2.25", "-inf")],
+    "huge": [PLAIN, PLAIN.replace("2.25", "1e999")],
+    "non_numeric": [PLAIN, PLAIN.replace("2.25", "abc")],
+    "hex": [PLAIN, PLAIN.replace("2.25", "0x1p3")],
+    "empty_cell": [PLAIN, PLAIN.replace("2.25", "")],
+    "nul": [PLAIN, PLAIN.replace("2.25", "2.25\x00")],
+    "gap": [PLAIN, "t,x1,x2\n0,1,2\n2,2,3\n3,3,4\n"],
+    "start_at_one": [PLAIN, "t,x1,x2\n1,1,2\n2,2,3\n3,3,4\n"],
+    "wrong_header": [PLAIN, PLAIN.replace("t,x1,x2", "t,x1,x3")],
+    "time_header": [PLAIN.replace("t,x1,x2", "time,x1,x2")] * 2,
+    "no_columns": ["t\n0\n1\n"] * 2,
+    "bom": [PLAIN, "﻿" + PLAIN],
+    "bad_utf8": [PLAIN, b"t,x1,x2\n0,1,\xff\n1,2,3\n2,3,4\n"],
+    "short_row": [PLAIN, "t,x1,x2\n0,1\n1,2,3\n2,3,4\n"],
+    "long_row": [PLAIN, "t,x1,x2\n0,1,2,3\n1,2,3\n2,3,4\n"],
+    "rows_that_balance": [PLAIN, "t,x1,x2\n0,1,2,1\n3,4\n2,3,4\n"],
+    "other_dim": [PLAIN, "t,x1\n0,1\n1,2\n2,3\n"],
+    "length_mismatch": [PLAIN, PLAIN + "3,1,1\n"],
+    "length_mismatch_then_bad_member": [PLAIN, PLAIN + "3,1,1\n", PLAIN.replace("2.25", "abc")],
+    "empty_file": [PLAIN, ""],
+    "header_only": [PLAIN, "t,x1,x2\n"],
+    "single_member": [PLAIN],
+}
+
+
+def write_members(directory, members):
+    directory.mkdir()
+    for i, text in enumerate(members):
+        data = text if isinstance(text, bytes) else text.encode("utf-8")
+        (directory / f"m{i:02d}.csv").write_bytes(data)
+    return directory
+
+
+def outcome(load, path):
+    """What loading gives: the states' shape and bits and the metadata, or
+    the exception's type and message."""
+    try:
+        states, metadata = load(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return states.shape, states.tobytes(), metadata
+
+
+def loaded(path):
+    e = load_ensemble(path)
+    return e.states, e.metadata
+
+
+class TestIngestMatchesOracle:
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_directory(self, tmp_path, name):
+        d = write_members(tmp_path / "ens", INGEST_CASES[name])
+        assert outcome(loaded, d) == outcome(load_ensemble_oracle, d)
+
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_manifest(self, tmp_path, name):
+        d = write_members(tmp_path / "ens", INGEST_CASES[name])
+        listing = write(tmp_path, "ens.json", json.dumps({"traces": [f"ens/{p.name}" for p in sorted(d.iterdir())][::-1]}))
+        assert outcome(loaded, listing) == outcome(load_ensemble_oracle, listing)
+
+    def test_expected_outcomes(self, tmp_path):
+        d = write_members(tmp_path / "ens", INGEST_CASES["length_mismatch_then_bad_member"])
+        with pytest.raises(FormatError, match="non-numeric x1 cell 'abc'"):
+            load_ensemble(d)
+        e = load_ensemble(write_members(tmp_path / "quoted", INGEST_CASES["quoted_cells"]))
+        assert e.states.tolist() == [[[0.5, -1.0], [2.25, 1e-3], [-0.0, 7.0]]] * 2
+
+    @pytest.mark.parametrize(
+        "manifest",
+        [
+            '{"traces": ["bad.csv", "missing.csv"]}',
+            '{"traces": ["missing.csv", "bad.csv"]}',
+            '{"traces": ["good.csv", "good.csv"], "seed": 3}',
+            '{"traces": ["good.csv"],\r\n "seed": }',
+            b'{"traces": ["\xff"]}',
+            '["good.csv"]',
+            '{"traces": "good.csv"}',
+            '{"traces": []}',
+        ],
+    )
+    def test_manifest_errors(self, tmp_path, manifest):
+        write(tmp_path, "good.csv", PLAIN)
+        write(tmp_path, "bad.csv", PLAIN.replace("2.25", "abc"))
+        listing = tmp_path / "ens.json"
+        listing.write_bytes(manifest if isinstance(manifest, bytes) else manifest.encode("utf-8"))
+        assert outcome(loaded, listing) == outcome(load_ensemble_oracle, listing)
+
+    def test_random_edits(self, tmp_path):
+        # Members of the plain layout with a few characters inserted,
+        # deleted or replaced: accepted with the same bits, or refused with
+        # the same error.
+        rng = np.random.default_rng(9)
+        alphabet = list(',"\r\n \t0123456789.eE+-_naif') + ["\r\n", "١", "\xa0"]
+        accepted = 0
+        for case in range(300):
+            members = []
+            for _ in range(3):
+                text = "t,x1,x2\n" + "".join(
+                    f"{t},{rng.normal():.17g},{rng.integers(-9, 9)}\n" for t in range(3)
+                )
+                for _ in range(int(rng.integers(0, 3))):
+                    at = int(rng.integers(0, len(text) + 1))
+                    cut = at + int(rng.integers(0, 2))
+                    text = text[:at] + (alphabet[rng.integers(len(alphabet))] if rng.random() < 0.7 else "") + text[cut:]
+                members.append(text)
+            d = write_members(tmp_path / f"e{case}", members)
+            got = outcome(loaded, d)
+            assert got == outcome(load_ensemble_oracle, d), (case, members)
+            accepted += not isinstance(got[0], type)
+        assert 30 < accepted < 270  # both outcomes are exercised
+
+    def test_plain_members_skip_the_cell_parser(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("csv.reader used on plain members")
+
+        monkeypatch.setattr("stlrisk.trace.csv.reader", refuse)
+        e = load_ensemble(write_members(tmp_path / "ens", INGEST_CASES["crlf_and_lf"]))
+        assert e.states.shape == (2, 3, 2)
+
+
+class TestReadEnsemble:
+    def test_directory_sources_are_the_member_bytes(self, tmp_path):
+        d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
+        e, sources = read_ensemble(d)
+        assert sources == {str(p): p.read_bytes() for p in sorted(d.iterdir())}
+        assert e.metadata == {"source": str(d)}
+
+    def test_manifest_sources_include_the_listing(self, tmp_path):
+        d = write_members(tmp_path / "ens", INGEST_CASES["quoted_cells"])
+        listing = write(tmp_path, "ens.json", json.dumps({"traces": ["ens/m01.csv", "ens/m00.csv"]}))
+        e, sources = read_ensemble(listing)
+        assert sources == {
+            str(listing): listing.read_bytes(),
+            str(d / "m01.csv"): (d / "m01.csv").read_bytes(),
+            str(d / "m00.csv"): (d / "m00.csv").read_bytes(),
+        }
+        assert e.n == 2
