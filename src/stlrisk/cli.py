@@ -30,7 +30,7 @@ from .errors import (
 )
 from .formula import horizon, predicate_names
 from .parser import format_formula, parse
-from .predicates import load_predicates
+from .predicates import load_predicates, read_predicates
 from .risk import RiskParams, format_number, risk_of_formula
 from .scenario import CaseStudyConfig, run_case_study
 from .semantics import eval_boolean, eval_robust
@@ -97,7 +97,7 @@ def cmd_risk(args) -> int:
     except (FormulaSyntaxError, IntervalError) as exc:
         return _fail(str(exc), EXIT_PARSE, exc.span)
     try:
-        predicates = load_predicates(args.predicates)
+        predicates, table = read_predicates(args.predicates)
         ensemble, sources = read_ensemble(args.ensemble)
         bounds = _parse_bounds(args.bounds) if args.bounds else None
         params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
@@ -115,9 +115,9 @@ def cmd_risk(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
         result_path = outdir / "result.json"
         result_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        # The ensemble's files are hashed from the bytes that were evaluated.
+        # The inputs are hashed from the bytes that were evaluated.
         inputs = {name: _digest(data) for name, data in sources.items()}
-        inputs[str(args.predicates)] = _digest_file(args.predicates)
+        inputs[str(args.predicates)] = _digest(table)
         _write_manifest(
             outdir,
             command="risk",

@@ -36,6 +36,7 @@ A JSON predicate table maps names to definitions::
 
 from __future__ import annotations
 
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -56,6 +57,7 @@ __all__ = [
     "signed_distance",
     "margins",
     "load_predicates",
+    "read_predicates",
     "parse_predicate_table",
 ]
 
@@ -241,12 +243,20 @@ def _parse_one(spec: dict) -> PredicateDef:
     return p
 
 
-def load_predicates(path) -> dict:
-    """Load a predicate table from a JSON file."""
+def read_predicates(path) -> tuple:
+    """The predicate table in a JSON file and the bytes it was parsed from,
+    read once."""
     path = Path(path)
+    data = path.read_bytes()
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        # Decoded as open() in text mode would: same newlines, same error offsets.
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
+            table = json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    return parse_predicate_table(data)
+    return parse_predicate_table(table), data
+
+
+def load_predicates(path) -> dict:
+    """Load a predicate table from a JSON file."""
+    return read_predicates(path)[0]

@@ -27,12 +27,12 @@ as N = 1.  It walks the formula's nodes once in postorder without
 recursion, gives each node the contiguous range of anchor times its parents
 need, and computes each node bottom-up as an (N, times) array: the array
 kernels ``predicates.margins`` for the leaves, minimum and maximum for the
-connectives, sliding-window minimum and maximum for always and eventually
-(Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013),
-and for until window maxima over a doubling table of left minima (see
-``_until``).  The two semantics differ
-only in the leaf map (margin or margin >= 0), the value of truth and the
-negation.  The cost is O(formula size x N x anchors x window width).
+connectives, window minima and maxima over a doubling table for always and
+eventually (``_window``; Donze, Ferrere & Maler, "Efficient Robust
+Monitoring for STL", CAV 2013), and for until window maxima over the same
+doubling of left minima (see ``_until``).  The two semantics differ only
+in the leaf map (margin or margin >= 0), the value of truth and the
+negation.  The cost is O(formula size x N x (anchors + width) x log width).
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ import math
 from typing import Mapping
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .errors import InsufficientHorizonError, UnknownPredicateError
 from .formula import (
@@ -106,6 +105,25 @@ def _needs(node: Formula) -> list:
     return []
 
 
+def _levels(values: np.ndarray, count: int, pick):
+    """(w, table) for w = 1, 2, 4, ... <= count, where table[:, x] is pick
+    over values[:, x : x + w]; each table is two slices of the one before."""
+    table, w = values, 1
+    while w <= count:
+        yield w, table
+        if 2 * w <= count:
+            table = pick(table[:, :-w], table[:, w:])
+        w *= 2
+
+
+def _window(values: np.ndarray, count: int, n: int, pick) -> np.ndarray:
+    """pick (np.maximum or np.minimum) over values[:, i : i + count] for each
+    of the first n columns i, as two overlapping blocks of the largest w."""
+    for w, table in _levels(values, count, pick):
+        pass
+    return pick(table[:, :n], table[:, count - w : count - w + n])
+
+
 def _nearest(values: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
     """values at the first True of mask at or after each of the first n columns
     (at the last column where there is none)."""
@@ -121,12 +139,11 @@ def _until(node, a: int, b: int, at, top) -> np.ndarray:
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
     there and of left at the k - 1 steps between (``top`` for k <= 1); the
     value is the best candidate.  The past, reversed in time, is the future.
-    Minima of left over w = 1, 2, 4, ... steps come from a table doubled once
-    per w.  The k - 1 steps before candidate k, for k - 1 in [w, 2w), are the
-    first w of them and the last w, so min(table[i], table[i + k - 1 - w]);
-    the first term is the same for all these k, so each w takes one window
-    maximum over min(table, right).  The work is O(log hi) passes over the
-    operands plus the window maxima, O(N x anchors x hi) in all.
+    Minima of left over w = 1, 2, 4, ... steps come from ``_levels``.  The
+    k - 1 steps before candidate k, for k - 1 in [w, 2w), are the first w of
+    them and the last w, so min(table[i], table[i + k - 1 - w]); the first
+    term is the same for all these k, so each w takes one ``_window`` maximum
+    over min(table, right): O(N x (anchors + hi) x log^2 hi) work in all.
     """
     lo, hi = node.interval.lo, node.interval.hi
     n = b - a + 1
@@ -138,27 +155,14 @@ def _until(node, a: int, b: int, at, top) -> np.ndarray:
         right = at(node.right, a - hi, b - lo)[:, ::-1]
         left = at(node.left, a - hi + 1, b - 1)[:, ::-1] if hi >= 2 else None
 
-    def best(values: np.ndarray, count: int) -> np.ndarray:
-        """Maximum over each run of count columns, for the n anchors."""
-        # windows[c, :, i] = values[:, i + c].  Reduced over this leading axis,
-        # numpy takes the maximum of whole slices; over a trailing window axis
-        # it is many times slower for few columns.
-        row, column = values.strides
-        windows = as_strided(values, (count, values.shape[0], n), (column, row, column), writeable=False)
-        return windows.max(axis=0)
-
-    value = best(right, min(hi, 1) - lo + 1) if lo <= 1 else None
-    table, w = left, 1  # table[:, x] is the minimum of left[:, x : x + w]
-    while w <= hi - 1:
+    value = _window(right, min(hi, 1) - lo + 1, n, np.maximum) if lo <= 1 else None
+    for w, table in _levels(left, hi - 1, np.minimum):  # table[:, x]: min of left[:, x : x + w]
         k1, k2 = max(lo, w + 1), min(hi, 2 * w)
         if k1 <= k2:
             # Candidate k of anchor i: min(table[i], table[i + k - 1 - w], right at k).
             tails = np.minimum(table[:, k1 - 1 - w :], right[:, k1 - lo :])
-            part = np.minimum(table[:, :n], best(tails, k2 - k1 + 1))
+            part = np.minimum(table[:, :n], _window(tails, k2 - k1 + 1, n, np.maximum))
             value = part if value is None else np.maximum(value, part, out=value)
-        if 2 * w <= hi - 1:
-            table = np.minimum(table[:, :-w], table[:, w:])
-        w *= 2
     if value.dtype.kind == "f" and (value == 0).any():
         # A zero takes the sign a nearest-first scan of the candidates keeps
         # (a running minimum of left keeps its first zero, min(inner, right)
@@ -169,8 +173,7 @@ def _until(node, a: int, b: int, at, top) -> np.ndarray:
         if left is not None:
             zero = np.where(zero == 0, zero, _nearest(left, left == 0, n))
         value = np.where(value == 0, zero, value)
-    # Contiguous, like every other node's value: the window min/max of a
-    # parent G/F/H/O may return the other zero of a tie on a reversed view.
+    # Contiguous like every node's value: parents' min/max then tie as the zero policy says.
     return value if isinstance(node, UntilFuture) else np.ascontiguousarray(value[:, ::-1])
 
 
@@ -202,8 +205,8 @@ def _evaluate(
     # Zero signs: where 0.0 and -0.0 tie, the connectives and until return
     # the zero a left-to-right fold keeps (np.minimum and np.maximum keep
     # their second operand, so operands are passed swapped; _until restores
-    # the sign of a zero it returns).  The G/F/H/O window min/max may return
-    # the other zero; the two are equal as reals.
+    # the sign of a zero it returns).  The G/F/H/O windows (_window) return
+    # the latest of tied zeros, maybe the other zero; equal as reals.
     for node in order:
         a, b = spans[id(node)]
         shape = (states.shape[0], b - a + 1)
@@ -220,11 +223,8 @@ def _evaluate(
                 value = np.maximum(at(right, a, b), at(left, a, b))
             case EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
                 [(child, lo, hi)] = _needs(node)
-                windows = sliding_window_view(at(child, a + lo, b + hi), hi - lo + 1, axis=-1)
-                if isinstance(node, (EventuallyFuture, EventuallyPast)):
-                    value = windows.max(axis=-1)
-                else:
-                    value = windows.min(axis=-1)
+                pick = np.maximum if isinstance(node, (EventuallyFuture, EventuallyPast)) else np.minimum
+                value = _window(at(child, a + lo, b + hi), hi - lo + 1, b - a + 1, pick)
             case UntilFuture() | UntilPast():
                 value = _until(node, a, b, at, top)
         values[id(node)] = value

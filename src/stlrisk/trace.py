@@ -160,20 +160,24 @@ class Ensemble:
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
-def _parse_cell(row_no: int, name: str, cell: str) -> float:
+def _parse_cell(path: Path, row_no: int, name: str, cell: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise FormatError(f"row {row_no}: non-numeric {name} cell {cell!r}") from None
+        raise FormatError(f"{path}: row {row_no}: non-numeric {name} cell {cell!r}") from None
     if not math.isfinite(value):
-        raise FormatError(f"row {row_no}: non-finite {name} value {cell!r}")
+        raise FormatError(f"{path}: row {row_no}: non-finite {name} value {cell!r}")
     return value
 
 
-def _parse_trace(path: Path, fh) -> Trace:
-    """One trace from the text of a CSV file, opened with ``newline=""``,
-    validating the schema strictly."""
-    rows = list(csv.reader(fh))
+def _parse_trace(path: Path, data: bytes) -> Trace:
+    """One trace from the bytes of a CSV file, validating the schema strictly."""
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
+    # Split into lines as a file opened with newline="" is.
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows:
         raise EmptyError(f"{path}: empty file")
     header = rows[0]
@@ -196,7 +200,7 @@ def _parse_trace(path: Path, fh) -> Trace:
         if int(t_cell) != idx:
             raise GapError(f"{path}: expected t={idx}, got t={t_cell} (times must be consecutive from 0)")
         for j, cell in enumerate(row[1:]):
-            states[idx, j] = _parse_cell(idx, f"x{j + 1}", cell.strip())
+            states[idx, j] = _parse_cell(path, idx, f"x{j + 1}", cell.strip())
     return Trace(states)
 
 
@@ -275,16 +279,14 @@ def _load_members(files: list, metadata: dict) -> tuple:
         for i, p in enumerate(files):
             if i == len(contents):
                 contents.append(_read(p))
-            with io.TextIOWrapper(io.BytesIO(contents[i]), encoding="utf-8", newline="") as fh:
-                traces.append(_parse_trace(p, fh))
+            traces.append(_parse_trace(p, contents[i]))
         ensemble = Ensemble(traces, metadata)
     return ensemble, dict(zip(map(str, files), contents))
 
 
 def load_trace_csv(path) -> Trace:
     """Read one trace from CSV, validating the schema strictly."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        return _parse_trace(Path(path), fh)
+    return _parse_trace(Path(path), _read(path))
 
 
 def save_trace_csv(trace: Trace, path) -> None:

@@ -192,11 +192,33 @@ def cvar_exact(values, beta: float) -> Fraction:
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
+def _first_invalid_utf8(data: bytes) -> int:
+    """The offset of the first byte that starts no UTF-8 character, found by
+    decoding one character of 1 to 4 bytes at a time."""
+    i = 0
+    while i < len(data):
+        for k in range(1, 5):
+            try:
+                if len(data[i : i + k].decode("utf-8")) == 1:
+                    break
+            except UnicodeDecodeError:
+                pass
+        else:
+            return i
+        i += k
+    raise ValueError("valid UTF-8")
+
+
 def load_trace_csv_oracle(path) -> np.ndarray:
     """The (T, d) states of one trace CSV, read cell by cell."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+    except UnicodeDecodeError:
+        data = path.read_bytes()
+        start = _first_invalid_utf8(data)
+        raise FormatError(f"{path}: not UTF-8: byte 0x{data[start]:02x} at offset {start}") from None
     if not rows:
         raise EmptyError(f"{path}: empty file")
     header = rows[0]
@@ -223,9 +245,9 @@ def load_trace_csv_oracle(path) -> np.ndarray:
             try:
                 value = float(cell)
             except ValueError:
-                raise FormatError(f"row {idx}: non-numeric {name} cell {cell!r}") from None
+                raise FormatError(f"{path}: row {idx}: non-numeric {name} cell {cell!r}") from None
             if not math.isfinite(value):
-                raise FormatError(f"row {idx}: non-finite {name} value {cell!r}")
+                raise FormatError(f"{path}: row {idx}: non-finite {name} value {cell!r}")
             states[idx, j] = value
     return states
 

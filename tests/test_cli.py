@@ -192,6 +192,26 @@ class TestRisk:
         )
         assert code == 4
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            (b"t,x1,x2\n0,abc,1\n", "row 0: non-numeric x1 cell 'abc'"),
+            (b"t,x1,x2\n0,1,\xff\n", "not UTF-8: byte 0xff at offset 12"),
+        ],
+    )
+    def test_bad_member_named_in_the_error(self, workdir, data, message, capsys):
+        ens = workdir / "bad"
+        ens.mkdir()
+        (ens / "a.csv").write_text("t,x1,x2\n0,1,2\n")
+        (ens / "b.csv").write_bytes(data)
+        args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--ensemble", str(ens)]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {ens / 'b.csv'}: {message}\n"
+        (workdir / "bad.csv").write_bytes(data)
+        args = ["monitor", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--trace", str(workdir / "bad.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr().err == f"error: {workdir / 'bad.csv'}: {message}\n"
+
     def test_true_formula_exits_4(self, workdir, capsys):
         code = main(
             [
@@ -264,6 +284,37 @@ class TestRiskManifest:
         for name, data in original.items():
             assert manifest["inputs"][name] == sha256(data) != sha256(Path(name).read_bytes())
         assert json.loads((out / "result.json").read_text())["n"] == 100
+
+    def test_predicate_table_read_once_and_digested_as_evaluated(self, workdir, monkeypatch, capsys):
+        # The table is rewritten as soon as it has been read, to one under
+        # which every member satisfies p by a wide margin.
+        preds = workdir / "preds.json"
+        original = preds.read_bytes()
+        reads = []
+        real_open = io.open
+
+        def open_then_edit(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if str(file) != str(preds):
+                return fh
+            reads.append(mode)
+            with fh:
+                data = fh.read()
+            with real_open(file, "w", encoding="utf-8") as out:
+                out.write(json.dumps({"p": {"kind": "halfspace", "a": [1.0], "b": 100.0}}))
+            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+
+        monkeypatch.setattr(builtins, "open", open_then_edit)
+        monkeypatch.setattr(io, "open", open_then_edit)
+        out = workdir / "out"
+        manifest = self.risk_out(workdir, workdir / "ensemble", out)
+        monkeypatch.undo()
+        assert len(reads) == 1
+        assert manifest["inputs"][str(preds)] == sha256(original) != sha256(preds.read_bytes())
+        preds.write_bytes(original)
+        expected = self.risk_out(workdir, workdir / "ensemble", workdir / "again")
+        assert (out / "result.json").read_text() == (workdir / "again" / "result.json").read_text()
+        assert expected["inputs"] == manifest["inputs"]
 
     def test_import_leaves_hashlib_unloaded(self):
         # hashlib costs several milliseconds to import; only the CLI needs it.

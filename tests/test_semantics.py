@@ -19,7 +19,7 @@ from stlrisk.formula import (
     horizon,
 )
 from stlrisk.predicates import Complement, CustomPredicate, Halfspace, NormBall, StateSlice
-from stlrisk.semantics import eval_boolean, eval_robust, eval_robust_ensemble
+from stlrisk.semantics import _window, eval_boolean, eval_robust, eval_robust_ensemble
 from stlrisk.trace import Ensemble, Trace
 
 from .helpers import beta_oracle, random_admissible_case, random_formula, random_trace, rho_oracle
@@ -242,6 +242,62 @@ class TestEngineCoverage:
                             if isinstance(f, UntilFuture):  # untils all the way down: bit-equal
                                 assert np.float64(robust).tobytes() == np.float64(rho).tobytes()
                             assert eval_boolean(f, trace, t, table) == beta_oracle(f, trace, t, table)
+
+
+class TestWindowKernel:
+    WIDTHS = range(1, 71)  # every power of two up to 64, and 2^k - 1, 2^k + 1
+
+    def naive(self, values, count, n, pick):
+        reduce = np.max if pick is np.maximum else np.min
+        return np.array([[reduce(row[i : i + count]) for i in range(n)] for row in values])
+
+    def test_float_windows_match_a_per_anchor_reduction(self):
+        rng = np.random.default_rng(40)
+        pool = np.array([-math.inf, math.inf, 0.0, -0.0, -1.5, 2.0, 3.25])
+        for count in self.WIDTHS:
+            for members in (1, 3):
+                n = int(rng.integers(1, 9))
+                extra = int(rng.integers(0, 3))  # columns past the last window are ignored
+                values = rng.choice(pool, size=(members, n + count - 1 + extra))
+                for pick in (np.maximum, np.minimum):
+                    got = _window(values, count, n, pick)
+                    assert got.shape == (members, n)
+                    assert (got == self.naive(values, count, n, pick)).all(), (count, members, pick)
+
+    def test_bool_windows_match_a_per_anchor_reduction(self):
+        rng = np.random.default_rng(41)
+        for count in self.WIDTHS:
+            for members in (1, 3):
+                n = int(rng.integers(1, 9))
+                values = rng.random((members, n + count - 1)) < rng.choice((0.05, 0.5, 0.95))
+                for pick in (np.maximum, np.minimum):
+                    got = _window(values, count, n, pick)
+                    assert got.dtype == bool
+                    assert (got == self.naive(values, count, n, pick)).all(), (count, members, pick)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33])
+    def test_windows_that_touch_both_ends_of_the_trace(self, width):
+        # Each formula reads every step of a trace of `width` steps, future
+        # windows from t = 0 and past windows from t = width - 1; the nested
+        # ones split the trace between an outer and an inner window.
+        rng = np.random.default_rng(width)
+        last, inner = width - 1, (width - 1) // 2
+        outer = last - inner
+        cases = [
+            (AlwaysFuture(P, TimeInterval(0, last)), 0),
+            (EventuallyFuture(P, TimeInterval(0, last)), 0),
+            (AlwaysPast(P, TimeInterval(0, last)), last),
+            (EventuallyPast(P, TimeInterval(0, last)), last),
+            (EventuallyFuture(AlwaysFuture(P, TimeInterval(0, inner)), TimeInterval(0, outer)), 0),
+            (AlwaysPast(EventuallyPast(P, TimeInterval(0, inner)), TimeInterval(0, outer)), last),
+            (AlwaysFuture(EventuallyPast(P, TimeInterval(0, inner)), TimeInterval(0, outer)), inner),
+            (EventuallyPast(AlwaysFuture(P, TimeInterval(0, inner)), TimeInterval(0, outer)), outer),
+        ]
+        for _ in range(5):
+            trace = Trace(rng.integers(-3, 4, size=(width, 1)).astype(float))
+            for f, t in cases:
+                assert eval_robust(f, trace, t, PREDS) == rho_oracle(f, trace, t, PREDS), (f, t)
+                assert eval_boolean(f, trace, t, PREDS) == beta_oracle(f, trace, t, PREDS), (f, t)
 
 
 class TestSoundness:

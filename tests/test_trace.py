@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -42,6 +43,21 @@ class TestLoadTraceCsv:
     def test_non_numeric_cell(self, tmp_path):
         with pytest.raises(FormatError):
             load_trace_csv(write(tmp_path, "a.csv", "t,x1\n0,abc\n"))
+
+    def test_errors_name_the_file(self, tmp_path):
+        path = write(tmp_path, "a.csv", "t,x1\n0,1\n1,inf\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: row 1: non-finite x1 value 'inf'$"):
+            load_trace_csv(path)
+
+    def test_undecodable_byte_named_with_its_offset(self, tmp_path):
+        data = b"t,x1\n" + b"".join(b"%d,0.5\n" % i for i in range(3000)) + b"3000,\xff\n"
+        path = tmp_path / "a.csv"
+        path.write_bytes(data)
+        offset = data.index(b"\xff")
+        assert offset > 8192  # past the first chunk a text file decodes
+        with pytest.raises(FormatError) as info:
+            load_trace_csv(path)
+        assert str(info.value) == f"{path}: not UTF-8: byte 0xff at offset {offset}"
 
     def test_empty_file(self, tmp_path):
         with pytest.raises(EmptyError):
@@ -210,6 +226,9 @@ INGEST_CASES = {
     "no_columns": ["t\n0\n1\n"] * 2,
     "bom": [PLAIN, "﻿" + PLAIN],
     "bad_utf8": [PLAIN, b"t,x1,x2\n0,1,\xff\n1,2,3\n2,3,4\n"],
+    # A cut multi-byte character past the first 8192 bytes, which a text
+    # file decodes in a later chunk.
+    "bad_utf8_late": [PLAIN, b"t,x1,x2\n" + b"".join(b"%d,1,2\n" % i for i in range(2000)) + b"2000,\xe2\x82,0\n"],
     "short_row": [PLAIN, "t,x1,x2\n0,1\n1,2,3\n2,3,4\n"],
     "long_row": [PLAIN, "t,x1,x2\n0,1,2,3\n1,2,3\n2,3,4\n"],
     "rows_that_balance": [PLAIN, "t,x1,x2\n0,1,2,1\n3,4\n2,3,4\n"],
