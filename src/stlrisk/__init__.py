@@ -36,7 +36,6 @@ from .formula import (
     TrueFormula,
     UntilFuture,
     UntilPast,
-    desugar,
     horizon,
     predicate_names,
 )

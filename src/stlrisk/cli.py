@@ -5,9 +5,13 @@ one formula on one trace), ``risk`` (estimate a risk measure over an
 ensemble), ``casestudy`` (run the bundled delivery scenario and write its
 table).  Machine-readable output goes to stdout, diagnostics to stderr.
 
-Exit codes: 0 success, 2 formula syntax or interval error, 3 insufficient
-trace horizon, 4 bad risk parameter or non-finite robustness, 5 bad
-case-study config, 1 anything else, including internal errors.
+Exit codes, from one table (``_EXIT_CODES``) that ``main`` applies to any
+error: 0 success, 2 formula syntax or interval error, 3 insufficient trace
+horizon, 4 bad risk parameter or non-finite robustness, 5 bad case-study
+config, 1 anything else, including internal errors.  Each failure is one
+line on stderr; an input file (JSON or CSV) that is not UTF-8 is named with
+the offset of its first bad byte.  The ``manifest.json`` of ``risk --out``
+and ``casestudy`` digests the input bytes that were parsed.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from .errors import (
 from .formula import horizon, predicate_names
 from .parser import format_formula, parse
 from .predicates import load_predicates, read_predicates
-from .risk import RiskParams, format_number, risk_of_formula
+from .risk import MEASURES, RiskParams, format_number, risk_of_formula
 from .scenario import CaseStudyConfig, run_case_study
 from .semantics import eval_boolean, eval_robust
-from .trace import load_trace_csv, read_ensemble
+from .trace import load_trace_csv, read_ensemble, read_json
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -44,17 +48,30 @@ EXIT_RISK_PARAM = 4
 EXIT_CONFIG = 5
 
 
-def _fail(message: str, code: int, span=None) -> int:
+# The exit code of each error that reaches ``main``: the first row that
+# matches wins.
+_EXIT_CODES = (
+    ((FormulaSyntaxError, IntervalError), EXIT_PARSE),
+    (InsufficientHorizonError, EXIT_HORIZON),
+    ((ParamError, InfiniteRobustnessError), EXIT_RISK_PARAM),
+    (ConfigError, EXIT_CONFIG),
+    (Exception, EXIT_OTHER),
+)
+
+
+def _fail(exc: Exception) -> int:
+    """Print ``exc`` as one line on stderr and return its exit code."""
+    message = str(exc)
+    if not isinstance(exc, (StlRiskError, OSError)):  # an internal error: named, still one line
+        message = f"{type(exc).__name__}: {' '.join(message.splitlines())}"
+    span = getattr(exc, "span", None)
     where = f" (at offset {span.start}-{span.end})" if span is not None else ""
     print(f"error: {message}{where}", file=sys.stderr)
-    return code
+    return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
 def cmd_check(args) -> int:
-    try:
-        f = parse(args.formula)
-    except (FormulaSyntaxError, IntervalError) as exc:
-        return _fail(str(exc), EXIT_PARSE, exc.span)
+    f = parse(args.formula)
     h = horizon(f)
     print(format_formula(f))
     print(f"horizon: future={h.future_depth} past={h.past_depth}")
@@ -63,21 +80,13 @@ def cmd_check(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    try:
-        f = parse(args.formula)
-    except (FormulaSyntaxError, IntervalError) as exc:
-        return _fail(str(exc), EXIT_PARSE, exc.span)
-    try:
-        predicates = load_predicates(args.predicates)
-        trace = load_trace_csv(args.trace)
-        if args.mode == "boolean":
-            print("true" if eval_boolean(f, trace, args.time, predicates) else "false")
-        else:
-            print(format_number(eval_robust(f, trace, args.time, predicates)))
-    except InsufficientHorizonError as exc:
-        return _fail(str(exc), EXIT_HORIZON)
-    except StlRiskError as exc:
-        return _fail(str(exc), EXIT_OTHER)
+    f = parse(args.formula)
+    predicates = load_predicates(args.predicates)
+    trace = load_trace_csv(args.trace)
+    if args.mode == "boolean":
+        print("true" if eval_boolean(f, trace, args.time, predicates) else "false")
+    else:
+        print(format_number(eval_robust(f, trace, args.time, predicates)))
     return EXIT_OK
 
 
@@ -91,33 +100,26 @@ def _parse_bounds(text: str):
         raise ParamError(f"--bounds expects numeric A,B, got {text!r}") from None
 
 
+def _parse_betas(text: str) -> tuple:
+    try:
+        return tuple(float(b) for b in text.split(","))
+    except ValueError:
+        raise ConfigError(f"--betas expects comma-separated numbers, got {text!r}") from None
+
+
 def cmd_risk(args) -> int:
-    try:
-        f = parse(args.formula)
-    except (FormulaSyntaxError, IntervalError) as exc:
-        return _fail(str(exc), EXIT_PARSE, exc.span)
-    try:
-        predicates, table = read_predicates(args.predicates)
-        ensemble, sources = read_ensemble(args.ensemble)
-        bounds = _parse_bounds(args.bounds) if args.bounds else None
-        params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
-        result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
-    except (ParamError, InfiniteRobustnessError) as exc:
-        return _fail(str(exc), EXIT_RISK_PARAM)
-    except InsufficientHorizonError as exc:
-        return _fail(str(exc), EXIT_HORIZON)
-    except StlRiskError as exc:
-        return _fail(str(exc), EXIT_OTHER)
+    f = parse(args.formula)
+    predicates, table = read_predicates(args.predicates)
+    ensemble, sources = read_ensemble(args.ensemble)
+    bounds = _parse_bounds(args.bounds) if args.bounds else None
+    params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
+    result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
     payload = result.to_json_dict()
     print(json.dumps(payload))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        result_path = outdir / "result.json"
-        result_path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        # The inputs are hashed from the bytes that were evaluated.
-        inputs = {name: _digest(data) for name, data in sources.items()}
-        inputs[str(args.predicates)] = _digest(table)
+        (outdir / "result.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
         _write_manifest(
             outdir,
             command="risk",
@@ -131,38 +133,32 @@ def cmd_risk(args) -> int:
                 "bounds": list(bounds) if bounds else None,
                 "ensemble": str(args.ensemble),
             },
-            inputs=inputs,
-            outputs={"result.json": _digest_file(result_path)},
+            inputs={**sources, str(args.predicates): table},
+            outputs=("result.json",),
         )
     return EXIT_OK
 
 
 def cmd_casestudy(args) -> int:
-    try:
-        if args.config:
-            config = CaseStudyConfig.from_json_file(args.config)
-        else:
-            kwargs = {}
-            if args.seed is not None:
-                kwargs["seed"] = args.seed
-            if args.n is not None:
-                kwargs["n"] = args.n
-            if args.delta is not None:
-                kwargs["delta"] = args.delta
-            if args.betas is not None:
-                try:
-                    kwargs["betas"] = tuple(float(b) for b in args.betas.split(","))
-                except ValueError:
-                    raise ConfigError(f"--betas expects comma-separated numbers, got {args.betas!r}") from None
-            config = CaseStudyConfig(**kwargs)
-    except ConfigError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    except OSError as exc:
-        return _fail(str(exc), EXIT_CONFIG)
-    try:
-        result = run_case_study(config)
-    except StlRiskError as exc:
-        return _fail(str(exc), EXIT_OTHER)
+    inputs = {}
+    if args.config:
+        try:
+            data, inputs[str(args.config)] = read_json(args.config, ConfigError, "invalid JSON")
+        except OSError as exc:
+            raise ConfigError(str(exc)) from None
+        config = CaseStudyConfig.from_json_dict(data)
+    else:
+        kwargs = {}
+        if args.seed is not None:
+            kwargs["seed"] = args.seed
+        if args.n is not None:
+            kwargs["n"] = args.n
+        if args.delta is not None:
+            kwargs["delta"] = args.delta
+        if args.betas is not None:
+            kwargs["betas"] = _parse_betas(args.betas)
+        config = CaseStudyConfig(**kwargs)
+    result = run_case_study(config)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     csv_text = result.to_csv()
@@ -180,11 +176,8 @@ def cmd_casestudy(args) -> int:
             "betas": list(config.betas),
             "trajectories": [[list(p) for p in traj] for traj in config.trajectories],
         },
-        inputs={str(args.config): _digest_file(args.config)} if args.config else {},
-        outputs={
-            "table.csv": _digest_file(outdir / "table.csv"),
-            "table.json": _digest_file(outdir / "table.json"),
-        },
+        inputs=inputs,
+        outputs=("table.csv", "table.json"),
     )
     sys.stdout.write(csv_text)
     return EXIT_OK
@@ -194,17 +187,15 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _digest_file(path) -> str:
-    return _digest(Path(path).read_bytes())
-
-
-def _write_manifest(outdir: Path, command: str, parameters: dict, inputs: dict, outputs: dict) -> None:
+def _write_manifest(outdir: Path, command: str, parameters: dict, inputs: dict, outputs: tuple) -> None:
+    """Write ``manifest.json`` with the digests of the input bytes, by file
+    name, and of the named output files in ``outdir``."""
     manifest = {
         "command": command,
         "version": __version__,
         "parameters": parameters,
-        "inputs": inputs,
-        "outputs": outputs,
+        "inputs": {name: _digest(data) for name, data in inputs.items()},
+        "outputs": {name: _digest((outdir / name).read_bytes()) for name in outputs},
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -233,7 +224,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicates", required=True)
     p.add_argument("--ensemble", required=True, help="directory of CSVs or JSON manifest")
     p.add_argument("--time", type=int, default=0)
-    p.add_argument("--measure", choices=("var", "cvar", "expected", "meanvar", "worst"), default="var")
+    p.add_argument("--measure", choices=MEASURES, default="var")
     p.add_argument("--beta", type=float, default=0.9)
     p.add_argument("--delta", type=float, default=0.05)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
@@ -257,10 +248,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (StlRiskError, OSError) as exc:
-        return _fail(str(exc), EXIT_OTHER)
-    except Exception as exc:  # an internal error still ends in one line, not a traceback
-        return _fail(f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}", EXIT_OTHER)
+    except Exception as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

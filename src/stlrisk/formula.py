@@ -3,8 +3,8 @@
 The core connectives are truth, named predicates, negation, conjunction and
 the two until operators (future and past), each until carrying an integer
 time window.  Disjunction, eventually and always (future and past variants)
-are provided as first-class nodes and defined by :func:`desugar` in terms of
-the core.  Formula values are immutable and safe to share across threads.
+are provided as first-class nodes.  Formula values are immutable and safe to
+share across threads.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "AlwaysPast",
     "Formula",
     "Horizon",
-    "desugar",
     "horizon",
     "operands",
     "postorder",
@@ -155,39 +154,6 @@ Formula = Union[
 ]
 
 TRUE = TrueFormula()
-
-
-def desugar(f: Formula) -> Formula:
-    """Rewrite a formula into the core connectives only.
-
-    Or(a, b)            -> Not(And(Not(a), Not(b)))
-    EventuallyFuture(c) -> UntilFuture(TRUE, c)
-    AlwaysFuture(c)     -> Not(UntilFuture(TRUE, Not(c)))
-    and the past variants symmetrically.  The result evaluates identically
-    to the input on every trace and time; desugar is idempotent.
-    """
-    match f:
-        case TrueFormula() | Predicate():
-            return f
-        case Not(child):
-            return Not(desugar(child))
-        case And(left, right):
-            return And(desugar(left), desugar(right))
-        case Or(left, right):
-            return Not(And(Not(desugar(left)), Not(desugar(right))))
-        case UntilFuture(left, right, interval):
-            return UntilFuture(desugar(left), desugar(right), interval)
-        case UntilPast(left, right, interval):
-            return UntilPast(desugar(left), desugar(right), interval)
-        case EventuallyFuture(child, interval):
-            return UntilFuture(TRUE, desugar(child), interval)
-        case AlwaysFuture(child, interval):
-            return Not(UntilFuture(TRUE, Not(desugar(child)), interval))
-        case EventuallyPast(child, interval):
-            return UntilPast(TRUE, desugar(child), interval)
-        case AlwaysPast(child, interval):
-            return Not(UntilPast(TRUE, Not(desugar(child)), interval))
-    raise TypeError(f"not a formula node: {f!r}")
 
 
 @dataclass(frozen=True)

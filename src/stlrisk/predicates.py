@@ -36,8 +36,6 @@ A JSON predicate table maps names to definitions::
 
 from __future__ import annotations
 
-import io
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -46,6 +44,7 @@ from typing import Callable, Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, FormatError
+from .trace import read_json
 
 __all__ = [
     "StateSlice",
@@ -246,14 +245,7 @@ def _parse_one(spec: dict) -> PredicateDef:
 def read_predicates(path) -> tuple:
     """The predicate table in a JSON file and the bytes it was parsed from,
     read once."""
-    path = Path(path)
-    data = path.read_bytes()
-    try:
-        # Decoded as open() in text mode would: same newlines, same error offsets.
-        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8") as fh:
-            table = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    table, data = read_json(Path(path), FormatError, "invalid JSON")
     return parse_predicate_table(table), data
 
 

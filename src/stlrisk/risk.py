@@ -91,10 +91,8 @@ class RiskParams:
     bounds: Optional[Tuple[float, float]] = None
 
     def __post_init__(self):
-        if not 0.0 < self.beta < 1.0:
-            raise ParamError(f"beta must lie in (0, 1), got {self.beta}")
-        if not 0.0 < self.delta < 1.0:
-            raise ParamError(f"delta must lie in (0, 1), got {self.delta}")
+        _check_level(self.beta)
+        _check_level(self.delta, "delta")
         if not self.lam >= 0.0:
             raise ParamError(f"lambda must be >= 0, got {self.lam}")
         if self.bounds is not None:

@@ -31,7 +31,6 @@ only at high quantiles.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from statistics import NormalDist
@@ -52,7 +51,7 @@ from .formula import (
 from .predicates import NormBall, StateSlice
 from .risk import RobustnessSamples, format_number, json_number, var_bounds
 from .semantics import eval_robust_ensemble
-from .trace import Ensemble, Trace
+from .trace import Ensemble, Trace, read_json
 
 __all__ = [
     "GaussianRegion",
@@ -174,17 +173,12 @@ class CaseStudyConfig:
                 raise ConfigError(f"bad trajectories entry: {exc}") from None
         try:
             return cls(**kwargs)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_json_file(cls, path) -> "CaseStudyConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from None
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(read_json(path, ConfigError, "invalid JSON")[0])
 
 
 def build_case_study_formula() -> Tuple[Formula, dict]:
@@ -216,27 +210,21 @@ def build_case_study_formula() -> Tuple[Formula, dict]:
     return f, predicates
 
 
-def _trace_states(waypoints, c: Sequence[float], d: Sequence[float]) -> np.ndarray:
-    states = np.empty((_STEPS, _STATE_DIM), dtype=float)
-    for t, (rx, ry) in enumerate(waypoints):
-        states[t] = (
-            rx,
-            ry,
-            _A_CENTER[0],
-            _A_CENTER[1],
-            _B_CENTER[0],
-            _B_CENTER[1],
-            c[0],
-            c[1],
-            d[0],
-            d[1],
-        )
+def _states(waypoints, c: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The (N, 4, 10) states of one trajectory under N placements of the
+    region centers: row i of the (N, 2) arrays ``c`` and ``d``."""
+    states = np.empty((len(c), _STEPS, _STATE_DIM), dtype=float)
+    states[:, :, 0:2] = waypoints
+    states[:, :, 2:4] = _A_CENTER
+    states[:, :, 4:6] = _B_CENTER
+    states[:, :, 6:8] = c[:, None]
+    states[:, :, 8:10] = d[:, None]
     return states
 
 
 def nominal_trace(waypoints, c: Sequence[float] = _C_MEAN, d: Sequence[float] = _D_MEAN) -> Trace:
     """The deterministic trace for one trajectory with fixed region centers."""
-    return Trace(_trace_states(waypoints, c, d))
+    return Trace(_states(waypoints, np.array([c], dtype=float), np.array([d], dtype=float))[0])
 
 
 _MASK64 = (1 << 64) - 1
@@ -259,17 +247,10 @@ def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:
             f"trajectory index {trajectory_index} out of range 0..{len(config.trajectories) - 1}"
         )
     waypoints = config.trajectories[trajectory_index]
-    normals = _standard_normals(config.seed, trajectory_index, 4 * config.n)
-    sc = math.sqrt(config.region_c.variance)
-    sd = math.sqrt(config.region_d.variance)
-    cx0, cy0 = config.region_c.mean
-    dx0, dy0 = config.region_d.mean
-    states = np.empty((config.n, _STEPS, _STATE_DIM), dtype=float)
-    for i in range(config.n):
-        z = normals[4 * i : 4 * i + 4]
-        c = (cx0 + sc * z[0], cy0 + sc * z[1])
-        d = (dx0 + sd * z[2], dy0 + sd * z[3])
-        states[i] = _trace_states(waypoints, c, d)
+    z = _standard_normals(config.seed, trajectory_index, 4 * config.n).reshape(config.n, 4)
+    c = np.array(config.region_c.mean) + math.sqrt(config.region_c.variance) * z[:, 0:2]
+    d = np.array(config.region_d.mean) + math.sqrt(config.region_d.variance) * z[:, 2:4]
+    states = _states(waypoints, c, d)
     metadata = {"seed": config.seed, "trajectory": trajectory_index, "n": config.n}
     return Ensemble.from_states(states, metadata)
 

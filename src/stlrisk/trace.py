@@ -5,10 +5,14 @@ consecutive integer times starting at 0, UTF-8, LF or CRLF line endings.
 An ensemble is either a directory of such CSVs (members ordered by file
 name) or a JSON manifest ``{"traces": [paths...], "seed": ...}`` with paths
 resolved relative to the manifest.  In memory it is one read-only (N, T, d)
-array.  Loading reads each file once and converts the members of the plain
-layout ``save_trace_csv`` writes in one batch; any other member sends the
-whole ensemble through the strict per-file reader (``csv.reader``, cell by
-cell), which decides acceptance and error messages.
+array, and a single trace is loaded as a one-member ensemble.  Loading
+converts the members of the plain layout ``save_trace_csv`` writes in one
+batch; any other member sends the whole ensemble through the strict per-file
+reader (``csv.reader``, cell by cell), which decides acceptance and errors.
+
+Every input file of the package, CSV or JSON, is read once by ``_read`` and
+decoded by ``_decode``, which names a byte that is not UTF-8 by file and
+offset; ``read_json`` also returns the bytes, for digests of what was parsed.
 """
 
 from __future__ import annotations
@@ -33,9 +37,9 @@ __all__ = [
     "Ensemble",
     "load_trace_csv",
     "save_trace_csv",
-    "member_files",
     "load_ensemble",
     "read_ensemble",
+    "read_json",
 ]
 
 
@@ -64,9 +68,6 @@ class Trace:
     @property
     def dim(self) -> int:
         return self.states.shape[1]
-
-    def state(self, t: int) -> np.ndarray:
-        return self.states[t]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Trace):
@@ -172,12 +173,8 @@ def _parse_cell(path: Path, row_no: int, name: str, cell: str) -> float:
 
 def _parse_trace(path: Path, data: bytes) -> Trace:
     """One trace from the bytes of a CSV file, validating the schema strictly."""
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{path}: not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
     # Split into lines as a file opened with newline="" is.
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = list(csv.reader(io.StringIO(_decode(path, data, FormatError), newline="")))
     if not rows:
         raise EmptyError(f"{path}: empty file")
     header = rows[0]
@@ -255,12 +252,35 @@ def _batch_states(contents: list) -> Optional[np.ndarray]:
     return states if np.isfinite(states).all() else None
 
 
-def _read(path: Path) -> bytes:
+def _read(path) -> bytes:
     with open(path, "rb", buffering=0) as fh:  # unbuffered: one read of the whole file
         return fh.read()
 
 
-def _load_members(files: list, metadata: dict) -> tuple:
+def _decode(path, data: bytes, error: type) -> str:
+    """The UTF-8 text of a file's bytes; ``error`` names the first byte that
+    is not UTF-8 with its offset in the file."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8: byte 0x{data[exc.start]:02x} at offset {exc.start}") from None
+
+
+def read_json(path, error: type, what: str) -> tuple:
+    """The value in a JSON file and the bytes it was parsed from, read once.
+
+    Newlines are translated as text-mode ``open`` would, so syntax errors
+    keep their positions; they raise ``error("<path>: <what>: ...")``.
+    """
+    data = _read(path)
+    text = _decode(path, data, error).replace("\r\n", "\n").replace("\r", "\n")
+    try:
+        return json.loads(text), data
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: {what}: {exc}") from None
+
+
+def _load_members(files: list, metadata: Optional[dict]) -> tuple:
     """The ensemble of the member CSVs ``files``, each read once, and the
     bytes read, by path text."""
     contents = []
@@ -285,8 +305,8 @@ def _load_members(files: list, metadata: dict) -> tuple:
 
 
 def load_trace_csv(path) -> Trace:
-    """Read one trace from CSV, validating the schema strictly."""
-    return _parse_trace(Path(path), _read(path))
+    """Read one trace from CSV, as the one member of an ensemble is read."""
+    return _load_members([Path(path)], None)[0].traces[0]
 
 
 def save_trace_csv(trace: Trace, path) -> None:
@@ -299,11 +319,6 @@ def save_trace_csv(trace: Trace, path) -> None:
             writer.writerow([str(t)] + [f"{v:.17g}" for v in trace.states[t]])
 
 
-def member_files(directory: Path) -> list:
-    """The trace CSVs of an ensemble directory, in member order (by file name)."""
-    return sorted((p for p in directory.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
-
-
 def read_ensemble(path) -> tuple:
     """The ensemble at ``path`` (a directory of CSVs or a JSON manifest) and
     the bytes of every file it was built from, keyed by the file's path as
@@ -312,17 +327,11 @@ def read_ensemble(path) -> tuple:
     metadata: dict = {"source": str(path)}
     sources = {}
     if path.is_dir():
-        files = member_files(path)
+        files = sorted((p for p in path.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
         if not files:
             raise EmptyError(f"{path}: no trace CSVs in directory")
     else:
-        sources[str(path)] = _read(path)
-        try:
-            # Decoded as open() in text mode would: same newlines, same error offsets.
-            with io.TextIOWrapper(io.BytesIO(sources[str(path)]), encoding="utf-8") as fh:
-                manifest = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not a valid JSON manifest: {exc}") from None
+        manifest, sources[str(path)] = read_json(path, FormatError, "not a valid JSON manifest")
         if not isinstance(manifest, dict) or "traces" not in manifest:
             raise FormatError(f'{path}: manifest must be an object with a "traces" list')
         listed = manifest["traces"]

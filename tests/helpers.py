@@ -32,6 +32,7 @@ from stlrisk.formula import (
     Or,
     Predicate,
     TimeInterval,
+    TrueFormula,
     UntilFuture,
     UntilPast,
     horizon,
@@ -130,6 +131,43 @@ def beta_oracle(f, trace: Trace, t: int, predicates) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Rewriting into the core connectives: the reference for the derived operators
+
+
+def desugar(f):
+    """Rewrite a formula into the core connectives only.
+
+    Or(a, b)            -> Not(And(Not(a), Not(b)))
+    EventuallyFuture(c) -> UntilFuture(TRUE, c)
+    AlwaysFuture(c)     -> Not(UntilFuture(TRUE, Not(c)))
+    and the past variants symmetrically.  The result evaluates identically
+    to the input on every trace and time; desugar is idempotent.
+    """
+    match f:
+        case TrueFormula() | Predicate():
+            return f
+        case Not(child):
+            return Not(desugar(child))
+        case And(left, right):
+            return And(desugar(left), desugar(right))
+        case Or(left, right):
+            return Not(And(Not(desugar(left)), Not(desugar(right))))
+        case UntilFuture(left, right, interval):
+            return UntilFuture(desugar(left), desugar(right), interval)
+        case UntilPast(left, right, interval):
+            return UntilPast(desugar(left), desugar(right), interval)
+        case EventuallyFuture(child, interval):
+            return UntilFuture(TRUE, desugar(child), interval)
+        case AlwaysFuture(child, interval):
+            return Not(UntilFuture(TRUE, Not(desugar(child)), interval))
+        case EventuallyPast(child, interval):
+            return UntilPast(TRUE, desugar(child), interval)
+        case AlwaysPast(child, interval):
+            return Not(UntilPast(TRUE, Not(desugar(child)), interval))
+    raise TypeError(f"not a formula node: {f!r}")
+
+
+# ---------------------------------------------------------------------------
 # Literal-scan quantile oracles
 
 
@@ -209,6 +247,13 @@ def _first_invalid_utf8(data: bytes) -> int:
     raise ValueError("valid UTF-8")
 
 
+def _not_utf8(path: Path) -> FormatError:
+    """The error naming the first byte of a file that is not UTF-8."""
+    data = path.read_bytes()
+    start = _first_invalid_utf8(data)
+    return FormatError(f"{path}: not UTF-8: byte 0x{data[start]:02x} at offset {start}")
+
+
 def load_trace_csv_oracle(path) -> np.ndarray:
     """The (T, d) states of one trace CSV, read cell by cell."""
     path = Path(path)
@@ -216,9 +261,7 @@ def load_trace_csv_oracle(path) -> np.ndarray:
         with open(path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
     except UnicodeDecodeError:
-        data = path.read_bytes()
-        start = _first_invalid_utf8(data)
-        raise FormatError(f"{path}: not UTF-8: byte 0x{data[start]:02x} at offset {start}") from None
+        raise _not_utf8(path) from None
     if not rows:
         raise EmptyError(f"{path}: empty file")
     header = rows[0]
@@ -265,6 +308,8 @@ def load_ensemble_oracle(path) -> tuple:
         try:
             with open(path, encoding="utf-8") as fh:
                 manifest = json.load(fh)
+        except UnicodeDecodeError:
+            raise _not_utf8(path) from None
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: not a valid JSON manifest: {exc}") from None
         if not isinstance(manifest, dict) or "traces" not in manifest:

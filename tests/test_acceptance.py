@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stlrisk.errors import FormulaSyntaxError, IntervalError
-from stlrisk.formula import desugar, horizon
+from stlrisk.formula import horizon
 from stlrisk.parser import format_formula, parse
 from stlrisk.risk import (
     RobustnessSamples,
@@ -32,6 +32,7 @@ from stlrisk.semantics import eval_boolean, eval_robust
 
 from .helpers import (
     beta_oracle,
+    desugar,
     random_admissible_case,
     random_formula,
     random_predicates,

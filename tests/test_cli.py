@@ -330,6 +330,25 @@ class TestRiskManifest:
         assert by_stlrisk == "False"
 
 
+@pytest.mark.parametrize("pad", [0, 9000])
+@pytest.mark.parametrize("kind, code", [("predicates", 1), ("manifest", 1), ("config", 5)])
+def test_json_not_utf8_named_with_its_offset(workdir, kind, code, pad, capsys):
+    # The pad puts the byte past 8192: a file decoded in 8 KB chunks, as text
+    # files are read line by line, would give its offset within the chunk.
+    bad = workdir / "bad.json"
+    data = b'{"traces": ["' + b"a" * pad + b'\xff.csv"]}'
+    bad.write_bytes(data)
+    offset = data.index(b"\xff")
+    preds, ensemble = str(workdir / "preds.json"), str(workdir / "ensemble")
+    args = {
+        "predicates": ["risk", "--formula", "p", "--predicates", str(bad), "--ensemble", ensemble],
+        "manifest": ["risk", "--formula", "p", "--predicates", preds, "--ensemble", str(bad)],
+        "config": ["casestudy", "--config", str(bad), "--out", str(workdir / "out")],
+    }[kind]
+    assert main(args) == code
+    assert capsys.readouterr().err == f"error: {bad}: not UTF-8: byte 0xff at offset {offset}\n"
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -374,6 +393,36 @@ class TestCaseStudy:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 2, "n": 0}))
         assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+
+    def test_config_read_once_and_digested_as_parsed(self, tmp_path, monkeypatch, capsys):
+        # The config is rewritten as soon as it has been read, to one with
+        # another seed.
+        cfg = tmp_path / "cfg.json"
+        original = json.dumps({"seed": 2, "n": 10, "betas": [0.9]}).encode()
+        cfg.write_bytes(original)
+        reads = []
+        real_open = io.open
+
+        def open_then_edit(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if str(file) != str(cfg):
+                return fh
+            reads.append(mode)
+            with fh:
+                data = fh.read()
+            with real_open(file, "w", encoding="utf-8") as out:
+                out.write(json.dumps({"seed": 3, "n": 10, "betas": [0.9]}))
+            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+
+        monkeypatch.setattr(builtins, "open", open_then_edit)
+        monkeypatch.setattr(io, "open", open_then_edit)
+        out = tmp_path / "out"
+        assert main(["casestudy", "--config", str(cfg), "--out", str(out)]) == 0
+        monkeypatch.undo()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert len(reads) == 1
+        assert manifest["parameters"]["seed"] == 2
+        assert manifest["inputs"] == {str(cfg): sha256(original)} != {str(cfg): sha256(cfg.read_bytes())}
 
     def test_missing_config_exits_5(self, tmp_path, capsys):
         assert main(["casestudy", "--config", str(tmp_path / "nope.json")]) == 5

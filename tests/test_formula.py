@@ -16,13 +16,12 @@ from stlrisk.formula import (
     TimeInterval,
     UntilFuture,
     UntilPast,
-    desugar,
     horizon,
     predicate_names,
 )
 from stlrisk.semantics import eval_boolean, eval_robust
 
-from .helpers import random_admissible_case
+from .helpers import desugar, random_admissible_case
 
 P, Q = Predicate("p"), Predicate("q")
 

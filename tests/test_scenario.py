@@ -12,6 +12,7 @@ from stlrisk.scenario import (
     DEFAULT_TRAJECTORIES,
     CaseStudyConfig,
     GaussianRegion,
+    _standard_normals,
     build_case_study_formula,
     nominal_trace,
     run_case_study,
@@ -83,6 +84,27 @@ class TestSampling:
             z = eval_robust_ensemble(f, sample_ensemble(config, j), 0, preds)
             assert np.max(np.abs(-z - target)) < 1e-5
 
+    @pytest.mark.parametrize("seed", [0, 42, 2**40 + 7])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_states_match_per_member_construction(self, seed, n):
+        # The states built one member and one step at a time, from Python
+        # float arithmetic on each draw.
+        config = CaseStudyConfig(seed=seed, n=n)
+        sc, sd = math.sqrt(config.region_c.variance), math.sqrt(config.region_d.variance)
+        (cx, cy), (dx, dy) = config.region_c.mean, config.region_d.mean
+        for j, waypoints in enumerate(config.trajectories):
+            normals = _standard_normals(seed, j, 4 * n)
+            expected = np.empty((n, 4, 10))
+            for i in range(n):
+                z = normals[4 * i : 4 * i + 4]
+                c = (cx + sc * z[0], cy + sc * z[1])
+                d = (dx + sd * z[2], dy + sd * z[3])
+                for t, (rx, ry) in enumerate(waypoints):
+                    expected[i, t] = (rx, ry, 4.0, 5.0, 7.0, 2.0, c[0], c[1], d[0], d[1])
+            assert sample_ensemble(config, j).states.tobytes() == expected.tobytes()
+            expected[0, :, 6:] = (cx, cy, dx, dy)
+            assert nominal_trace(waypoints).states.tobytes() == expected[0].tobytes()
+
     def test_trajectory_index_range(self):
         with pytest.raises(ConfigError):
             sample_ensemble(CaseStudyConfig(n=1), 6)
@@ -111,6 +133,11 @@ class TestConfig:
         config = CaseStudyConfig.from_json_file(path)
         assert config.seed == 11 and config.n == 20
         assert config.trajectories == CaseStudyConfig().trajectories
+
+    @pytest.mark.parametrize("data", [{"betas": ["x"]}, {"delta": "abc"}, {"trajectories": [[["a", 0]] * 4]}])
+    def test_from_json_rejects_non_numbers(self, data):
+        with pytest.raises(ConfigError, match="could not convert string to float"):
+            CaseStudyConfig.from_json_dict(data)
 
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,7 @@ import pytest
 from stlrisk.errors import EmptyError, FormatError, GapError, MismatchError
 from stlrisk.trace import Ensemble, Trace, load_ensemble, load_trace_csv, read_ensemble, save_trace_csv
 
-from .helpers import load_ensemble_oracle
+from .helpers import load_ensemble_oracle, load_trace_csv_oracle
 
 
 def write(tmp_path, name, text):
@@ -276,6 +276,13 @@ class TestIngestMatchesOracle:
         listing = write(tmp_path, "ens.json", json.dumps({"traces": [f"ens/{p.name}" for p in sorted(d.iterdir())][::-1]}))
         assert outcome(loaded, listing) == outcome(load_ensemble_oracle, listing)
 
+    @pytest.mark.parametrize("name", sorted(INGEST_CASES))
+    def test_single_trace(self, tmp_path, name):
+        d = write_members(tmp_path / "ens", INGEST_CASES[name])
+        for p in sorted(d.iterdir()):
+            got = outcome(lambda path: (load_trace_csv(path).states, None), p)
+            assert got == outcome(lambda path: (load_trace_csv_oracle(path), None), p)
+
     def test_expected_outcomes(self, tmp_path):
         d = write_members(tmp_path / "ens", INGEST_CASES["length_mismatch_then_bad_member"])
         with pytest.raises(FormatError, match="non-numeric x1 cell 'abc'"):
@@ -332,8 +339,9 @@ class TestIngestMatchesOracle:
             raise AssertionError("csv.reader used on plain members")
 
         monkeypatch.setattr("stlrisk.trace.csv.reader", refuse)
-        e = load_ensemble(write_members(tmp_path / "ens", INGEST_CASES["crlf_and_lf"]))
-        assert e.states.shape == (2, 3, 2)
+        d = write_members(tmp_path / "ens", INGEST_CASES["crlf_and_lf"])
+        assert load_ensemble(d).states.shape == (2, 3, 2)
+        assert load_trace_csv(d / "m01.csv").states.shape == (3, 2)
 
 
 class TestReadEnsemble:
