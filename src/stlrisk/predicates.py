@@ -1,18 +1,15 @@
 """Predicate definitions with closed-form signed distances.
 
 A predicate carves the state space into a satisfying set and its complement.
-``signed_distance`` returns the Euclidean margin of a state with respect to
-that set: positive inside (distance to the complement's closure), negative
-outside (minus the distance to the set's closure), zero on the boundary.
-The Boolean reading is ``signed_distance >= 0``, so boundaries count as
-satisfying, matching the closed ">= 0"-style sets below.
+A state's margin is its Euclidean signed distance to that set: positive
+inside (distance to the complement's closure), negative outside (minus the
+distance to the set's closure), zero on the boundary.  The Boolean reading
+is ``margin >= 0``, so boundaries count as satisfying, matching the closed
+">= 0"-style sets below.
 
-``margins`` is the array form the evaluator uses: it maps an ``(..., d)``
-array of states to their margins, equal bit for bit to ``signed_distance``,
-which stays the per-state reference.  To stay equal on every Python version
-both sum a halfspace's dot product left to right from 0 (``sum`` of floats
-compensates from Python 3.12), and both take Euclidean norms with
-``math.hypot`` (``np.hypot`` rounds some pairs differently).
+``margins`` is the one implementation: it maps an ``(..., d)`` array of
+states to their margins, and the evaluator calls it once per predicate.
+``signed_distance`` is its one-state case.
 
 Supported families:
 
@@ -128,47 +125,6 @@ class CustomPredicate:
 PredicateDef = Union[Halfspace, NormBall, Complement, CustomPredicate]
 
 
-def _component(state: Sequence[float], index: int) -> float:
-    if index >= len(state):
-        raise DimensionError(
-            f"predicate needs state component {index}, state has dim {len(state)}"
-        )
-    return float(state[index])
-
-
-def signed_distance(p: PredicateDef, state: Sequence[float]) -> float:
-    """Euclidean margin of ``state`` with respect to the predicate's set."""
-    if isinstance(p, Halfspace):
-        if len(state) != len(p.a):
-            raise DimensionError(
-                f"halfspace of dim {len(p.a)} applied to state of dim {len(state)}"
-            )
-        # Left to right from 0, not sum(), which compensates from Python 3.12.
-        dot = 0
-        for ai, si in zip(p.a, state):
-            dot = dot + ai * float(si)
-        return (dot + p.b) / math.hypot(*p.a)
-    if isinstance(p, NormBall):
-        point = [_component(state, i) for i in p.pos]
-        if isinstance(p.center, StateSlice):
-            center = [_component(state, i) for i in p.center.indices]
-        else:
-            center = list(p.center)
-        diffs = [abs(x - c) for x, c in zip(point, center)]
-        if p.norm == L2:
-            return p.radius - math.hypot(*diffs)
-        # Linf box: inside, the closest exit is through the nearest face;
-        # outside, the closest boundary point clamps per coordinate.
-        if max(diffs) <= p.radius:
-            return min(p.radius - d for d in diffs)
-        return -math.hypot(*(max(d - p.radius, 0.0) for d in diffs))
-    if isinstance(p, Complement):
-        return -signed_distance(p.inner, state)
-    if isinstance(p, CustomPredicate):
-        return float(p.fn(state))
-    raise TypeError(f"not a predicate definition: {p!r}")
-
-
 def _hypot(x: np.ndarray) -> np.ndarray:
     """math.hypot over the last axis of x."""
     columns = [c.ravel().tolist() for c in np.moveaxis(x, -1, 0)]
@@ -178,7 +134,12 @@ def _hypot(x: np.ndarray) -> np.ndarray:
 def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
     """Margins of an (..., d) array of states, shaped (...).
 
-    Entry i equals ``signed_distance(p, states[i])`` bit for bit.
+    Each entry has the same bits on every Python version and the same bits
+    as the scalar test oracle: a halfspace's dot product is summed left to
+    right from 0 (``sum`` of floats compensates from Python 3.12), and
+    Euclidean norms are taken with ``math.hypot`` (``np.hypot`` rounds some
+    pairs differently).  A ``CustomPredicate.fn`` gets each state as a list
+    of floats.
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[-1]
@@ -199,8 +160,8 @@ def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
         diffs = np.abs(point - center)
         if p.norm == L2:
             return p.radius - _hypot(diffs)
-        # Linf box: inside through the nearest face, outside clamped per
-        # coordinate, as in signed_distance.
+        # Linf box: inside, the closest exit is through the nearest face;
+        # outside, the closest boundary point clamps per coordinate.
         outside = -_hypot(np.maximum(diffs - p.radius, 0.0))
         return np.where(diffs.max(-1) <= p.radius, (p.radius - diffs).min(-1), outside)
     if isinstance(p, Complement):
@@ -209,6 +170,11 @@ def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
         rows = states.reshape(-1, dim).tolist()
         return np.array([float(p.fn(row)) for row in rows], dtype=float).reshape(states.shape[:-1])
     raise TypeError(f"not a predicate definition: {p!r}")
+
+
+def signed_distance(p: PredicateDef, state: Sequence[float]) -> float:
+    """Euclidean margin of one ``state`` with respect to the predicate's set."""
+    return float(margins(p, np.asarray(state, dtype=float)))
 
 
 def parse_predicate_table(data: dict) -> dict:

@@ -112,41 +112,54 @@ class GaussianRegion:
         object.__setattr__(self, "variance", float(self.variance))
 
 
+def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]:
+    """``values``, a list of finite numbers, as floats; a ``ConfigError``
+    naming ``key`` otherwise."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(f"{key}: expected a list of numbers, got {values!r}")
+    try:
+        numbers = tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+    if not all(math.isfinite(v) for v in numbers):
+        raise ConfigError(f"{key}: values must be finite, got {values!r}")
+    if count is not None and len(numbers) != count:
+        raise ConfigError(f"{key}: expected {count} values, got {len(numbers)}")
+    return numbers
+
+
 @dataclass(frozen=True)
 class CaseStudyConfig:
     seed: int = 42
     n: int = 6500
     betas: Tuple[float, ...] = DEFAULT_BETAS
     delta: float = 0.001
-    trajectories: Optional[Tuple] = None
+    trajectories: Tuple = DEFAULT_TRAJECTORIES
     region_c: GaussianRegion = field(default_factory=lambda: GaussianRegion(_C_MEAN, 0.125))
     region_d: GaussianRegion = field(default_factory=lambda: GaussianRegion(_D_MEAN, 0.125))
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigError(f"seed must be an integer, got {self.seed!r}")
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
-        betas = tuple(float(b) for b in self.betas)
+        betas = _numbers("betas", self.betas)
         if not betas or any(not 0.0 < b < 1.0 for b in betas):
             raise ConfigError(f"betas must be a non-empty list within (0, 1), got {self.betas!r}")
-        if not 0.0 < float(self.delta) < 1.0:
+        (delta,) = _numbers("delta", [self.delta])
+        if not 0.0 < delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
-        trajectories = self.trajectories
-        if trajectories is None:
-            trajectories = DEFAULT_TRAJECTORIES
+        if not isinstance(self.trajectories, (list, tuple)) or not self.trajectories:
+            raise ConfigError(f"trajectories: expected a non-empty list, got {self.trajectories!r}")
+        for j, traj in enumerate(self.trajectories):
+            if not isinstance(traj, (list, tuple)) or len(traj) != _STEPS:
+                raise ConfigError(f"trajectories[{j}]: expected a list of exactly {_STEPS} waypoints")
         trajectories = tuple(
-            tuple((float(x), float(y)) for x, y in traj) for traj in trajectories
+            tuple(_numbers(f"trajectories[{j}][{t}]", xy, 2) for t, xy in enumerate(traj))
+            for j, traj in enumerate(self.trajectories)
         )
-        if not trajectories:
-            raise ConfigError("at least one trajectory is required")
-        for j, traj in enumerate(trajectories):
-            if len(traj) != _STEPS:
-                raise ConfigError(
-                    f"trajectory {j + 1} has {len(traj)} waypoints; exactly {_STEPS} required"
-                )
         object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "delta", float(self.delta))
+        object.__setattr__(self, "delta", delta)
         object.__setattr__(self, "trajectories", trajectories)
 
     @classmethod
@@ -157,24 +170,9 @@ class CaseStudyConfig:
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        kwargs = {}
-        for key in ("seed", "n", "delta"):
-            if key in data:
-                kwargs[key] = data[key]
-        if "betas" in data:
-            kwargs["betas"] = tuple(data["betas"])
-        trajectories = data.get("trajectories", "default")
-        if trajectories != "default":
-            try:
-                kwargs["trajectories"] = tuple(
-                    tuple((x, y) for x, y in traj) for traj in trajectories
-                )
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad trajectories entry: {exc}") from None
-        try:
-            return cls(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
+        if data.get("trajectories") == "default":
+            data = {**data, "trajectories": DEFAULT_TRAJECTORIES}
+        return cls(**data)
 
     @classmethod
     def from_json_file(cls, path) -> "CaseStudyConfig":

@@ -3,9 +3,12 @@
 The evaluation oracles below deliberately re-derive the semantics as naive
 nested loops over explicit time-index sets, with the extended inf/sup
 conventions spelled out, so they share no code path with the memoized
-evaluators they check.  Likewise the quantile oracles scan the empirical
-CDF literally instead of indexing order statistics, and the ingest oracle
-reads trace CSVs one cell at a time through ``csv.reader``.
+evaluators they check.  Their predicate leaves come from
+``signed_distance_oracle``, scalar code per predicate family that shares
+nothing with the array kernel ``predicates.margins``.  Likewise the quantile
+oracles scan the empirical CDF literally instead of indexing order
+statistics, and the ingest oracle reads trace CSVs one cell at a time
+through ``csv.reader``.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from stlrisk.errors import EmptyError, FormatError, GapError, MismatchError
+from stlrisk.errors import DimensionError, EmptyError, FormatError, GapError, MismatchError
 
 from stlrisk.formula import (
     TRUE,
@@ -37,10 +40,55 @@ from stlrisk.formula import (
     UntilPast,
     horizon,
 )
-from stlrisk.predicates import Halfspace, NormBall, signed_distance
+from stlrisk.predicates import L2, Complement, CustomPredicate, Halfspace, NormBall, StateSlice
 from stlrisk.trace import Trace
 
 INF = math.inf
+
+
+# ---------------------------------------------------------------------------
+# Scalar predicate oracle: one state at a time, in plain Python floats
+
+
+def _component(state, index: int) -> float:
+    if index >= len(state):
+        raise DimensionError(
+            f"predicate needs state component {index}, state has dim {len(state)}"
+        )
+    return float(state[index])
+
+
+def signed_distance_oracle(p, state) -> float:
+    """Euclidean margin of ``state`` with respect to the predicate's set."""
+    if isinstance(p, Halfspace):
+        if len(state) != len(p.a):
+            raise DimensionError(
+                f"halfspace of dim {len(p.a)} applied to state of dim {len(state)}"
+            )
+        # Left to right from 0, not sum(), which compensates from Python 3.12.
+        dot = 0
+        for ai, si in zip(p.a, state):
+            dot = dot + ai * float(si)
+        return (dot + p.b) / math.hypot(*p.a)
+    if isinstance(p, NormBall):
+        point = [_component(state, i) for i in p.pos]
+        if isinstance(p.center, StateSlice):
+            center = [_component(state, i) for i in p.center.indices]
+        else:
+            center = list(p.center)
+        diffs = [abs(x - c) for x, c in zip(point, center)]
+        if p.norm == L2:
+            return p.radius - math.hypot(*diffs)
+        # Linf box: inside, the closest exit is through the nearest face;
+        # outside, the closest boundary point clamps per coordinate.
+        if max(diffs) <= p.radius:
+            return min(p.radius - d for d in diffs)
+        return -math.hypot(*(max(d - p.radius, 0.0) for d in diffs))
+    if isinstance(p, Complement):
+        return -signed_distance_oracle(p.inner, state)
+    if isinstance(p, CustomPredicate):
+        return float(p.fn(state))
+    raise TypeError(f"not a predicate definition: {p!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +103,7 @@ def rho_oracle(f, trace: Trace, t: int, predicates) -> float:
         if isinstance(g, type(TRUE)):
             return INF
         if isinstance(g, Predicate):
-            return signed_distance(predicates[g.name], trace.states[s])
+            return signed_distance_oracle(predicates[g.name], trace.states[s])
         if isinstance(g, Not):
             return -rec(g.child, s)
         if isinstance(g, And):
@@ -97,7 +145,7 @@ def beta_oracle(f, trace: Trace, t: int, predicates) -> bool:
         if isinstance(g, type(TRUE)):
             return True
         if isinstance(g, Predicate):
-            return signed_distance(predicates[g.name], trace.states[s]) >= 0.0
+            return signed_distance_oracle(predicates[g.name], trace.states[s]) >= 0.0
         if isinstance(g, Not):
             return not rec(g.child, s)
         if isinstance(g, And):

@@ -394,6 +394,22 @@ class TestCaseStudy:
         cfg.write_text(json.dumps({"seed": 2, "n": 0}))
         assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"n": true, "betas": [0.9]}', "n"),
+            ('{"n": 3, "trajectories": [[[1e400, 0], [1, 1], [2, 2], [3, 3]]]}', "trajectories"),
+            ('{"betas": 0.9}', "betas"),
+            ('{"betas": ["x"]}', "betas"),
+        ],
+    )
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys, text, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"error: {key}")
+
     def test_config_read_once_and_digested_as_parsed(self, tmp_path, monkeypatch, capsys):
         # The config is rewritten as soon as it has been read, to one with
         # another seed.

@@ -15,6 +15,8 @@ from stlrisk.predicates import (
     signed_distance,
 )
 
+from .helpers import signed_distance_oracle
+
 
 def boundary_distance_disk(point, center, radius, samples=20000):
     """Min distance from point to a circle, by dense boundary sampling."""
@@ -148,12 +150,15 @@ def assert_margins_bit_equal(p, states):
     got = margins(p, states)
     assert got.shape == states.shape[:-1]
     for index in np.ndindex(got.shape):
-        expected = np.float64(signed_distance(p, states[index].tolist()))
+        expected = np.float64(signed_distance_oracle(p, states[index].tolist()))
         assert got[index].tobytes() == expected.tobytes(), (p, index)
+        one = np.float64(signed_distance(p, states[index]))
+        assert one.tobytes() == expected.tobytes(), (p, index)
 
 
 class TestArrayMargins:
-    """``margins`` over (N, span, d) arrays equals ``signed_distance`` per row, bit for bit."""
+    """``margins`` over (N, span, d) arrays, and ``signed_distance`` of each
+    row, equal the scalar oracle bit for bit."""
 
     def test_halfspaces(self):
         rng = np.random.default_rng(14)
@@ -168,7 +173,7 @@ class TestArrayMargins:
         # sum (Python 3.12's sum() of floats) would give 1.
         p = Halfspace((1.0, 1.0, 1.0), 0.0)
         state = [1e16, 1.0, -1e16]
-        assert signed_distance(p, state) == 0.0
+        assert signed_distance_oracle(p, state) == 0.0
         assert_margins_bit_equal(p, np.array([[state]]))
 
     def test_halfspace_negative_zero_dot(self):
@@ -235,10 +240,20 @@ class TestArrayMargins:
             Complement(NormBall((4,), (0.0,), 0.5, "linf")),
         ):
             with pytest.raises(DimensionError) as scalar:
-                signed_distance(p, [0.0, 0.0])
+                signed_distance_oracle(p, [0.0, 0.0])
             with pytest.raises(DimensionError) as array:
                 margins(p, states)
-            assert str(array.value) == str(scalar.value)
+            with pytest.raises(DimensionError) as one:
+                signed_distance(p, [0.0, 0.0])
+            assert str(array.value) == str(one.value) == str(scalar.value)
+
+    def test_custom_gets_one_state_as_a_list_of_floats(self):
+        seen = []
+        p = CustomPredicate(lambda row: seen.append(row) or row[1])
+        assert signed_distance(p, (1, 2.5)) == 2.5
+        assert signed_distance(p, np.array([0.0, -1.0])) == -1.0
+        assert seen == [[1.0, 2.5], [0.0, -1.0]]
+        assert all(type(row) is list and all(type(v) is float for v in row) for row in seen)
 
 
 class TestPredicateTable:

@@ -139,6 +139,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="could not convert string to float"):
             CaseStudyConfig.from_json_dict(data)
 
+    def test_from_json_rejects_null_trajectories(self):
+        with pytest.raises(ConfigError, match="^trajectories: "):
+            CaseStudyConfig.from_json_dict({"trajectories": None})
+
     def test_from_json_rejects_unknown_keys(self):
         with pytest.raises(ConfigError):
             CaseStudyConfig.from_json_dict({"seeds": 1})
