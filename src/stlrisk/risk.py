@@ -123,7 +123,15 @@ def _check_level(beta: float, name: str = "beta") -> None:
 def dkw_epsilon(n: int, delta: float) -> float:
     """Half-width of the uniform empirical-CDF confidence band."""
     _check_level(delta, "delta")
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+    return math.sqrt(_log_two_over(delta) / (2.0 * n))
+
+
+def _log_two_over(delta: float) -> float:
+    """ln(2 / delta), finite for every delta in (0, 1): 2 / delta overflows
+    below about 1.1e-308, and only there the log is taken as a difference,
+    which elsewhere can round one ulp away from the log of the quotient."""
+    ratio = 2.0 / delta
+    return math.log(ratio) if math.isfinite(ratio) else math.log(2.0) - math.log(delta)
 
 
 def empirical_cdf(z: RobustnessSamples, alpha: float) -> float:
@@ -217,7 +225,7 @@ def expected_hoeffding(
     _check_level(delta, "delta")
     if bool((z.values < a).any() or (z.values > b).any()):
         raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")
-    half = (b - a) * math.sqrt(math.log(2.0 / delta) / (2.0 * z.n))
+    half = (b - a) * math.sqrt(_log_two_over(delta) / (2.0 * z.n))
     mean = expected(z)
     return (mean - half, mean + half)
 

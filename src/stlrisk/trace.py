@@ -5,10 +5,12 @@ consecutive integer times starting at 0, UTF-8, LF or CRLF line endings.
 An ensemble is either a directory of such CSVs (members ordered by file
 name) or a JSON manifest ``{"traces": [paths...], "seed": ...}`` with paths
 resolved relative to the manifest.  In memory it is one read-only (N, T, d)
-array, and a single trace is loaded as a one-member ensemble.  Loading
-converts the members of the plain layout ``save_trace_csv`` writes in one
-batch; any other member sends the whole ensemble through the strict per-file
-reader (``csv.reader``, cell by cell), which decides acceptance and errors.
+array, and a single trace is loaded as a one-member ensemble.  Members of
+the plain layout ``save_trace_csv`` writes are checked and converted as one
+batch: one decode of their joined bytes, whole-list layout checks over all
+members, and, when cell texts repeat, one ``float`` call per distinct text.
+Any other member sends the whole ensemble through the strict per-file reader
+(``csv.reader``, cell by cell), which decides acceptance and errors.
 
 Every input file of the package, CSV or JSON, is read once by ``_read`` and
 decoded by ``_decode``, which names a byte that is not UTF-8 by file and
@@ -21,10 +23,11 @@ import csv
 import io
 import json
 import math
+import os
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain
+from functools import cached_property, lru_cache
+from itertools import cycle, repeat
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -159,6 +162,7 @@ class Ensemble:
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
+_BLOCK = 1024  # cells that _values splits at a time
 
 
 def _parse_cell(path: Path, row_no: int, name: str, cell: str) -> float:
@@ -204,52 +208,76 @@ def _parse_trace(path: Path, data: bytes) -> Trace:
 def _batch_states(contents: list) -> Optional[np.ndarray]:
     """The (N, T, d) states of N member CSVs in the plain layout, or None.
 
-    Plain: UTF-8 without quotes or lone CRs, a header exactly ``t,x1,...,xd``
-    and the same number of rows in every file, and rows ``i,v1,...,vd`` with
-    the time i written as ``str(i)`` and finite float cells.  The value cells
-    of all members go through one ``float`` map into one array.  Anything
-    else, valid or not, gives None, and the caller reads each file with the
-    strict per-file parser, which accepts the same files with the same bits
-    and raises the same errors.
+    Plain: UTF-8 without quotes or lone CRs, every file ending with a line
+    break, a header exactly ``t,x1,...,xd`` and the same number of rows in
+    every file, and rows ``i,v1,...,vd`` with the time i written as
+    ``str(i)`` and finite float cells.  All members are checked together,
+    by whole-list operations over the lines of their joined text, and a cell
+    text that repeats goes through ``float`` once.  Anything else, valid or
+    not, gives None, and the caller reads each file with the strict per-file
+    parser, which accepts the same files with the same bits and raises the
+    same errors.
     """
-    header = None
-    cells = []
-    for data in contents:
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        # Without quotes and lone CRs, csv.reader splits at exactly the
-        # commas and line breaks.
-        if '"' in text:
-            return None
-        if "\r" in text:
-            text = text.replace("\r\n", "\n")
-            if "\r" in text:
-                return None
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()  # the line break that ends the last row
-        if header is None:
-            if len(lines) < 2:
-                return None
-            header = lines[0]
-            dim = header.count(",")
-            if dim < 1 or header != ",".join(["t"] + [f"x{j}" for j in range(1, dim + 1)]):
-                return None
-            starts = [f"{i}," for i in range(len(lines) - 1)]
-        if len(lines) != len(starts) + 1 or lines[0] != header:
-            return None
-        for start, row in zip(starts, lines[1:]):
-            if not row.startswith(start) or row.count(",") != dim:
-                return None
-            cells.append(row[len(start) :])
+    n = len(contents)
+    # With every member ending in a line break, no character, CRLF or line
+    # of the joined text spans two members, and member k is lines
+    # k * (T + 1) to (k + 1) * (T + 1) - 1.
+    if not all(map(bytes.endswith, contents, repeat(b"\n"))):
+        return None
+    breaks = set(map(bytes.count, contents, repeat(b"\n")))
+    if len(breaks) != 1:
+        return None
+    length = breaks.pop() - 1
+    if length < 1:
+        return None
     try:
-        flat = np.fromiter(map(float, chain.from_iterable(row.split(",") for row in cells)), dtype=float)
+        text = b"".join(contents).decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    # Without quotes and lone CRs, csv.reader splits at exactly the commas
+    # and line breaks.
+    if '"' in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    rows = text.split("\n")
+    rows.pop()  # after the line break that ends the last row
+    header = rows[0]
+    dim = header.count(",")
+    if dim < 1 or header != ",".join(["t"] + [f"x{j}" for j in range(1, dim + 1)]):
+        return None
+    if rows[:: length + 1] != [header] * n:
+        return None
+    del rows[:: length + 1]
+    if set(map(str.count, rows, repeat(","))) != {dim}:
+        return None
+    if not all(map(str.startswith, rows, cycle([f"{i}," for i in range(length)]))):
+        return None
+    try:
+        flat = _values(rows, dim)
     except ValueError:
         return None
-    states = flat.reshape(len(contents), len(starts), dim)
-    return states if np.isfinite(states).all() else None
+    return flat.reshape(n, length, dim) if np.isfinite(flat).all() else None
+
+
+def _values(rows: list, dim: int) -> np.ndarray:
+    """The value cells of rows ``t,v1,...,vd``, through ``float``, in one
+    flat array.  Rows are split a block at a time, so that only one block's
+    cell strings are alive at a time.  When the first block's texts repeat
+    (as those of members drawn around one path do), ``float`` runs once per
+    distinct text."""
+    flat = np.empty(len(rows) * dim)
+    step = max(1, _BLOCK // (dim + 1))
+    convert = None
+    for start in range(0, len(rows), step):
+        cells = ",".join(rows[start : start + step]).split(",")
+        del cells[:: dim + 1]  # the time cells
+        if convert is None:
+            convert = float if 2 * len(set(cells)) > len(cells) else lru_cache(maxsize=None)(float)
+        flat[start * dim : start * dim + len(cells)] = np.fromiter(map(convert, cells), np.float64, len(cells))
+    return flat
 
 
 def _read(path) -> bytes:
@@ -291,7 +319,8 @@ def _load_members(files: list, metadata: Optional[dict]) -> tuple:
             break  # raised again below, after the members before it are checked
     states = _batch_states(contents) if len(contents) == len(files) else None
     if states is not None:
-        ensemble = Ensemble.from_states(states, metadata)
+        ensemble = Ensemble.__new__(Ensemble)
+        ensemble._freeze(states, metadata)  # new and checked finite: no copy
     else:
         # Member by member, as files are read: the first bad member raises
         # its own error, before a later member or the mismatch check does.
@@ -327,7 +356,12 @@ def read_ensemble(path) -> tuple:
     metadata: dict = {"source": str(path)}
     sources = {}
     if path.is_dir():
-        files = sorted((p for p in path.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
+        # The entries whose Path.suffix is ".csv", by name, each as the text
+        # of ``path / name``.
+        prefix = str(path / "_")[:-1]
+        with os.scandir(path) as entries:
+            names = sorted(e.name for e in entries if len(e.name) > 4 and e.name.endswith(".csv"))
+        files = [prefix + name for name in names]
         if not files:
             raise EmptyError(f"{path}: no trace CSVs in directory")
     else:

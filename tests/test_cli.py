@@ -180,6 +180,26 @@ class TestRisk:
         payload = json.loads(capsys.readouterr().out)
         assert payload["lower"] < payload["value"] < payload["upper"]
 
+    def test_tiny_delta_gives_strict_json(self, workdir, capsys):
+        def refuse(token):
+            raise AssertionError(f"non-standard JSON constant {token}")
+
+        out = workdir / "out"
+        code = main(
+            [
+                "risk",
+                "--formula", "p",
+                "--predicates", str(workdir / "preds.json"),
+                "--ensemble", str(workdir / "ensemble"),
+                "--delta", "1e-320",
+                "--out", str(out),
+            ]
+        )
+        assert code == 0
+        for text in (capsys.readouterr().out, (out / "result.json").read_text(encoding="utf-8")):
+            payload = json.loads(text, parse_constant=refuse)
+            assert 0 < payload["epsilon"] < float("inf")
+
     def test_bad_beta_exits_4(self, workdir, capsys):
         code = main(
             [

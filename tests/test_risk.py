@@ -174,6 +174,25 @@ class TestCvar:
             assert cvar_point(z, beta) >= var_point(z, beta) - 1e-12
 
 
+class TestDkwEpsilon:
+    def test_bit_equal_to_the_log_of_the_quotient(self):
+        rng = np.random.default_rng(44)
+        deltas = np.exp(-np.abs(rng.normal(0.0, 40.0, size=10_000)))
+        sizes = rng.integers(1, 10_000, size=deltas.size)
+        for n, delta in zip(sizes.tolist(), deltas.tolist()):
+            assert 0.0 < delta < 1.0
+            assert dkw_epsilon(n, delta) == math.sqrt(math.log(2.0 / delta) / (2.0 * n))
+
+    @pytest.mark.parametrize("delta", [1e-308, 1.1e-308, 1e-320, 5e-324])
+    def test_finite_where_two_over_delta_overflows(self, delta):
+        want = math.sqrt((math.log(2.0) - math.log(delta)) / 20.0)
+        assert math.isfinite(dkw_epsilon(10, delta))
+        assert dkw_epsilon(10, delta) == pytest.approx(want, rel=1e-15)
+        assert dkw_epsilon(10, delta) >= dkw_epsilon(10, 1e-300)
+        lo, hi = expected_hoeffding(S(0, 1), delta, (0.0, 1.0))
+        assert math.isfinite(lo) and math.isfinite(hi)
+
+
 class TestExpected:
     def test_mean(self):
         assert expected(S(1, 2, 3)) == 2.0

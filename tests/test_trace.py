@@ -1,5 +1,6 @@
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -238,6 +239,18 @@ INGEST_CASES = {
     "empty_file": [PLAIN, ""],
     "header_only": [PLAIN, "t,x1,x2\n"],
     "single_member": [PLAIN],
+    # Members drawn around one path: the same cell texts in many files.
+    "repeated_cells": [
+        "t,x1,x2,x3\n" + "".join(f"{t},{0.1 * t!r},{(i % 3) / 7!r},-2.5\n" for t in range(4)) for i in range(40)
+    ],
+    # Distinct texts of equal values: each keeps the bits of its own text.
+    "equal_values_spelled_apart": ["t,x1,x2,x3\n0,0.001,1e-3,0\n1,-0,0.0,-0.0\n2,1E-3,0.0010,+0\n"] * 30,
+    "repeated_nan": [PLAIN.replace("2.25", "nan")] * 30,
+    # One member has a row too many and the next one too few.
+    "rows_that_balance_across_members": [PLAIN, PLAIN + "t,x1,x2\n", PLAIN[8:]],
+    "utf8_cut_across_members": [PLAIN.encode() + b"\xe2\x82", b"\xac" + PLAIN.encode()],
+    # Joined, these would read as two plain members.
+    "member_split_inside_a_line": ["t,x1,x2\n0,1,2\nt,", "x1,x2\n0,3,4\n"],
 }
 
 
@@ -334,6 +347,20 @@ class TestIngestMatchesOracle:
             accepted += not isinstance(got[0], type)
         assert 30 < accepted < 270  # both outcomes are exercised
 
+    @pytest.mark.parametrize("subdirectory", [False, True])
+    def test_listing(self, tmp_path, subdirectory):
+        # Members are the entries whose Path.suffix is ".csv", as the oracle
+        # lists them: "..csv" is one, a subdirectory "c.csv" is one too.
+        d = write_members(tmp_path / "ens", [PLAIN, PLAIN.replace("0.5", "0.75")])
+        for name in (".csv", "a.csv.", "b.CSV"):
+            write(d, name, "not a trace")
+        write(d, "..csv", PLAIN.replace("0.5", "0.125"))
+        if subdirectory:
+            (d / "c.csv").mkdir()
+        assert outcome(loaded, d) == outcome(load_ensemble_oracle, d)
+        if not subdirectory:
+            assert load_ensemble(d).states[:, 0, 0].tolist() == [0.125, 0.5, 0.75]
+
     def test_plain_members_skip_the_cell_parser(self, tmp_path, monkeypatch):
         def refuse(*args, **kwargs):
             raise AssertionError("csv.reader used on plain members")
@@ -342,6 +369,15 @@ class TestIngestMatchesOracle:
         d = write_members(tmp_path / "ens", INGEST_CASES["crlf_and_lf"])
         assert load_ensemble(d).states.shape == (2, 3, 2)
         assert load_trace_csv(d / "m01.csv").states.shape == (3, 2)
+        # Fifty members with repeated cells: each distinct text is
+        # converted once.
+        members = [f"t,x1,x2\n0,{i % 5},0.5\n1,{i % 7}.25,-1\n" for i in range(50)]
+        converted = []
+        monkeypatch.setattr("stlrisk.trace.float", lambda text: converted.append(text) or float(text), raising=False)
+        e = load_ensemble(write_members(tmp_path / "fifty", members))
+        assert e.states.shape == (50, 2, 2)
+        assert e.states[:, 1, 0].tolist() == [i % 7 + 0.25 for i in range(50)]
+        assert sorted(converted) == sorted({c for m in members for row in m.split()[1:] for c in row.split(",")[1:]})
 
 
 class TestReadEnsemble:
@@ -350,6 +386,14 @@ class TestReadEnsemble:
         e, sources = read_ensemble(d)
         assert sources == {str(p): p.read_bytes() for p in sorted(d.iterdir())}
         assert e.metadata == {"source": str(d)}
+
+    def test_member_paths_are_path_slash_name(self, tmp_path, monkeypatch):
+        d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
+        monkeypatch.chdir(d)
+        for path in (".", "./", d, f"{d}//", tmp_path / "ens" / ".." / "ens"):
+            e, sources = read_ensemble(path)
+            assert list(sources) == [str(Path(path) / f"m0{i}.csv") for i in range(2)]
+            assert e.metadata == {"source": str(Path(path))}
 
     def test_manifest_sources_include_the_listing(self, tmp_path):
         d = write_members(tmp_path / "ens", INGEST_CASES["quoted_cells"])
