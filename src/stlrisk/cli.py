@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import __version__
@@ -115,7 +116,6 @@ def cmd_risk(args) -> int:
     params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
     result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
     payload = result.to_json_dict()
-    print(json.dumps(payload))
     if args.out:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
@@ -136,6 +136,7 @@ def cmd_risk(args) -> int:
             inputs={**sources, str(args.predicates): table},
             outputs=("result.json",),
         )
+    print(json.dumps(payload))  # after the files are written, as casestudy does
     return EXIT_OK
 
 
@@ -202,6 +203,7 @@ def _write_manifest(outdir: Path, command: str, parameters: dict, inputs: dict, 
     )
 
 
+@cache  # one tree per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="stlrisk", description=__doc__)
     top.add_argument("--version", action="version", version=f"stlrisk {__version__}")

@@ -139,8 +139,8 @@ class CaseStudyConfig:
     region_d: GaussianRegion = field(default_factory=lambda: GaussianRegion(_D_MEAN, 0.125))
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigError(f"seed must be an integer, got {self.seed!r}")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ConfigError(f"n must be a positive integer, got {self.n!r}")
         betas = _numbers("betas", self.betas)
@@ -225,13 +225,12 @@ def nominal_trace(waypoints, c: Sequence[float] = _C_MEAN, d: Sequence[float] = 
     return Trace(_states(waypoints, np.array([c], dtype=float), np.array([d], dtype=float))[0])
 
 
-_MASK64 = (1 << 64) - 1
 _NORMAL = NormalDist()
 
 
 def _standard_normals(seed: int, trajectory_index: int, count: int) -> np.ndarray:
     """Standard normals from the counter-based stream keyed (seed, trajectory)."""
-    key = np.array([seed & _MASK64, trajectory_index & _MASK64], dtype=np.uint64)
+    key = np.array([seed, trajectory_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
     uniforms = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
     inv = _NORMAL.inv_cdf

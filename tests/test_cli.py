@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import stlrisk
+from stlrisk import cli, trace
 from stlrisk.cli import main
 from stlrisk.trace import Trace, save_trace_csv
 
@@ -232,6 +234,17 @@ class TestRisk:
         assert main(args) == 1
         assert capsys.readouterr().err == f"error: {workdir / 'bad.csv'}: {message}\n"
 
+    def test_out_that_cannot_be_written_prints_nothing(self, workdir, capsys):
+        # The result is printed only once result.json and manifest.json are
+        # written.
+        (workdir / "taken").write_text("a file\n")
+        args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"),
+                "--ensemble", str(workdir / "ensemble"), "--out", str(workdir / "taken")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: [Errno 17] File exists")
+
     def test_true_formula_exits_4(self, workdir, capsys):
         code = main(
             [
@@ -281,22 +294,7 @@ class TestRiskManifest:
         # must describe what was evaluated, so each member is read once.
         members = sorted((workdir / "ensemble").iterdir())
         original = {str(p): p.read_bytes() for p in members}
-        reads = []
-        real_open = io.open
-
-        def open_then_edit(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if str(file) not in original:
-                return fh
-            reads.append(str(file))
-            with fh:
-                data = fh.read()
-            with real_open(file, "w", encoding="utf-8") as out:
-                out.write("t,x1\n0,-9\n1,-9\n2,-9\n")
-            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-
-        monkeypatch.setattr(builtins, "open", open_then_edit)
-        monkeypatch.setattr(io, "open", open_then_edit)
+        reads = edit_after_read(monkeypatch, original, b"t,x1\n0,-9\n1,-9\n2,-9\n")
         out = workdir / "out"
         manifest = self.risk_out(workdir, workdir / "ensemble", out)
         monkeypatch.undo()
@@ -310,26 +308,12 @@ class TestRiskManifest:
         # which every member satisfies p by a wide margin.
         preds = workdir / "preds.json"
         original = preds.read_bytes()
-        reads = []
-        real_open = io.open
-
-        def open_then_edit(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if str(file) != str(preds):
-                return fh
-            reads.append(mode)
-            with fh:
-                data = fh.read()
-            with real_open(file, "w", encoding="utf-8") as out:
-                out.write(json.dumps({"p": {"kind": "halfspace", "a": [1.0], "b": 100.0}}))
-            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-
-        monkeypatch.setattr(builtins, "open", open_then_edit)
-        monkeypatch.setattr(io, "open", open_then_edit)
+        edited = json.dumps({"p": {"kind": "halfspace", "a": [1.0], "b": 100.0}}).encode()
+        reads = edit_after_read(monkeypatch, [preds], edited)
         out = workdir / "out"
         manifest = self.risk_out(workdir, workdir / "ensemble", out)
         monkeypatch.undo()
-        assert len(reads) == 1
+        assert reads == [str(preds)]
         assert manifest["inputs"][str(preds)] == sha256(original) != sha256(preds.read_bytes())
         preds.write_bytes(original)
         expected = self.risk_out(workdir, workdir / "ensemble", workdir / "again")
@@ -348,6 +332,55 @@ class TestRiskManifest:
         if by_numpy == "True":
             pytest.skip("this numpy imports hashlib itself")
         assert by_stlrisk == "False"
+
+
+class TestRepeatedMain:
+    """``main`` builds its parser once per process; calls in one process
+    must not see each other's arguments."""
+
+    @staticmethod
+    def outcome(argv, out, capsys):
+        argv = [str(out) if a == "OUT" else a for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = f"SystemExit({exc.code})"
+        files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
+        return (code, *capsys.readouterr(), files)
+
+    def test_each_call_matches_a_fresh_parser(self, workdir, monkeypatch, capsys):
+        risk = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"),
+                "--ensemble", str(workdir / "ensemble")]
+        steps = [
+            (risk + ["--measure", "expected", "--bounds=-5,5", "--out", "OUT"], 0),
+            (risk + ["--out", "OUT"], 0),
+            (["check", "--formula", "G[0,3] p"], 0),
+            (["check", "--formula", "p &"], 2),
+            (["--version"], "SystemExit(0)"),
+            (risk + ["--out", "OUT"], 0),
+        ]
+        assert cli._build_parser() is cli._build_parser()
+        for i, (argv, code) in enumerate(steps):
+            got = self.outcome(argv, workdir / f"cached{i}", capsys)
+            with monkeypatch.context() as m:
+                m.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+                assert self.outcome(argv, workdir / f"fresh{i}", capsys) == got
+            assert got[0] == code
+        manifest = json.loads(self.outcome(steps[1][0], workdir / "again", capsys)[3]["manifest.json"])
+        assert manifest["parameters"]["bounds"] is None and manifest["parameters"]["measure"] == "var"
+
+    def test_check_leaves_no_cyclic_garbage(self, capsys):
+        argv = ["check", "--formula", "G[0,3] p"]
+        assert main(argv) == 0  # builds the parser
+        gc.collect()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
 
 
 @pytest.mark.parametrize("pad", [0, 9000])
@@ -371,6 +404,34 @@ def test_json_not_utf8_named_with_its_offset(workdir, kind, code, pad, capsys):
 
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def edit_after_read(monkeypatch, paths, replacement: bytes) -> list:
+    """Hook ``stlrisk.trace._read``, the reader of every input file: each
+    read of one of ``paths`` is recorded, and the file is rewritten with
+    ``replacement`` right after it.  Opening one of them for reading through
+    ``open`` fails the test.  Returns the list of paths read, in order."""
+    paths = set(map(str, paths))
+    reads = []
+    real_read, real_open = trace._read, io.open
+
+    def read_then_edit(path):
+        data = real_read(path)
+        if str(path) in paths:
+            reads.append(str(path))
+            with real_open(path, "wb") as out:
+                out.write(replacement)
+        return data
+
+    def refuse_reads(file, mode="r", *args, **kwargs):
+        if str(file) in paths and ("r" in mode or "+" in mode):
+            raise AssertionError(f"{file} opened for reading outside stlrisk.trace._read")
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(trace, "_read", read_then_edit)
+    monkeypatch.setattr(builtins, "open", refuse_reads)
+    monkeypatch.setattr(io, "open", refuse_reads)
+    return reads
 
 
 class TestCaseStudy:
@@ -430,33 +491,41 @@ class TestCaseStudy:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {key}")
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_5(self, tmp_path, seed, capsys):
+        # Philox keys are 64-bit: 2**64 + 42 would run as seed 42, and -1 as
+        # 2**64 - 1.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "n": 2}))
+        for args in (["--seed", str(seed), "--n", "2"], ["--config", str(cfg)]):
+            assert main(["casestudy", *args, "--out", str(tmp_path / "o")]) == 5
+            err = capsys.readouterr().err
+            assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_at_the_ends_of_its_range(self, tmp_path, seed, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "n": 2, "betas": [0.9]}))
+        tables = []
+        for name, args in (("a", ["--seed", str(seed), "--n", "2", "--betas", "0.9"]), ("b", ["--config", str(cfg)])):
+            assert main(["casestudy", *args, "--out", str(tmp_path / name)]) == 0
+            assert json.loads((tmp_path / name / "manifest.json").read_text())["parameters"]["seed"] == seed
+            tables.append((tmp_path / name / "table.csv").read_bytes())
+        assert tables[0] == tables[1]
+
     def test_config_read_once_and_digested_as_parsed(self, tmp_path, monkeypatch, capsys):
         # The config is rewritten as soon as it has been read, to one with
         # another seed.
         cfg = tmp_path / "cfg.json"
         original = json.dumps({"seed": 2, "n": 10, "betas": [0.9]}).encode()
         cfg.write_bytes(original)
-        reads = []
-        real_open = io.open
-
-        def open_then_edit(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            if str(file) != str(cfg):
-                return fh
-            reads.append(mode)
-            with fh:
-                data = fh.read()
-            with real_open(file, "w", encoding="utf-8") as out:
-                out.write(json.dumps({"seed": 3, "n": 10, "betas": [0.9]}))
-            return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
-
-        monkeypatch.setattr(builtins, "open", open_then_edit)
-        monkeypatch.setattr(io, "open", open_then_edit)
+        reads = edit_after_read(monkeypatch, [cfg], json.dumps({"seed": 3, "n": 10, "betas": [0.9]}).encode())
         out = tmp_path / "out"
         assert main(["casestudy", "--config", str(cfg), "--out", str(out)]) == 0
         monkeypatch.undo()
         manifest = json.loads((out / "manifest.json").read_text())
-        assert len(reads) == 1
+        assert reads == [str(cfg)]
         assert manifest["parameters"]["seed"] == 2
         assert manifest["inputs"] == {str(cfg): sha256(original)} != {str(cfg): sha256(cfg.read_bytes())}
 

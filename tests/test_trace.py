@@ -1,10 +1,14 @@
 import json
+import os
 import re
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stlrisk import trace
 from stlrisk.errors import EmptyError, FormatError, GapError, MismatchError
 from stlrisk.trace import Ensemble, Trace, load_ensemble, load_trace_csv, read_ensemble, save_trace_csv
 
@@ -405,3 +409,71 @@ class TestReadEnsemble:
             str(d / "m00.csv"): (d / "m00.csv").read_bytes(),
         }
         assert e.n == 2
+
+
+class TestRead:
+    """``trace._read``, the reader of every input file: open, fstat, one read
+    and close, with the errors of ``open``."""
+
+    DATA = bytes(range(256)) * 400
+
+    @pytest.mark.parametrize("reported", [0, 10, 70_000, 200_000])
+    def test_size_changed_since_fstat(self, tmp_path, monkeypatch, reported):
+        # fstat reporting another size stands for a file that grew or
+        # shrank between fstat and read: the bytes at read time are returned.
+        f = tmp_path / "f.csv"
+        f.write_bytes(self.DATA)
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: os.stat_result(real_fstat(fd)[:6] + (reported,) + real_fstat(fd)[7:]))
+        assert trace._read(f) == self.DATA
+
+    def test_short_reads_are_continued(self, tmp_path, monkeypatch):
+        # A read may return fewer bytes than asked for and than the file
+        # holds (one read stops below 2 GiB on Linux).
+        f = tmp_path / "f.csv"
+        f.write_bytes(self.DATA)
+        real_read = os.read
+        monkeypatch.setattr(os, "read", lambda fd, n: real_read(fd, min(n, 4096)))
+        assert trace._read(f) == self.DATA
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_is_read_to_its_end(self, tmp_path):
+        fifo = tmp_path / "pipe.csv"
+        os.mkfifo(fifo)
+        data = b"t,x1\n" + b"".join(b"%d,1\n" % i for i in range(30_000))
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+        writer.start()
+        try:
+            assert trace._read(fifo) == data
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+
+    def test_errors_as_open_gives_them(self, tmp_path):
+        for path in (tmp_path, tmp_path / "missing.csv"):
+            for form in (path, str(path)):
+                with pytest.raises(OSError) as got:
+                    trace._read(form)
+                with pytest.raises(OSError) as expected:
+                    open(form, "rb")
+                assert (type(got.value), str(got.value)) == (type(expected.value), str(expected.value))
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/fd")
+    @pytest.mark.parametrize("member", [None, "directory", "missing", "not_utf8"])
+    def test_no_descriptor_left_open(self, tmp_path, member):
+        d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
+        listed = sorted(p.name for p in d.iterdir())
+        if member == "directory":
+            (d / "m99.csv").mkdir()
+        elif member == "not_utf8":
+            (d / "m99.csv").write_bytes(b"t,x1,x2\n0,1,\xff\n")
+        path = d
+        if member == "missing":
+            path = write(tmp_path, "ens.json", json.dumps({"traces": [f"ens/{n}" for n in listed] + ["ens/m99.csv"]}))
+        before = len(os.listdir("/proc/self/fd"))
+        if member is None:
+            assert read_ensemble(path)[0].n == 2
+        else:
+            with pytest.raises((OSError, FormatError), match="m99.csv"):
+                read_ensemble(path)
+        assert len(os.listdir("/proc/self/fd")) == before
