@@ -80,11 +80,13 @@ class Halfspace:
     b: float
 
     def __post_init__(self):
-        a = tuple(float(v) for v in self.a)
+        a, b = tuple(float(v) for v in self.a), float(self.b)
         if not a or all(v == 0.0 for v in a):
             raise ValueError("halfspace normal must be a non-zero vector")
+        if not all(map(math.isfinite, a + (b,))):
+            raise ValueError(f"halfspace a and b must be finite, got a={list(a)}, b={b}")
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", float(self.b))
+        object.__setattr__(self, "b", b)
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,12 @@ class NormBall:
         center = self.center
         if not isinstance(center, StateSlice):
             center = tuple(float(v) for v in center)
+            if not all(map(math.isfinite, center)):
+                raise ValueError(f"center must be finite, got {list(center)}")
         if len(center.indices if isinstance(center, StateSlice) else center) != len(pos):
             raise ValueError("pos and center must have equal length")
-        if not (float(self.radius) > 0.0):
-            raise ValueError(f"radius must be positive, got {self.radius!r}")
+        if not 0.0 < float(self.radius) < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if self.norm not in (L2, LINF):
             raise ValueError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
         object.__setattr__(self, "pos", pos)

@@ -93,12 +93,9 @@ class RiskParams:
     def __post_init__(self):
         _check_level(self.beta)
         _check_level(self.delta, "delta")
-        if not self.lam >= 0.0:
-            raise ParamError(f"lambda must be >= 0, got {self.lam}")
+        _check_lambda(self.lam)
         if self.bounds is not None:
-            a, b = self.bounds
-            if not a < b:
-                raise ParamError(f"bounds must satisfy a < b, got [{a}, {b}]")
+            _check_bounds(*self.bounds)
 
 
 @dataclass(frozen=True)
@@ -118,6 +115,16 @@ class VarTriple:
 def _check_level(beta: float, name: str = "beta") -> None:
     if not 0.0 < beta < 1.0:
         raise ParamError(f"{name} must lie in (0, 1), got {beta}")
+
+
+def _check_lambda(lam: float) -> None:
+    if not 0.0 <= lam < math.inf:
+        raise ParamError(f"lambda must be finite and >= 0, got {lam}")
+
+
+def _check_bounds(a: float, b: float) -> None:
+    if not -math.inf < a < b < math.inf:
+        raise ParamError(f"bounds must be finite with a < b, got [{a}, {b}]")
 
 
 def dkw_epsilon(n: int, delta: float) -> float:
@@ -220,8 +227,7 @@ def expected_hoeffding(
     1 - delta by Hoeffding's inequality.
     """
     a, b = bounds
-    if not a < b:
-        raise ParamError(f"bounds must satisfy a < b, got [{a}, {b}]")
+    _check_bounds(a, b)
     _check_level(delta, "delta")
     if bool((z.values < a).any() or (z.values > b).any()):
         raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")
@@ -237,8 +243,7 @@ def mean_variance(z: RobustnessSamples, lam: float) -> float:
     more than the mean gain, so this measure is excluded from the
     monotonicity guarantees the other estimators carry.
     """
-    if not lam >= 0.0:
-        raise ParamError(f"lambda must be >= 0, got {lam}")
+    _check_lambda(lam)
     if z.n == 1:
         return expected(z)
     srt = z.sorted()

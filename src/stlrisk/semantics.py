@@ -33,6 +33,9 @@ Monitoring for STL", CAV 2013), and for until window maxima over the same
 doubling of left minima (see ``_until``).  The two semantics differ only
 in the leaf map (margin or margin >= 0), the value of truth and the
 negation.  The cost is O(formula size x N x (anchors + width) x log width).
+
+A robustness or cost of zero, on the boundary of the formula's set, is
+returned as +0.0, whichever zero the min/max ties inside the engine kept.
 """
 
 from __future__ import annotations
@@ -63,8 +66,6 @@ from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
 
 __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
-
-INF = math.inf
 
 
 def _check_admissible(order: list, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
@@ -124,26 +125,17 @@ def _window(values: np.ndarray, count: int, n: int, pick) -> np.ndarray:
     return pick(table[:, :n], table[:, count - w : count - w + n])
 
 
-def _nearest(values: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
-    """values at the first True of mask at or after each of the first n columns
-    (at the last column where there is none)."""
-    width = mask.shape[-1]
-    index = np.where(mask, np.arange(width), width - 1)
-    index = np.minimum.accumulate(index[:, ::-1], axis=-1)[:, ::-1]
-    return np.take_along_axis(values, index[:, :n], axis=-1)
-
-
-def _until(node, a: int, b: int, at, top) -> np.ndarray:
+def _until(node, a: int, b: int, at) -> np.ndarray:
     """Until at anchors a..b.
 
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
-    there and of left at the k - 1 steps between (``top`` for k <= 1); the
-    value is the best candidate.  The past, reversed in time, is the future.
-    Minima of left over w = 1, 2, 4, ... steps come from ``_levels``.  The
-    k - 1 steps before candidate k, for k - 1 in [w, 2w), are the first w of
-    them and the last w, so min(table[i], table[i + k - 1 - w]); the first
-    term is the same for all these k, so each w takes one ``_window`` maximum
-    over min(table, right): O(N x (anchors + hi) x log^2 hi) work in all.
+    there and of left at the k - 1 steps between; the value is the best
+    candidate.  The past, reversed in time, is the future.  Minima of left
+    over w = 1, 2, 4, ... steps come from ``_levels``.  The k - 1 steps
+    before candidate k, for k - 1 in [w, 2w), are the first w of them and
+    the last w, so min(table[i], table[i + k - 1 - w]); the first term is
+    the same for all these k, so each w takes one ``_window`` maximum over
+    min(table, right): O(N x (anchors + hi) x log^2 hi) work in all.
     """
     lo, hi = node.interval.lo, node.interval.hi
     n = b - a + 1
@@ -163,18 +155,7 @@ def _until(node, a: int, b: int, at, top) -> np.ndarray:
             tails = np.minimum(table[:, k1 - 1 - w :], right[:, k1 - lo :])
             part = np.minimum(table[:, :n], _window(tails, k2 - k1 + 1, n, np.maximum))
             value = part if value is None else np.maximum(value, part, out=value)
-    if value.dtype.kind == "f" and (value == 0).any():
-        # A zero takes the sign a nearest-first scan of the candidates keeps
-        # (a running minimum of left keeps its first zero, min(inner, right)
-        # keeps right's, the best keeps the nearest): right at the nearest
-        # candidate with right >= 0 if that is a zero, else left at the
-        # nearest step where it is zero.
-        zero = _nearest(right, right >= 0, n)
-        if left is not None:
-            zero = np.where(zero == 0, zero, _nearest(left, left == 0, n))
-        value = np.where(value == 0, zero, value)
-    # Contiguous like every node's value: parents' min/max then tie as the zero policy says.
-    return value if isinstance(node, UntilFuture) else np.ascontiguousarray(value[:, ::-1])
+    return value if isinstance(node, UntilFuture) else value[:, ::-1]
 
 
 def _evaluate(
@@ -202,11 +183,6 @@ def _evaluate(
         start = spans[id(g)][0]
         return values[id(g)][:, lo - start : hi - start + 1]
 
-    # Zero signs: where 0.0 and -0.0 tie, the connectives and until return
-    # the zero a left-to-right fold keeps (np.minimum and np.maximum keep
-    # their second operand, so operands are passed swapped; _until restores
-    # the sign of a zero it returns).  The G/F/H/O windows (_window) return
-    # the latest of tied zeros, maybe the other zero; equal as reals.
     for node in order:
         a, b = spans[id(node)]
         shape = (states.shape[0], b - a + 1)
@@ -218,20 +194,20 @@ def _evaluate(
             case Not(child):
                 value = neg(at(child, a, b))
             case And(left, right):
-                value = np.minimum(at(right, a, b), at(left, a, b))
+                value = np.minimum(at(left, a, b), at(right, a, b))
             case Or(left, right):
-                value = np.maximum(at(right, a, b), at(left, a, b))
+                value = np.maximum(at(left, a, b), at(right, a, b))
             case EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
                 [(child, lo, hi)] = _needs(node)
                 pick = np.maximum if isinstance(node, (EventuallyFuture, EventuallyPast)) else np.minimum
                 value = _window(at(child, a + lo, b + hi), hi - lo + 1, b - a + 1, pick)
             case UntilFuture() | UntilPast():
-                value = _until(node, a, b, at, top)
+                value = _until(node, a, b, at)
         values[id(node)] = value
     return values[id(f)][:, 0]
 
 
-_ROBUST = (lambda margin: margin, INF, np.negative)
+_ROBUST = (lambda margin: margin, math.inf, np.negative)
 _BOOLEAN = (lambda margin: margin >= 0.0, True, np.logical_not)
 
 
@@ -246,7 +222,7 @@ def eval_robust(f: Formula, trace: Trace, t: int, predicates: Mapping[str, Predi
     Positive margins imply Boolean satisfaction, negative margins imply
     violation; the value may be +/-inf for formulas such as plain truth.
     """
-    return float(_evaluate(f, trace.states[None], t, predicates, *_ROBUST)[0])
+    return float(_evaluate(f, trace.states[None], t, predicates, *_ROBUST)[0]) + 0.0
 
 
 def eval_robust_ensemble(
@@ -254,9 +230,9 @@ def eval_robust_ensemble(
 ) -> np.ndarray:
     """Negated robustness of every member trace, in ensemble order.
 
-    Entry i is ``-eval_robust(f, trace_i, t)``: a sample of the cost "how
-    close did realization i come to violating f".  Any member error aborts
-    the whole evaluation.  The result may contain infinities; the risk
-    estimators reject those at intake.
+    Entry i is ``-eval_robust(f, trace_i, t)`` (+0.0 for a zero): a sample
+    of the cost "how close did realization i come to violating f".  Any
+    member error aborts the whole evaluation.  The result may contain
+    infinities; the risk estimators reject those at intake.
     """
-    return -_evaluate(f, ensemble.states, t, predicates, *_ROBUST)
+    return 0.0 - _evaluate(f, ensemble.states, t, predicates, *_ROBUST)

@@ -22,6 +22,15 @@ PREDICATES = {
 }
 
 
+def strict_json(text: str):
+    """Decode JSON that must not hold the non-standard NaN or Infinity."""
+
+    def refuse(token):
+        raise AssertionError(f"non-standard JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 @pytest.fixture
 def workdir(tmp_path):
     (tmp_path / "preds.json").write_text(json.dumps(PREDICATES))
@@ -131,6 +140,29 @@ class TestMonitor:
         assert code == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    def test_zero_robustness_prints_unsigned(self, workdir, capsys):
+        # !p at x1 = 0 negates a zero margin; a zero is printed as 0, not -0.
+        save_trace_csv(Trace(np.array([[0.0]])), workdir / "zero.csv")
+        args = ["monitor", "--formula", "!p", "--predicates", str(workdir / "preds.json"), "--trace", str(workdir / "zero.csv")]
+        assert main(args) == 0
+        assert capsys.readouterr().out == "0\n"
+
+    @pytest.mark.parametrize(
+        "table",
+        [
+            '{"p": {"kind": "halfspace", "a": [1], "b": NaN}}',
+            '{"p": {"kind": "halfspace", "a": [1e400], "b": 0}}',
+            '{"p": {"kind": "ball", "pos": [0], "center": [0], "radius": 1e400}}',
+        ],
+    )
+    def test_non_finite_predicate_number_exits_1(self, workdir, table, capsys):
+        (workdir / "bad.json").write_text(table)
+        args = ["--formula", "p", "--predicates", str(workdir / "bad.json")]
+        for extra in (["monitor", "--trace", str(workdir / "trace.csv")], ["risk", "--ensemble", str(workdir / "ensemble")]):
+            assert main(extra[:1] + args + extra[1:]) == 1
+            out, err = capsys.readouterr()
+            assert out == "" and err.startswith("error: predicate 'p': ") and "finite" in err
+
 
 class TestRisk:
     def test_var_json_ordering(self, workdir, capsys):
@@ -183,9 +215,6 @@ class TestRisk:
         assert payload["lower"] < payload["value"] < payload["upper"]
 
     def test_tiny_delta_gives_strict_json(self, workdir, capsys):
-        def refuse(token):
-            raise AssertionError(f"non-standard JSON constant {token}")
-
         out = workdir / "out"
         code = main(
             [
@@ -199,8 +228,49 @@ class TestRisk:
         )
         assert code == 0
         for text in (capsys.readouterr().out, (out / "result.json").read_text(encoding="utf-8")):
-            payload = json.loads(text, parse_constant=refuse)
+            payload = strict_json(text)
             assert 0 < payload["epsilon"] < float("inf")
+
+    def test_zero_cost_prints_unsigned(self, workdir, capsys):
+        ens = workdir / "boundary"
+        ens.mkdir()
+        for i, v in enumerate((0.0, 1.0)):
+            save_trace_csv(Trace(np.array([[v]])), ens / f"m{i}.csv")
+        args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--ensemble", str(ens), "--beta", "0.9"]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert '"value": 0.0,' in out and "-0.0" not in out
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--measure", "meanvar", "--lambda", "inf"],
+            ["--lambda", "inf"],
+            ["--measure", "meanvar", "--lambda", "nan"],
+            ["--measure", "expected", "--bounds=-inf,inf"],
+            ["--bounds=0,inf"],
+            ["--bounds=nan,1"],
+        ],
+    )
+    def test_non_finite_lambda_or_bounds_exit_4(self, workdir, extra, capsys):
+        ens = workdir / "equal"
+        ens.mkdir()
+        for i in range(3):
+            save_trace_csv(Trace(np.array([[1.0]])), ens / f"m{i}.csv")
+        out = workdir / "out"
+        args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--ensemble", str(ens), "--out", str(out)]
+        assert main(args + extra) == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and "finite" in err and not out.exists()
+
+    def test_lambda_and_bounds_give_strict_json(self, workdir, capsys):
+        out = workdir / "out"
+        for measure in ("meanvar", "expected"):
+            args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--ensemble", str(workdir / "ensemble"),
+                    "--measure", measure, "--lambda", "1e300", "--bounds=-1e300,1e300", "--out", str(out)]
+            assert main(args) == 0
+            for text in (capsys.readouterr().out, (out / "result.json").read_text(), (out / "manifest.json").read_text()):
+                strict_json(text)
 
     def test_bad_beta_exits_4(self, workdir, capsys):
         code = main(

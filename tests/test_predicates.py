@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -284,3 +285,20 @@ class TestPredicateTable:
     def test_missing_field(self):
         with pytest.raises(FormatError):
             parse_predicate_table({"p": {"kind": "ball", "pos": [0]}})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"kind": "halfspace", "a": [1e400], "b": 0}',
+            '{"kind": "halfspace", "a": [1, NaN], "b": 0}',
+            '{"kind": "halfspace", "a": [1], "b": NaN}',
+            '{"kind": "halfspace", "a": [1], "b": -Infinity}',
+            '{"kind": "ball", "pos": [0], "center": [Infinity], "radius": 1}',
+            '{"kind": "ball", "pos": [0], "center": [NaN], "radius": 1}',
+            '{"kind": "ball", "pos": [0], "center": [0], "radius": 1e400}',
+            '{"kind": "ball", "pos": [0], "center": [0], "radius": NaN}',
+        ],
+    )
+    def test_non_finite_number_names_the_predicate(self, text):
+        with pytest.raises(FormatError, match="^predicate 'p': .*finite"):
+            parse_predicate_table({"p": json.loads(text)})

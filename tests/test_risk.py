@@ -211,6 +211,13 @@ class TestExpected:
         with pytest.raises(ParamError):
             expected_hoeffding(S(0.5), 0.1, (1.0, 1.0))
 
+    @pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0)])
+    def test_non_finite_bounds(self, bounds):
+        with pytest.raises(ParamError, match="finite"):
+            expected_hoeffding(S(0.5), 0.1, bounds)
+        with pytest.raises(ParamError, match="finite"):
+            RiskParams(bounds=bounds)
+
 
 class TestMeanVarianceWorst:
     def test_mean_variance_hand_case(self):
@@ -225,6 +232,14 @@ class TestMeanVarianceWorst:
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParamError):
             mean_variance(S(1, 2), -0.5)
+
+    @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
+    def test_non_finite_lambda_rejected(self, lam):
+        # Over equal samples inf * 0 would give a NaN risk.
+        with pytest.raises(ParamError, match="finite"):
+            mean_variance(S(1, 1), lam)
+        with pytest.raises(ParamError, match="finite"):
+            RiskParams(lam=lam)
 
     def test_mean_variance_monotonicity_counterexample(self):
         # Raising the low sample of (0, 1) to 1 removes all variance, so for

@@ -172,7 +172,7 @@ class TestOracleEquivalence:
             ensemble = Ensemble((trace,) + others)
             z = eval_robust_ensemble(f, ensemble, t, preds)
             for i, member in enumerate(ensemble.traces):
-                assert z[i].tobytes() == np.float64(-eval_robust(f, member, t, preds)).tobytes()
+                assert z[i].tobytes() == np.float64(0.0 - eval_robust(f, member, t, preds)).tobytes()
 
     def test_shared_subformula_under_windows_of_different_reach(self):
         # One object g is read over different anchor ranges by its parents,
@@ -214,15 +214,15 @@ class TestEngineCoverage:
             for i, trace in enumerate(members):
                 rho = rho_oracle(f, trace, t, table)
                 assert eval_robust(f, trace, t, table) == rho
-                assert z[i].tobytes() == np.float64(-eval_robust(f, trace, t, table)).tobytes()
+                assert z[i].tobytes() == np.float64(0.0 - eval_robust(f, trace, t, table)).tobytes()
                 assert eval_boolean(f, trace, t, table) == beta_oracle(f, trace, t, table)
 
     def test_until_over_many_anchors_matches_oracles(self):
         # Windows of 0..9 steps reach the first four levels of the until's
         # table of left minima, with lo below, inside and above each level.
         # Integer states put many margins at exactly 0.0 or -0.0 (under the
-        # complement), so the until must also keep the sign of zero that the
-        # oracle's left-to-right min/max keeps.
+        # complement); whichever zero wins a tie inside, a zero robustness
+        # comes out as +0.0, the oracle's value plus 0.0.
         table = {"p": Halfspace((1.0,), 0.0), "q": Complement(Halfspace((1.0,), -1.0))}
         p, q = Predicate("p"), Predicate("q")
         rng = np.random.default_rng(31)
@@ -239,9 +239,27 @@ class TestEngineCoverage:
                             t = horizon(f).past_depth
                             rho, robust = rho_oracle(f, trace, t, table), eval_robust(f, trace, t, table)
                             assert robust == rho
-                            if isinstance(f, UntilFuture):  # untils all the way down: bit-equal
-                                assert np.float64(robust).tobytes() == np.float64(rho).tobytes()
+                            assert np.float64(robust).tobytes() == np.float64(rho + 0.0).tobytes()
+                            assert not (robust == 0 and np.signbit(robust))
                             assert eval_boolean(f, trace, t, table) == beta_oracle(f, trace, t, table)
+
+    def test_a_zero_robustness_is_positive_zero(self):
+        # Integer states put many margins, and so many robustness values and
+        # costs, at exactly 0.0 or -0.0; both entry points return +0.0.
+        table = {"p": Halfspace((1.0,), 0.0), "q": Complement(Halfspace((1.0,), -1.0))}
+        rng = np.random.default_rng(32)
+        zeros = 0
+        for _ in range(300):
+            f = random_formula(rng, table, depth=int(rng.integers(1, 4)))
+            h = horizon(f)
+            t = h.past_depth + int(rng.integers(0, 3))
+            members = tuple(Trace(rng.integers(-2, 3, size=(t + h.future_depth + 1, 1)).astype(float)) for _ in range(3))
+            z = eval_robust_ensemble(f, Ensemble(members), t, table)
+            robust = np.array([eval_robust(f, m, t, table) for m in members])
+            assert (z == -robust).all()
+            assert not np.signbit(z[z == 0]).any() and not np.signbit(robust[robust == 0]).any()
+            zeros += int((z == 0).sum())
+        assert zeros > 100
 
 
 class TestWindowKernel:
@@ -384,7 +402,8 @@ class TestEnsembleEvaluation:
     def test_sign_flip_many_in_order(self):
         traces = tuple(Trace(np.array([[v]])) for v in (1.0, -2.0, 0.0))
         z = eval_robust_ensemble(P, Ensemble(traces), 0, PREDS)
-        assert z.tolist() == [-1.0, 2.0, -0.0]
+        assert z.tolist() == [-1.0, 2.0, 0.0]
+        assert not np.signbit(z[2])
 
     def test_whole_ensemble_fails_on_horizon(self):
         traces = tuple(Trace(np.array([[v]])) for v in (1.0, 2.0))

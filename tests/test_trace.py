@@ -318,6 +318,9 @@ class TestIngestMatchesOracle:
             '["good.csv"]',
             '{"traces": "good.csv"}',
             '{"traces": []}',
+            '{"traces": ["good.csv", 1]}',
+            '{"traces": [null]}',
+            '{"traces": [["good.csv"]]}',
         ],
     )
     def test_manifest_errors(self, tmp_path, manifest):
@@ -325,7 +328,9 @@ class TestIngestMatchesOracle:
         write(tmp_path, "bad.csv", PLAIN.replace("2.25", "abc"))
         listing = tmp_path / "ens.json"
         listing.write_bytes(manifest if isinstance(manifest, bytes) else manifest.encode("utf-8"))
-        assert outcome(loaded, listing) == outcome(load_ensemble_oracle, listing)
+        got = outcome(loaded, listing)
+        assert got == outcome(load_ensemble_oracle, listing)
+        assert got[0] is not TypeError  # a bad entry is a format error, not a crash
 
     def test_random_edits(self, tmp_path):
         # Members of the plain layout with a few characters inserted,
