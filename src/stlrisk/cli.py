@@ -7,11 +7,12 @@ table).  Machine-readable output goes to stdout, diagnostics to stderr.
 
 Exit codes, from one table (``_EXIT_CODES``) that ``main`` applies to any
 error: 0 success, 2 formula syntax or interval error, 3 insufficient trace
-horizon, 4 bad risk parameter or non-finite robustness, 5 bad case-study
-config, 1 anything else, including internal errors.  Each failure is one
-line on stderr; an input file (JSON or CSV) that is not UTF-8 is named with
-the offset of its first bad byte.  The ``manifest.json`` of ``risk --out``
-and ``casestudy`` digests the input bytes that were parsed.
+horizon, 4 bad risk parameter, non-finite robustness or non-finite
+estimate, 5 bad case-study config, 1 anything else, including internal
+errors.  Each failure is one line on stderr; an input file (JSON or CSV)
+that is not UTF-8 is named with the offset of its first bad byte.  The
+``manifest.json`` of ``risk --out`` and ``casestudy`` digests the input
+bytes that were parsed and the output bytes that were written.
 """
 
 from __future__ import annotations
@@ -117,11 +118,9 @@ def cmd_risk(args) -> int:
     result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
     payload = result.to_json_dict()
     if args.out:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "result.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
-        _write_manifest(
-            outdir,
+        _write_outputs(
+            Path(args.out),
+            {"result.json": json.dumps(payload, indent=2) + "\n"},
             command="risk",
             parameters={
                 "formula": args.formula,
@@ -134,7 +133,6 @@ def cmd_risk(args) -> int:
                 "ensemble": str(args.ensemble),
             },
             inputs={**sources, str(args.predicates): table},
-            outputs=("result.json",),
         )
     print(json.dumps(payload))  # after the files are written, as casestudy does
     return EXIT_OK
@@ -160,15 +158,10 @@ def cmd_casestudy(args) -> int:
             kwargs["betas"] = _parse_betas(args.betas)
         config = CaseStudyConfig(**kwargs)
     result = run_case_study(config)
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     csv_text = result.to_csv()
-    (outdir / "table.csv").write_text(csv_text, encoding="utf-8")
-    (outdir / "table.json").write_text(
-        json.dumps(result.to_json_dict(), indent=2) + "\n", encoding="utf-8"
-    )
-    _write_manifest(
-        outdir,
+    _write_outputs(
+        Path(args.out),
+        {"table.csv": csv_text, "table.json": json.dumps(result.to_json_dict(), indent=2) + "\n"},
         command="casestudy",
         parameters={
             "seed": config.seed,
@@ -178,7 +171,6 @@ def cmd_casestudy(args) -> int:
             "trajectories": [[list(p) for p in traj] for traj in config.trajectories],
         },
         inputs=inputs,
-        outputs=("table.csv", "table.json"),
     )
     sys.stdout.write(csv_text)
     return EXIT_OK
@@ -188,15 +180,22 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def _write_manifest(outdir: Path, command: str, parameters: dict, inputs: dict, outputs: tuple) -> None:
-    """Write ``manifest.json`` with the digests of the input bytes, by file
-    name, and of the named output files in ``outdir``."""
+def _write_outputs(outdir: Path, texts: dict, command: str, parameters: dict, inputs: dict) -> None:
+    """Write each text, by file name, to ``outdir`` as UTF-8, then
+    ``manifest.json`` with the digests of the input bytes and of the output
+    bytes just written."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    outputs = {}
+    for name, text in texts.items():
+        data = text.encode("utf-8")
+        (outdir / name).write_bytes(data)
+        outputs[name] = _digest(data)
     manifest = {
         "command": command,
         "version": __version__,
         "parameters": parameters,
         "inputs": {name: _digest(data) for name, data in inputs.items()},
-        "outputs": {name: _digest((outdir / name).read_bytes()) for name in outputs},
+        "outputs": outputs,
     }
     (outdir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"

@@ -66,7 +66,8 @@ class MonotonicityError(StlRiskError):
 
 
 class InfiniteRobustnessError(StlRiskError):
-    """Robustness values of +/-inf cannot enter the sample-based estimators."""
+    """Robustness values of +/-inf cannot enter the sample-based estimators,
+    and an estimate that overflows from finite costs cannot leave them."""
 
 
 class ConfigError(StlRiskError):

@@ -36,6 +36,7 @@ __all__ = [
     "postorder",
     "postorder_horizon",
     "predicate_names",
+    "reach",
 ]
 
 
@@ -169,16 +170,31 @@ class Horizon:
     past_depth: Union[int, float]
 
 
-def operands(f: Formula) -> tuple:
-    """The direct subformulas of f, left to right."""
+def reach(f: Formula) -> tuple:
+    """(operand, lo, hi) for each direct subformula of f, left to right: f at
+    anchors a..b reads the operand at a+lo..b+hi, and at no step when
+    lo > hi (the left operand of U[0,0] or S[0,0])."""
     match f:
         case TrueFormula() | Predicate():
             return ()
-        case Not(child) | EventuallyFuture(child, _) | AlwaysFuture(child, _) | EventuallyPast(child, _) | AlwaysPast(child, _):
-            return (child,)
-        case And(left, right) | Or(left, right) | UntilFuture(left, right, _) | UntilPast(left, right, _):
-            return (left, right)
+        case Not(child):
+            return ((child, 0, 0),)
+        case And(left, right) | Or(left, right):
+            return ((left, 0, 0), (right, 0, 0))
+        case EventuallyFuture(child, iv) | AlwaysFuture(child, iv):
+            return ((child, iv.lo, iv.hi),)
+        case EventuallyPast(child, iv) | AlwaysPast(child, iv):
+            return ((child, -iv.hi, -iv.lo),)
+        case UntilFuture(left, right, iv):
+            return ((left, 1, iv.hi), (right, iv.lo, iv.hi))
+        case UntilPast(left, right, iv):
+            return ((left, -iv.hi, -1), (right, -iv.hi, -iv.lo))
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def operands(f: Formula) -> tuple:
+    """The direct subformulas of f, left to right."""
+    return tuple(child for child, _, _ in reach(f))
 
 
 def postorder(f: Formula) -> list:
@@ -196,7 +212,7 @@ def postorder(f: Formula) -> list:
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((child, False) for child in reversed(operands(node)))
+            stack.extend((child, False) for child, _, _ in reversed(reach(node)))
     return order
 
 
@@ -206,18 +222,18 @@ def horizon(f: Formula) -> Horizon:
 
 
 def postorder_horizon(order: list) -> Horizon:
-    """``horizon`` of the formula whose ``postorder`` is ``order``."""
-    reach: dict = {}
+    """``horizon`` of the formula whose ``postorder`` is ``order``: a node
+    reaching an operand at offsets lo..hi adds max(hi, 0) to the operand's
+    future depth and max(-lo, 0) to its past depth."""
+    depth: dict = {}
     for node in order:
-        below = [reach[id(child)] for child in operands(node)]
-        future = max((h.future_depth for h in below), default=0)
-        past = max((h.past_depth for h in below), default=0)
-        if isinstance(node, (UntilFuture, EventuallyFuture, AlwaysFuture)):
-            future = node.interval.hi + future
-        elif isinstance(node, (UntilPast, EventuallyPast, AlwaysPast)):
-            past = node.interval.hi + past
-        reach[id(node)] = Horizon(future, past)
-    return reach[id(order[-1])]
+        future = past = 0
+        for child, lo, hi in reach(node):
+            child_future, child_past = depth[id(child)]
+            future = max(future, max(hi, 0) + child_future)
+            past = max(past, max(-lo, 0) + child_past)
+        depth[id(node)] = (future, past)
+    return Horizon(*depth[id(order[-1])])
 
 
 def predicate_names(f: Formula) -> frozenset:

@@ -224,12 +224,10 @@ class _Parser:
         self.expect(",", "','")
         hi = self._bound(allow_inf=True)
         close_tok = self.expect("]", "']'")
-        span = SourceSpan(open_tok.start, close_tok.end)
-        if lo < 0 or (hi != math.inf and hi < 0):
-            raise IntervalError("interval bounds must be non-negative", span)
-        if lo > hi:
-            raise IntervalError(f"empty interval: {lo} > {hi}", span)
-        return TimeInterval(lo, hi)
+        try:
+            return TimeInterval(lo, hi)
+        except IntervalError as exc:
+            raise IntervalError(str(exc), SourceSpan(open_tok.start, close_tok.end)) from None
 
     def _bound(self, allow_inf: bool):
         tok = self.peek()

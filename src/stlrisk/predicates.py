@@ -85,6 +85,9 @@ class Halfspace:
             raise ValueError("halfspace normal must be a non-zero vector")
         if not all(map(math.isfinite, a + (b,))):
             raise ValueError(f"halfspace a and b must be finite, got a={list(a)}, b={b}")
+        norm = math.hypot(*a)
+        if not (math.isfinite(1.0 / norm) and math.isfinite(b / norm)):
+            raise ValueError(f"halfspace 1/|a| and b/|a| must be finite, got |a|={norm!r}, b={b!r}")
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "b", b)
 

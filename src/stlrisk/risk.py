@@ -160,10 +160,21 @@ def _quantile_index(n: int, q: float) -> int:
     return k
 
 
+def _quantile(srt: np.ndarray, level: float) -> float:
+    """Smallest of the sorted samples whose empirical CDF reaches level:
+    -inf for level <= 0 (every extended real qualifies), +inf for
+    level > 1 (no sample does)."""
+    if level <= 0.0:
+        return -math.inf
+    if level > 1.0:
+        return math.inf
+    return float(srt[_quantile_index(len(srt), level) - 1])
+
+
 def var_point(z: RobustnessSamples, beta: float) -> float:
     """Empirical value-at-risk: the smallest sample whose CDF reaches beta."""
     _check_level(beta)
-    return float(z.sorted()[_quantile_index(z.n, beta) - 1])
+    return _quantile(z.sorted(), beta)
 
 
 def var_bounds(z: RobustnessSamples, beta: float, delta: float) -> VarTriple:
@@ -177,18 +188,7 @@ def var_bounds(z: RobustnessSamples, beta: float, delta: float) -> VarTriple:
     _check_level(beta)
     eps = dkw_epsilon(z.n, delta)
     srt = z.sorted()
-    point = float(srt[_quantile_index(z.n, beta) - 1])
-    hi_level = beta + eps
-    if hi_level > 1.0:
-        upper = math.inf
-    else:
-        upper = float(srt[_quantile_index(z.n, hi_level) - 1])
-    lo_level = beta - eps
-    if lo_level <= 0.0:
-        lower = -math.inf
-    else:
-        lower = float(srt[_quantile_index(z.n, lo_level) - 1])
-    return VarTriple(lower, point, upper, eps)
+    return VarTriple(_quantile(srt, beta - eps), _quantile(srt, beta), _quantile(srt, beta + eps), eps)
 
 
 def cvar_point(z: RobustnessSamples, beta: float) -> float:
@@ -328,7 +328,8 @@ def risk_of_formula(
     Evaluates the negated robustness of every member at time t and applies
     the chosen estimator to the resulting cost sample.  Infinite robustness
     values (e.g. from the plain "true" formula) cannot be ranked against
-    finite costs and abort with InfiniteRobustnessError.
+    finite costs and abort with InfiniteRobustnessError, and so does an
+    estimate that overflows to +/-inf or NaN from finite costs.
     """
     raw = eval_robust_ensemble(f, ensemble, t, predicates)
     if not np.isfinite(raw).all():
@@ -336,7 +337,16 @@ def risk_of_formula(
             "ensemble produced non-finite robustness values; "
             "sample-based estimators need finite costs"
         )
-    z = RobustnessSamples(raw)
+    result = _estimate(RobustnessSamples(raw), params, measure)
+    if not math.isfinite(result.value):
+        raise InfiniteRobustnessError(
+            f"the {measure} estimate of these finite costs overflows float arithmetic (got {result.value})"
+        )
+    return result
+
+
+@np.errstate(over="ignore", invalid="ignore")  # risk_of_formula refuses what overflows
+def _estimate(z: RobustnessSamples, params: RiskParams, measure: str) -> RiskResult:
     if measure == "var":
         triple = var_bounds(z, params.beta, params.delta)
         return RiskResult(

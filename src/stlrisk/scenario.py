@@ -39,15 +39,8 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import ConfigError
-from .formula import (
-    AlwaysFuture,
-    And,
-    EventuallyFuture,
-    Formula,
-    Not,
-    Predicate,
-    TimeInterval,
-)
+from .formula import Formula
+from .parser import parse
 from .predicates import NormBall, StateSlice
 from .risk import RobustnessSamples, format_number, json_number, var_bounds
 from .semantics import eval_robust_ensemble
@@ -186,19 +179,7 @@ def build_case_study_formula() -> Tuple[Formula, dict]:
     reach A and, within one further step, reach B.  State layout per step:
     [robot x, robot y, ax, ay, bx, by, cx, cy, dx, dy].
     """
-    f = And(
-        AlwaysFuture(
-            And(Not(Predicate("inC")), Not(Predicate("inD"))),
-            TimeInterval(0, 3),
-        ),
-        EventuallyFuture(
-            And(
-                Predicate("inA"),
-                EventuallyFuture(Predicate("inB"), TimeInterval(0, 1)),
-            ),
-            TimeInterval(1, 2),
-        ),
-    )
+    f = parse("G[0,3](!inC & !inD) & F[1,2](inA & F[0,1] inB)")
     predicates = {
         "inA": NormBall(pos=(0, 1), center=_A_CENTER, radius=_BOX_RADIUS, norm="linf"),
         "inB": NormBall(pos=(0, 1), center=_B_CENTER, radius=_DISK_RADIUS, norm="l2"),

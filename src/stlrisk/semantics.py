@@ -61,6 +61,7 @@ from .formula import (
     UntilPast,
     postorder,
     postorder_horizon,
+    reach,
 )
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
@@ -86,24 +87,6 @@ def _check_admissible(order: list, length: int, t: int, predicates: Mapping[str,
         raise InsufficientHorizonError(
             f"formula looks {h.past_depth} steps back but only {t} precede t={t}"
         )
-
-
-def _needs(node: Formula) -> list:
-    """(operand, lo, hi): the node at anchors a..b reads the operand at a+lo..b+hi."""
-    match node:
-        case Not(child):
-            return [(child, 0, 0)]
-        case And(left, right) | Or(left, right):
-            return [(left, 0, 0), (right, 0, 0)]
-        case EventuallyFuture(child, iv) | AlwaysFuture(child, iv):
-            return [(child, iv.lo, iv.hi)]
-        case EventuallyPast(child, iv) | AlwaysPast(child, iv):
-            return [(child, -iv.hi, -iv.lo)]
-        case UntilFuture(left, right, iv):
-            return [(right, iv.lo, iv.hi)] + ([(left, 1, iv.hi)] if iv.hi >= 1 else [])
-        case UntilPast(left, right, iv):
-            return [(right, -iv.hi, -iv.lo)] + ([(left, -iv.hi, -1)] if iv.hi >= 1 else [])
-    return []
 
 
 def _levels(values: np.ndarray, count: int, pick):
@@ -173,9 +156,10 @@ def _evaluate(
         if id(node) not in spans:
             continue  # read at no time: only under the left operand of U[0,0] or S[0,0]
         a, b = spans[id(node)]
-        for child, lo, hi in _needs(node):
-            ca, cb = spans.get(id(child), (a + lo, b + hi))
-            spans[id(child)] = (min(ca, a + lo), max(cb, b + hi))
+        for child, lo, hi in reach(node):
+            if lo <= hi:
+                ca, cb = spans.get(id(child), (a + lo, b + hi))
+                spans[id(child)] = (min(ca, a + lo), max(cb, b + hi))
     order = [node for node in order if id(node) in spans]
     values: dict = {}
 
@@ -198,7 +182,7 @@ def _evaluate(
             case Or(left, right):
                 value = np.maximum(at(left, a, b), at(right, a, b))
             case EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
-                [(child, lo, hi)] = _needs(node)
+                [(child, lo, hi)] = reach(node)
                 pick = np.maximum if isinstance(node, (EventuallyFuture, EventuallyPast)) else np.minimum
                 value = _window(at(child, a + lo, b + hi), hi - lo + 1, b - a + 1, pick)
             case UntilFuture() | UntilPast():

@@ -215,6 +215,31 @@ def desugar(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def horizon_oracle(f) -> tuple:
+    """(future, past) reach of f: the nesting sum of window upper bounds in
+    each direction, by recursion over the tree."""
+    match f:
+        case TrueFormula() | Predicate():
+            return (0, 0)
+        case Not(child):
+            return horizon_oracle(child)
+        case And(left, right) | Or(left, right):
+            (lf, lp), (rf, rp) = horizon_oracle(left), horizon_oracle(right)
+            return (max(lf, rf), max(lp, rp))
+        case UntilFuture(left, right, iv) | UntilPast(left, right, iv):
+            (lf, lp), (rf, rp) = horizon_oracle(left), horizon_oracle(right)
+            if isinstance(f, UntilFuture):
+                return (iv.hi + max(lf, rf), max(lp, rp))
+            return (max(lf, rf), iv.hi + max(lp, rp))
+        case EventuallyFuture(child, iv) | AlwaysFuture(child, iv):
+            future, past = horizon_oracle(child)
+            return (iv.hi + future, past)
+        case EventuallyPast(child, iv) | AlwaysPast(child, iv):
+            future, past = horizon_oracle(child)
+            return (future, iv.hi + past)
+    raise TypeError(f"not a formula node: {f!r}")
+
+
 # ---------------------------------------------------------------------------
 # Literal-scan quantile oracles
 
@@ -409,12 +434,18 @@ def random_formula(
     max_window: int = 3,
     allow_not: bool = True,
     allow_past: bool = True,
+    unbounded: float = 0.0,
 ):
+    """A random formula tree; each window is [lo, inf] with probability
+    ``unbounded`` (drawn only when it is positive, so that the default draws
+    stay as they were)."""
     names = list(names)
 
     def interval():
         lo = int(rng.integers(0, max_window + 1))
         hi = int(rng.integers(lo, max_window + 1))
+        if unbounded and rng.random() < unbounded:
+            return TimeInterval(lo, INF)
         return TimeInterval(lo, hi)
 
     def leaf():

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,8 @@ class TestMonitor:
         [
             '{"p": {"kind": "halfspace", "a": [1], "b": NaN}}',
             '{"p": {"kind": "halfspace", "a": [1e400], "b": 0}}',
+            '{"p": {"kind": "halfspace", "a": [1e-310], "b": 1}}',
+            '{"p": {"kind": "halfspace", "a": [1e-10], "b": 1e300}}',
             '{"p": {"kind": "ball", "pos": [0], "center": [0], "radius": 1e400}}',
         ],
     )
@@ -315,6 +318,35 @@ class TestRisk:
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error: [Errno 17] File exists")
 
+    @pytest.mark.parametrize(
+        "x1, measure",
+        [
+            ((1.5e308, -1.5e308), ["--measure", "cvar"]),
+            ((1e300, -1e300), ["--measure", "meanvar", "--lambda", "0"]),
+            ((1e300, -1e300), ["--measure", "meanvar", "--lambda", "1"]),
+            ((-1.5e308, -1.5e308), ["--measure", "expected"]),
+        ],
+        ids=["cvar", "meanvar-lambda-0", "meanvar-lambda-1", "expected"],
+    )
+    def test_estimate_that_overflows_exits_4(self, tmp_path, x1, measure, capsys):
+        (tmp_path / "p.json").write_text(json.dumps(PREDICATES))
+        ens = tmp_path / "ens"
+        ens.mkdir()
+        for i, x in enumerate(x1):
+            (ens / f"m{i}.csv").write_text(f"t,x1\n0,{x!r}\n")
+        args = ["risk", "--formula", "p", "--predicates", str(tmp_path / "p.json"), "--ensemble", str(ens)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args + measure + ["--out", str(tmp_path / "out")]) == 4
+            out, err = capsys.readouterr()
+            assert out == "" and not (tmp_path / "out").exists()
+            assert err.count("\n") == 1 and f"the {measure[1]} estimate" in err
+            # VaR's order statistics of the same costs are finite.
+            assert main(args + ["--out", str(tmp_path / "var")]) == 0
+        result = strict_json(capsys.readouterr().out)
+        assert result == strict_json((tmp_path / "var" / "result.json").read_text())
+        assert result["value"] in x1 or -result["value"] in x1
+
     def test_true_formula_exits_4(self, workdir, capsys):
         code = main(
             [
@@ -389,6 +421,11 @@ class TestRiskManifest:
         expected = self.risk_out(workdir, workdir / "ensemble", workdir / "again")
         assert (out / "result.json").read_text() == (workdir / "again" / "result.json").read_text()
         assert expected["inputs"] == manifest["inputs"]
+
+    def test_output_digests_are_the_files_on_disk(self, workdir, capsys):
+        out = workdir / "out"
+        manifest = self.risk_out(workdir, workdir / "ensemble", out)
+        assert manifest["outputs"] == {"result.json": sha256((out / "result.json").read_bytes())}
 
     def test_import_leaves_hashlib_unloaded(self):
         # hashlib costs several milliseconds to import; only the CLI needs it.
@@ -518,7 +555,7 @@ class TestCaseStudy:
         assert len(table["rows"]) == 12
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["parameters"]["seed"] == 5
-        assert set(manifest["outputs"]) == {"table.csv", "table.json"}
+        assert manifest["outputs"] == {name: sha256((out / name).read_bytes()) for name in ("table.csv", "table.json")}
 
     def test_single_sample_prints_inf(self, tmp_path, capsys):
         code = main(["casestudy", "--seed", "1", "--n", "1", "--out", str(tmp_path / "o")])

@@ -7,6 +7,7 @@ from stlrisk.errors import IntervalError
 from stlrisk.formula import (
     TRUE,
     AlwaysFuture,
+    AlwaysPast,
     And,
     EventuallyFuture,
     Horizon,
@@ -17,11 +18,13 @@ from stlrisk.formula import (
     UntilFuture,
     UntilPast,
     horizon,
+    postorder,
     predicate_names,
+    reach,
 )
 from stlrisk.semantics import eval_boolean, eval_robust
 
-from .helpers import desugar, random_admissible_case
+from .helpers import desugar, horizon_oracle, random_admissible_case, random_formula
 
 P, Q = Predicate("p"), Predicate("q")
 
@@ -98,6 +101,37 @@ class TestHorizon:
     def test_unbounded_window_gives_infinite_depth(self):
         f = EventuallyFuture(P, TimeInterval(0, math.inf))
         assert horizon(f).future_depth == math.inf
+
+    def test_matches_recursive_oracle_on_random_formulas(self):
+        rng = np.random.default_rng(404)
+        windows = set()
+        for _ in range(1500):
+            f = random_formula(rng, ["p", "q"], depth=int(rng.integers(0, 5)), unbounded=0.15)
+            assert horizon(f) == Horizon(*horizon_oracle(f))
+            for node in postorder(f):
+                if hasattr(node, "interval"):
+                    lo, hi = node.interval.lo, node.interval.hi
+                    kind = "inf" if hi == math.inf else "lo>0" if lo > 0 else "[0,0]" if hi == 0 else "[0,hi]"
+                    windows.add((type(node).__name__, kind))
+        for name in ("UntilFuture", "UntilPast"):
+            assert {(name, "lo>0"), (name, "[0,0]"), (name, "inf")} <= windows
+        assert {("EventuallyPast", "inf"), ("AlwaysPast", "inf")} <= windows
+
+
+class TestReach:
+    def test_offsets_of_future_and_past_operators(self):
+        iv = TimeInterval(1, 3)
+        assert reach(EventuallyFuture(P, iv)) == ((P, 1, 3),)
+        assert reach(AlwaysPast(P, iv)) == ((P, -3, -1),)
+        assert reach(UntilFuture(P, Q, iv)) == ((P, 1, 3), (Q, 1, 3))
+        assert reach(UntilPast(P, Q, iv)) == ((P, -3, -1), (Q, -3, -1))
+        assert reach(And(P, Q)) == ((P, 0, 0), (Q, 0, 0))
+        assert reach(Not(P)) == ((P, 0, 0),) and reach(P) == ()
+
+    def test_zero_window_until_reads_its_left_operand_at_no_step(self):
+        for node in (UntilFuture(P, Q, TimeInterval(0, 0)), UntilPast(P, Q, TimeInterval(0, 0))):
+            [(left, lo, hi), (right, rlo, rhi)] = reach(node)
+            assert (left, right) == (P, Q) and lo > hi and rlo == rhi == 0
 
 
 def test_predicate_names_collects_all():

@@ -18,7 +18,7 @@ from stlrisk.formula import (
     UntilFuture,
     UntilPast,
 )
-from stlrisk.parser import format_formula, parse
+from stlrisk.parser import SourceSpan, format_formula, parse
 
 from .helpers import random_formula
 
@@ -48,6 +48,15 @@ class TestParse:
     def test_negative_bound_is_interval_error(self):
         with pytest.raises(IntervalError):
             parse("G[-1,2] p")
+
+    @pytest.mark.parametrize("text, lo, hi", [("p U[3,1] q", 3, 1), ("G[-1,2] p", -1, 2)])
+    def test_interval_error_is_time_intervals_at_the_bracket(self, text, lo, hi):
+        with pytest.raises(IntervalError) as exc:
+            parse(text)
+        with pytest.raises(IntervalError) as direct:
+            TimeInterval(lo, hi)
+        assert str(exc.value) == str(direct.value)
+        assert exc.value.span == SourceSpan(text.index("["), text.index("]") + 1)
 
     def test_unbounded_interval_parses(self):
         f = parse("F[2,inf] p")

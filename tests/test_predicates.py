@@ -293,6 +293,8 @@ class TestPredicateTable:
             '{"kind": "halfspace", "a": [1, NaN], "b": 0}',
             '{"kind": "halfspace", "a": [1], "b": NaN}',
             '{"kind": "halfspace", "a": [1], "b": -Infinity}',
+            '{"kind": "halfspace", "a": [1e-310], "b": 1}',
+            '{"kind": "halfspace", "a": [1e-10], "b": 1e300}',
             '{"kind": "ball", "pos": [0], "center": [Infinity], "radius": 1}',
             '{"kind": "ball", "pos": [0], "center": [NaN], "radius": 1}',
             '{"kind": "ball", "pos": [0], "center": [0], "radius": 1e400}',
