@@ -32,11 +32,10 @@ __all__ = [
     "Formula",
     "Horizon",
     "horizon",
-    "operands",
     "postorder",
-    "postorder_horizon",
     "predicate_names",
     "reach",
+    "spans",
 ]
 
 
@@ -159,11 +158,12 @@ TRUE = TrueFormula()
 
 @dataclass(frozen=True)
 class Horizon:
-    """Maximal temporal reach of a formula, in steps from the anchor time.
+    """Temporal reach of a formula, in steps from the anchor time.
 
-    Evaluating a formula at time t touches only trace states in
-    [t - past_depth, t + future_depth].  Depths are math.inf when the
-    corresponding operators carry unbounded windows.
+    Evaluating a formula at time t reads some subformula at every time in
+    [t - past_depth, t + future_depth] and at no time outside it, so a call
+    is admissible exactly when that range lies inside the trace.  Depths
+    are math.inf when a subformula that is read carries an unbounded window.
     """
 
     future_depth: Union[int, float]
@@ -173,7 +173,8 @@ class Horizon:
 def reach(f: Formula) -> tuple:
     """(operand, lo, hi) for each direct subformula of f, left to right: f at
     anchors a..b reads the operand at a+lo..b+hi, and at no step when
-    lo > hi (the left operand of U[0,0] or S[0,0])."""
+    lo > hi.  An until reads its left operand at 1..hi-1 (past: 1-hi..-1),
+    the steps before its last candidate: none under U[0,0] or U[0,1]."""
     match f:
         case TrueFormula() | Predicate():
             return ()
@@ -186,15 +187,10 @@ def reach(f: Formula) -> tuple:
         case EventuallyPast(child, iv) | AlwaysPast(child, iv):
             return ((child, -iv.hi, -iv.lo),)
         case UntilFuture(left, right, iv):
-            return ((left, 1, iv.hi), (right, iv.lo, iv.hi))
+            return ((left, 1, iv.hi - 1), (right, iv.lo, iv.hi))
         case UntilPast(left, right, iv):
-            return ((left, -iv.hi, -1), (right, -iv.hi, -iv.lo))
+            return ((left, 1 - iv.hi, -1), (right, -iv.hi, -iv.lo))
     raise TypeError(f"not a formula node: {f!r}")
-
-
-def operands(f: Formula) -> tuple:
-    """The direct subformulas of f, left to right."""
-    return tuple(child for child, _, _ in reach(f))
 
 
 def postorder(f: Formula) -> list:
@@ -216,24 +212,28 @@ def postorder(f: Formula) -> list:
     return order
 
 
+def spans(order: list, t: int) -> dict:
+    """{id(node): (first, last)} for the formula whose ``postorder`` is
+    ``order``, evaluated at t: each node is read at anchors first..last,
+    the hull of what its parents read through ``reach``.  A node read at no
+    anchor, because every path down to it crosses an empty window, is left
+    out."""
+    span = {id(order[-1]): (t, t)}
+    for node in reversed(order):  # every parent before its operands
+        if id(node) in span:
+            a, b = span[id(node)]
+            for child, lo, hi in reach(node):
+                if lo <= hi:
+                    first, last = span.get(id(child), (a + lo, b + hi))
+                    span[id(child)] = (min(first, a + lo), max(last, b + hi))
+    return span
+
+
 def horizon(f: Formula) -> Horizon:
-    """Nesting sum of window upper bounds along the deepest syntactic path."""
-    return postorder_horizon(postorder(f))
-
-
-def postorder_horizon(order: list) -> Horizon:
-    """``horizon`` of the formula whose ``postorder`` is ``order``: a node
-    reaching an operand at offsets lo..hi adds max(hi, 0) to the operand's
-    future depth and max(-lo, 0) to its past depth."""
-    depth: dict = {}
-    for node in order:
-        future = past = 0
-        for child, lo, hi in reach(node):
-            child_future, child_past = depth[id(child)]
-            future = max(future, max(hi, 0) + child_future)
-            past = max(past, max(-lo, 0) + child_past)
-        depth[id(node)] = (future, past)
-    return Horizon(*depth[id(order[-1])])
+    """The extent of ``spans`` at anchor 0: how far the anchors that
+    evaluation reads reach ahead of and behind the anchor."""
+    reads = spans(postorder(f), 0).values()
+    return Horizon(max(last for _, last in reads), -min(first for first, _ in reads))
 
 
 def predicate_names(f: Formula) -> frozenset:

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 from pathlib import Path
 from typing import Callable, Sequence, Union
 
@@ -61,6 +62,28 @@ L2 = "l2"
 LINF = "linf"
 
 
+def real_numbers(values, what: str) -> tuple:
+    """``values`` as floats.  A bool, a string or anything else that is not
+    a real number is refused, not coerced, with a ValueError naming
+    ``what``; so is an integer beyond the float range."""
+    values = tuple(values)
+    if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
+        raise ValueError(f"{what}: expected real numbers, got {list(values)!r}")
+    try:
+        return tuple(map(float, values))
+    except OverflowError:
+        raise ValueError(f"{what}: values must be finite, got {list(values)!r}") from None
+
+
+def _indices(values, what: str) -> tuple:
+    """``values`` as a non-empty tuple of non-negative ints; a bool, a float
+    or a string is refused, not truncated or coerced."""
+    values = tuple(values)
+    if not values or not all(isinstance(i, Integral) and not isinstance(i, bool) and i >= 0 for i in values):
+        raise ValueError(f"{what} must be non-negative integer state indices, got {list(values)!r}")
+    return tuple(map(int, values))
+
+
 @dataclass(frozen=True)
 class StateSlice:
     """Indices into the state vector, used as a predicate's moving center."""
@@ -68,10 +91,7 @@ class StateSlice:
     indices: tuple
 
     def __post_init__(self):
-        idx = tuple(int(i) for i in self.indices)
-        if not idx or any(i < 0 for i in idx):
-            raise ValueError(f"state slice needs non-negative indices, got {self.indices!r}")
-        object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "indices", _indices(self.indices, "state slice"))
 
 
 @dataclass(frozen=True)
@@ -80,7 +100,7 @@ class Halfspace:
     b: float
 
     def __post_init__(self):
-        a, b = tuple(float(v) for v in self.a), float(self.b)
+        a, (b,) = real_numbers(self.a, "a"), real_numbers((self.b,), "b")
         if not a or all(v == 0.0 for v in a):
             raise ValueError("halfspace normal must be a non-zero vector")
         if not all(map(math.isfinite, a + (b,))):
@@ -100,23 +120,22 @@ class NormBall:
     norm: str = L2
 
     def __post_init__(self):
-        pos = tuple(int(i) for i in self.pos)
-        if not pos or any(i < 0 for i in pos):
-            raise ValueError(f"pos must be non-negative state indices, got {self.pos!r}")
+        pos = _indices(self.pos, "pos")
         center = self.center
         if not isinstance(center, StateSlice):
-            center = tuple(float(v) for v in center)
+            center = real_numbers(center, "center")
             if not all(map(math.isfinite, center)):
                 raise ValueError(f"center must be finite, got {list(center)}")
         if len(center.indices if isinstance(center, StateSlice) else center) != len(pos):
             raise ValueError("pos and center must have equal length")
-        if not 0.0 < float(self.radius) < math.inf:
+        (radius,) = real_numbers((self.radius,), "radius")
+        if not 0.0 < radius < math.inf:
             raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
         if self.norm not in (L2, LINF):
             raise ValueError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", float(self.radius))
+        object.__setattr__(self, "radius", radius)
 
 
 @dataclass(frozen=True)
@@ -197,22 +216,33 @@ def parse_predicate_table(data: dict) -> dict:
     return table
 
 
+_KEYS = {"halfspace": {"a", "b"}, "ball": {"pos", "center", "radius", "norm"}}
+
+
+def _known(spec: dict, keys: set, what: str) -> dict:
+    """``spec``, refused if it holds a key outside ``keys``."""
+    unknown = sorted(set(spec) - keys)
+    if unknown:
+        raise ValueError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
+    return spec
+
+
 def _parse_one(spec: dict) -> PredicateDef:
     kind = spec["kind"]
+    if kind not in ("halfspace", "ball"):
+        raise ValueError(f"unknown predicate kind {kind!r}")
+    _known(spec, _KEYS[kind] | {"kind", "complement"}, kind)
     if kind == "halfspace":
         p: PredicateDef = Halfspace(tuple(spec["a"]), spec["b"])
-    elif kind == "ball":
+    else:
         center = spec["center"]
         if isinstance(center, dict):
-            center = StateSlice(tuple(center["slice"]))
-        else:
-            center = tuple(center)
+            center = StateSlice(tuple(_known(center, {"slice"}, "center")["slice"]))
         p = NormBall(tuple(spec["pos"]), center, spec["radius"], spec.get("norm", L2))
-    else:
-        raise ValueError(f"unknown predicate kind {kind!r}")
-    if spec.get("complement", False):
-        p = Complement(p)
-    return p
+    complement = spec.get("complement", False)
+    if not isinstance(complement, bool):
+        raise ValueError(f"complement must be true or false, got {complement!r}")
+    return Complement(p) if complement else p
 
 
 def read_predicates(path) -> tuple:

@@ -223,15 +223,15 @@ def expected_hoeffding(
 ) -> Tuple[float, float]:
     """Two-sided mean confidence interval for samples supported on [a, b].
 
-    Half-width (b - a) * sqrt(ln(2/delta) / (2 N)), valid at level
-    1 - delta by Hoeffding's inequality.
+    Half-width (b - a) * sqrt(ln(2/delta) / (2 N)), that is (b - a) times
+    ``dkw_epsilon``, valid at level 1 - delta by Hoeffding's inequality.
     """
     a, b = bounds
     _check_bounds(a, b)
     _check_level(delta, "delta")
     if bool((z.values < a).any() or (z.values > b).any()):
         raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")
-    half = (b - a) * math.sqrt(_log_two_over(delta) / (2.0 * z.n))
+    half = (b - a) * dkw_epsilon(z.n, delta)
     mean = expected(z)
     return (mean - half, mean + half)
 

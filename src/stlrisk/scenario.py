@@ -41,7 +41,7 @@ import numpy as np
 from .errors import ConfigError
 from .formula import Formula
 from .parser import parse
-from .predicates import NormBall, StateSlice
+from .predicates import NormBall, StateSlice, real_numbers
 from .risk import RobustnessSamples, format_number, json_number, var_bounds
 from .semantics import eval_robust_ensemble
 from .trace import Ensemble, Trace, read_json
@@ -111,9 +111,9 @@ def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]
     if not isinstance(values, (list, tuple)):
         raise ConfigError(f"{key}: expected a list of numbers, got {values!r}")
     try:
-        numbers = tuple(float(v) for v in values)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: {exc}") from None
+        numbers = real_numbers(values, key)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
     if not all(math.isfinite(v) for v in numbers):
         raise ConfigError(f"{key}: values must be finite, got {values!r}")
     if count is not None and len(numbers) != count:

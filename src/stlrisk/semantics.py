@@ -15,24 +15,26 @@ for the Boolean reading).  Future windows are [t+lo, t+hi], past windows
 [t-hi, t-lo]; the strict inner range lies between the anchor t and the
 candidate t'' in either direction.
 
-Evaluation refuses with InsufficientHorizonError whenever the formula's
-horizon does not fit the trace around t, instead of silently clipping
-windows: a window clipped at the trace end would weaken "always" and
-strengthen "eventually".  Within an admissible call every window lies inside
-the trace.
+Evaluation refuses with InsufficientHorizonError if and only if some
+subformula would be evaluated at a time outside the trace, instead of
+silently clipping windows: a window clipped at the trace end would weaken
+"always" and strengthen "eventually".  Within an admissible call every
+window lies inside the trace.
 
 Both semantics, for one trace or a whole ensemble, run through one array
 engine over (N, T, d) member states: an ensemble's ``states``, or a trace
 as N = 1.  It walks the formula's nodes once in postorder without
-recursion, gives each node the contiguous range of anchor times its parents
-need, and computes each node bottom-up as an (N, times) array: the array
-kernels ``predicates.margins`` for the leaves, minimum and maximum for the
-connectives, window minima and maxima over a doubling table for always and
-eventually (``_window``; Donze, Ferrere & Maler, "Efficient Robust
-Monitoring for STL", CAV 2013), and for until window maxima over the same
-doubling of left minima (see ``_until``).  The two semantics differ only
-in the leaf map (margin or margin >= 0), the value of truth and the
-negation.  The cost is O(formula size x N x (anchors + width) x log width).
+recursion, takes the anchors at which each node is read from
+``formula.spans`` (which also decide admissibility, so a subtree read at no
+anchor is neither charged nor computed), and computes each node bottom-up
+as an (N, times) array: the array kernels ``predicates.margins`` for the
+leaves, minimum and maximum for the connectives, window minima and maxima
+over a doubling table for always and eventually (``_window``; Donze,
+Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013), and for
+until window maxima over the same doubling of left minima (see
+``_until``).  The two semantics differ only in the leaf map (margin or
+margin >= 0), the value of truth and the negation.  The cost is
+O(formula size x N x (anchors + width) x log width).
 
 A robustness or cost of zero, on the boundary of the formula's set, is
 returned as +0.0, whichever zero the min/max ties inside the engine kept.
@@ -60,8 +62,8 @@ from .formula import (
     UntilFuture,
     UntilPast,
     postorder,
-    postorder_horizon,
     reach,
+    spans,
 )
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
@@ -69,24 +71,21 @@ from .trace import Ensemble, Trace
 __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
 
 
-def _check_admissible(order: list, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
-    """Refuse a formula, given as its postorder, that names an undefined
-    predicate or does not fit the trace around t."""
+def _check_admissible(order: list, span: dict, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
+    """Refuse a formula, given as its postorder and its ``spans`` at t, that
+    names an undefined predicate or reads a subformula outside the trace."""
     missing = sorted({node.name for node in order if isinstance(node, Predicate)} - set(predicates))
     if missing:
         raise UnknownPredicateError(f"formula references undefined predicates: {', '.join(missing)}")
     if not 0 <= t < length:
         raise InsufficientHorizonError(f"time {t} outside the trace index range [0, {length - 1}]")
-    h = postorder_horizon(order)
-    if t + h.future_depth > length - 1:
+    first, last = min(a for a, _ in span.values()), max(b for _, b in span.values())
+    if last > length - 1:
         raise InsufficientHorizonError(
-            f"formula looks {h.future_depth} steps ahead but only "
-            f"{length - 1 - t} remain after t={t}"
+            f"formula looks {last - t} steps ahead but only {length - 1 - t} remain after t={t}"
         )
-    if t - h.past_depth < 0:
-        raise InsufficientHorizonError(
-            f"formula looks {h.past_depth} steps back but only {t} precede t={t}"
-        )
+    if first < 0:
+        raise InsufficientHorizonError(f"formula looks {t - first} steps back but only {t} precede t={t}")
 
 
 def _levels(values: np.ndarray, count: int, pick):
@@ -112,23 +111,22 @@ def _until(node, a: int, b: int, at) -> np.ndarray:
     """Until at anchors a..b.
 
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
-    there and of left at the k - 1 steps between; the value is the best
-    candidate.  The past, reversed in time, is the future.  Minima of left
-    over w = 1, 2, 4, ... steps come from ``_levels``.  The k - 1 steps
-    before candidate k, for k - 1 in [w, 2w), are the first w of them and
-    the last w, so min(table[i], table[i + k - 1 - w]); the first term is
-    the same for all these k, so each w takes one ``_window`` maximum over
-    min(table, right): O(N x (anchors + hi) x log^2 hi) work in all.
+    there and of left at the k - 1 steps between (the windows of ``reach``);
+    the value is the best candidate.  The past, reversed in time, is the
+    future.  Minima of left over w = 1, 2, 4, ... steps come from
+    ``_levels``.  The k - 1 steps before candidate k, for k - 1 in [w, 2w),
+    are the first w of them and the last w, so min(table[i],
+    table[i + k - 1 - w]); the first term is the same for all these k, so
+    each w takes one ``_window`` maximum over min(table, right):
+    O(N x (anchors + hi) x log^2 hi) work in all.
     """
     lo, hi = node.interval.lo, node.interval.hi
     n = b - a + 1
+    step = 1 if isinstance(node, UntilFuture) else -1
     # right[:, i + k - lo] and left[:, i + j - 1] sit k and j steps from anchor i.
-    if isinstance(node, UntilFuture):
-        right = at(node.right, a + lo, b + hi)
-        left = at(node.left, a + 1, b + hi - 1) if hi >= 2 else None
-    else:
-        right = at(node.right, a - hi, b - lo)[:, ::-1]
-        left = at(node.left, a - hi + 1, b - 1)[:, ::-1] if hi >= 2 else None
+    (left, llo, lhi), (right, rlo, rhi) = reach(node)
+    right = at(right, a + rlo, b + rhi)[:, ::step]
+    left = at(left, a + llo, b + lhi)[:, ::step] if llo <= lhi else None  # hi <= 1: no steps between
 
     value = _window(right, min(hi, 1) - lo + 1, n, np.maximum) if lo <= 1 else None
     for w, table in _levels(left, hi - 1, np.minimum):  # table[:, x]: min of left[:, x : x + w]
@@ -138,7 +136,7 @@ def _until(node, a: int, b: int, at) -> np.ndarray:
             tails = np.minimum(table[:, k1 - 1 - w :], right[:, k1 - lo :])
             part = np.minimum(table[:, :n], _window(tails, k2 - k1 + 1, n, np.maximum))
             value = part if value is None else np.maximum(value, part, out=value)
-    return value if isinstance(node, UntilFuture) else value[:, ::-1]
+    return value[:, ::step]
 
 
 def _evaluate(
@@ -150,25 +148,17 @@ def _evaluate(
     and ``neg`` negates; every other operation is a minimum or a maximum.
     """
     order = postorder(f)
-    _check_admissible(order, states.shape[1], t, predicates)
-    spans = {id(f): (t, t)}
-    for node in reversed(order):  # every parent before its operands
-        if id(node) not in spans:
-            continue  # read at no time: only under the left operand of U[0,0] or S[0,0]
-        a, b = spans[id(node)]
-        for child, lo, hi in reach(node):
-            if lo <= hi:
-                ca, cb = spans.get(id(child), (a + lo, b + hi))
-                spans[id(child)] = (min(ca, a + lo), max(cb, b + hi))
-    order = [node for node in order if id(node) in spans]
+    span = spans(order, t)
+    _check_admissible(order, span, states.shape[1], t, predicates)
+    order = [node for node in order if id(node) in span]
     values: dict = {}
 
     def at(g: Formula, lo: int, hi: int) -> np.ndarray:
-        start = spans[id(g)][0]
+        start = span[id(g)][0]
         return values[id(g)][:, lo - start : hi - start + 1]
 
     for node in order:
-        a, b = spans[id(node)]
+        a, b = span[id(node)]
         shape = (states.shape[0], b - a + 1)
         match node:
             case TrueFormula():

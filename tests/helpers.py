@@ -215,9 +215,43 @@ def desugar(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
+def anchors_oracle(f) -> tuple:
+    """(future, past) extent of the anchors that a literal expansion of the
+    semantics of f at anchor 0 visits, as ``rho_oracle`` expands it: until
+    candidate k visits the right operand at k and the left operand at the
+    steps 1..k-1 between, and G/F/H/O visit every step of their window.
+    Bounded windows only."""
+    seen = {(id(f), 0)}
+    stack = [(f, 0)]
+    while stack:
+        g, s = stack.pop()
+        reads = []
+        match g:
+            case Not(child):
+                reads = [(child, s)]
+            case And(left, right) | Or(left, right):
+                reads = [(left, s), (right, s)]
+            case EventuallyFuture(child, iv) | AlwaysFuture(child, iv):
+                reads = [(child, s + k) for k in range(iv.lo, iv.hi + 1)]
+            case EventuallyPast(child, iv) | AlwaysPast(child, iv):
+                reads = [(child, s - k) for k in range(iv.lo, iv.hi + 1)]
+            case UntilFuture(left, right, iv) | UntilPast(left, right, iv):
+                sign = 1 if isinstance(g, UntilFuture) else -1
+                for k in range(iv.lo, iv.hi + 1):
+                    reads.append((right, s + sign * k))
+                    reads.extend((left, s + sign * j) for j in range(1, k))
+        for read in reads:
+            if (id(read[0]), read[1]) not in seen:
+                seen.add((id(read[0]), read[1]))
+                stack.append(read)
+    anchors = [s for _, s in seen]
+    return (max(anchors), -min(anchors))
+
+
 def horizon_oracle(f) -> tuple:
-    """(future, past) reach of f: the nesting sum of window upper bounds in
-    each direction, by recursion over the tree."""
+    """(future, past) nesting sum of window upper bounds in each direction,
+    by recursion over the tree: an upper bound on the reach of f, which
+    charges an until's left operand with the whole window."""
     match f:
         case TrueFormula() | Predicate():
             return (0, 0)

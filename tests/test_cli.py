@@ -167,6 +167,45 @@ class TestMonitor:
             assert out == "" and err.startswith("error: predicate 'p': ") and "finite" in err
 
 
+    @pytest.mark.parametrize(
+        "spec, words",
+        [
+            ('"kind": "ball", "pos": [0.9], "center": [0], "radius": 1', "pos must be non-negative integer"),
+            ('"kind": "ball", "pos": [true], "center": [0], "radius": 1', "pos must be non-negative integer"),
+            ('"kind": "ball", "pos": ["1"], "center": [0], "radius": 1', "pos must be non-negative integer"),
+            ('"kind": "ball", "pos": [0], "center": {"slice": [1.7]}, "radius": 1', "state slice must be non-negative integer"),
+            ('"kind": "ball", "pos": [0], "center": {"slice": [1], "size": 1}, "radius": 1', "unknown center keys: 'size'"),
+            ('"kind": "ball", "pos": [0], "center": [0], "radius": "2"', "radius: expected real numbers"),
+            ('"kind": "ball", "pos": [0], "center": [false], "radius": 2', "center: expected real numbers"),
+            ('"kind": "halfspace", "a": [true, 0], "b": 0', "a: expected real numbers"),
+            ('"kind": "halfspace", "a": [1, 0], "b": false', "b: expected real numbers"),
+            ('"kind": "halfspace", "a": [1, 0], "b": 1' + "0" * 400, "b: values must be finite"),
+            ('"kind": "ball", "pos": [0], "center": [0], "radius": 1, "complement": "no"', "complement must be true or false"),
+            ('"kind": "ball", "pos": [0], "center": [0], "radius": 1, "complment": true', "unknown ball keys: 'complment'"),
+            ('"kind": "halfspace", "a": [1, 0], "b": 0, "radius": 1, "center": [0]', "unknown halfspace keys: 'center', 'radius'"),
+        ],
+        ids=[
+            "float-pos", "bool-pos", "string-pos", "float-slice", "slice-key", "string-radius", "bool-center",
+            "bool-a", "bool-b", "huge-b", "string-complement", "misspelt-key", "ball-keys-on-halfspace",
+        ],
+    )
+    def test_predicate_values_are_refused_not_coerced(self, workdir, spec, words, capsys):
+        (workdir / "two.csv").write_text("t,x1,x2\n0,1.5,0.2\n1,-0.5,0.3\n")
+        (workdir / "bad.json").write_text('{"p": {' + spec + "}}")
+        args = ["monitor", "--formula", "p", "--predicates", str(workdir / "bad.json"), "--trace", str(workdir / "two.csv")]
+        assert main(args) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: predicate 'p': ") and err.count("\n") == 1 and words in err
+
+    def test_unread_left_operand_needs_no_steps(self, workdir, capsys):
+        args = ["--predicates", str(workdir / "preds.json"), "--trace", str(workdir / "trace.csv")]
+        assert main(["monitor", "--formula", "(G[0,5] p) U[0,1] q", *args]) == 0
+        assert capsys.readouterr().out == "-2\n"
+        assert main(["monitor", "--formula", "(G[0,5] p) U[0,1] q", *args, "--time", "2"]) == 3
+        assert main(["check", "--formula", "(G[0,5] p) U[0,1] q"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "horizon: future=1 past=0"
+
+
 class TestRisk:
     def test_var_json_ordering(self, workdir, capsys):
         code = main(
@@ -589,6 +628,9 @@ class TestCaseStudy:
             ('{"n": 3, "trajectories": [[[1e400, 0], [1, 1], [2, 2], [3, 3]]]}', "trajectories"),
             ('{"betas": 0.9}', "betas"),
             ('{"betas": ["x"]}', "betas"),
+            ('{"betas": ["0.9"]}', "betas"),
+            ('{"delta": "0.01"}', "delta"),
+            ('{"n": 3, "trajectories": [[["1", 0], [1, 1], [2, 2], [3, 3]]]}', "trajectories[0][0]"),
         ],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, text, key):
@@ -597,6 +639,13 @@ class TestCaseStudy:
         assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith(f"error: {key}")
+
+    def test_integer_beyond_the_float_range_exits_5(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"delta": 1' + "0" * 400 + "}")
+        assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: delta: values must be finite")
 
     @pytest.mark.parametrize("seed", [-1, 2**64])
     def test_seed_outside_64_bits_exits_5(self, tmp_path, seed, capsys):

@@ -10,6 +10,7 @@ from stlrisk.formula import (
     AlwaysPast,
     And,
     EventuallyFuture,
+    EventuallyPast,
     Horizon,
     Not,
     Or,
@@ -24,7 +25,7 @@ from stlrisk.formula import (
 )
 from stlrisk.semantics import eval_boolean, eval_robust
 
-from .helpers import desugar, horizon_oracle, random_admissible_case, random_formula
+from .helpers import anchors_oracle, desugar, horizon_oracle, random_admissible_case, random_formula
 
 P, Q = Predicate("p"), Predicate("q")
 
@@ -101,13 +102,32 @@ class TestHorizon:
     def test_unbounded_window_gives_infinite_depth(self):
         f = EventuallyFuture(P, TimeInterval(0, math.inf))
         assert horizon(f).future_depth == math.inf
+        assert horizon(UntilFuture(P, Q, TimeInterval(0, math.inf))).future_depth == math.inf
+        assert horizon(AlwaysPast(P, TimeInterval(2, math.inf))) == Horizon(0, math.inf)
+
+    def test_unbounded_left_operand_of_a_short_until_is_not_read(self):
+        f = UntilFuture(EventuallyFuture(P, TimeInterval(0, math.inf)), Q, TimeInterval(0, 1))
+        assert horizon(f) == Horizon(1, 0)
+
+    def test_until_left_operand_reaches_strictly_before_the_window_end(self):
+        assert horizon(UntilFuture(AlwaysFuture(P, TimeInterval(0, 5)), Q, TimeInterval(0, 1))) == Horizon(1, 0)
+        assert horizon(UntilFuture(AlwaysFuture(P, TimeInterval(0, 5)), Q, TimeInterval(0, 2))) == Horizon(6, 0)
+        assert horizon(EventuallyFuture(EventuallyPast(P, TimeInterval(0, 1)), TimeInterval(2, 3))) == Horizon(3, 0)
+        assert horizon(UntilPast(EventuallyPast(P, TimeInterval(0, 2)), Q, TimeInterval(1, 3))) == Horizon(0, 4)
 
     def test_matches_recursive_oracle_on_random_formulas(self):
+        # horizon_oracle's nesting sum bounds the exact reach from above, so
+        # no call that fits the nesting sum is refused; on bounded windows
+        # the reach equals the literal expansion's.
         rng = np.random.default_rng(404)
         windows = set()
         for _ in range(1500):
             f = random_formula(rng, ["p", "q"], depth=int(rng.integers(0, 5)), unbounded=0.15)
-            assert horizon(f) == Horizon(*horizon_oracle(f))
+            h, (future, past) = horizon(f), horizon_oracle(f)
+            assert h.future_depth <= future and h.past_depth <= past
+            intervals = [node.interval for node in postorder(f) if hasattr(node, "interval")]
+            if all(iv.bounded for iv in intervals):
+                assert h == Horizon(*anchors_oracle(f))
             for node in postorder(f):
                 if hasattr(node, "interval"):
                     lo, hi = node.interval.lo, node.interval.hi
@@ -117,21 +137,40 @@ class TestHorizon:
             assert {(name, "lo>0"), (name, "[0,0]"), (name, "inf")} <= windows
         assert {("EventuallyPast", "inf"), ("AlwaysPast", "inf")} <= windows
 
+    def test_equals_literal_expansion_on_bounded_random_formulas(self):
+        rng = np.random.default_rng(405)
+        windows, tighter = set(), 0
+        for _ in range(2000):
+            f = random_formula(rng, ["p", "q"], depth=int(rng.integers(0, 5)))
+            h, nested = horizon(f), Horizon(*horizon_oracle(f))
+            assert h == Horizon(*anchors_oracle(f))
+            assert h.future_depth <= nested.future_depth and h.past_depth <= nested.past_depth
+            tighter += h != nested
+            for node in postorder(f):
+                if hasattr(node, "interval"):
+                    lo, hi = node.interval.lo, node.interval.hi
+                    windows.add((type(node).__name__, "lo>0" if lo > 0 else f"[0,{min(hi, 2)}]"))
+        for name in ("UntilFuture", "UntilPast"):
+            assert {(name, "lo>0"), (name, "[0,0]"), (name, "[0,1]"), (name, "[0,2]")} <= windows
+        assert {("EventuallyPast", "lo>0"), ("AlwaysPast", "lo>0")} <= windows
+        assert tighter > 100
+
 
 class TestReach:
     def test_offsets_of_future_and_past_operators(self):
         iv = TimeInterval(1, 3)
         assert reach(EventuallyFuture(P, iv)) == ((P, 1, 3),)
         assert reach(AlwaysPast(P, iv)) == ((P, -3, -1),)
-        assert reach(UntilFuture(P, Q, iv)) == ((P, 1, 3), (Q, 1, 3))
-        assert reach(UntilPast(P, Q, iv)) == ((P, -3, -1), (Q, -3, -1))
+        assert reach(UntilFuture(P, Q, iv)) == ((P, 1, 2), (Q, 1, 3))
+        assert reach(UntilPast(P, Q, iv)) == ((P, -2, -1), (Q, -3, -1))
         assert reach(And(P, Q)) == ((P, 0, 0), (Q, 0, 0))
         assert reach(Not(P)) == ((P, 0, 0),) and reach(P) == ()
 
     def test_zero_window_until_reads_its_left_operand_at_no_step(self):
-        for node in (UntilFuture(P, Q, TimeInterval(0, 0)), UntilPast(P, Q, TimeInterval(0, 0))):
-            [(left, lo, hi), (right, rlo, rhi)] = reach(node)
-            assert (left, right) == (P, Q) and lo > hi and rlo == rhi == 0
+        for hi in (0, 1):
+            for node, window in ((UntilFuture(P, Q, TimeInterval(0, hi)), (0, hi)), (UntilPast(P, Q, TimeInterval(0, hi)), (-hi, 0))):
+                [(left, lo, lhi), (right, rlo, rhi)] = reach(node)
+                assert (left, right) == (P, Q) and lo > lhi and (rlo, rhi) == window
 
 
 def test_predicate_names_collects_all():

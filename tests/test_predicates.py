@@ -130,6 +130,22 @@ class TestNormBall:
         with pytest.raises(ValueError):
             NormBall((0,), (0.0,), 0.5, "l3")  # unknown norm
 
+    def test_python_callers_get_the_type_checks(self):
+        for make in (
+            lambda: StateSlice((1.7,)),
+            lambda: StateSlice((True,)),
+            lambda: NormBall((0.0,), (0.0,), 1.0),
+            lambda: NormBall((0,), ("1",), 1.0),
+            lambda: NormBall((0,), (0.0,), "2"),
+            lambda: Halfspace((True,), 0.0),
+            lambda: Halfspace((1.0,), "1"),
+        ):
+            with pytest.raises(ValueError):
+                make()
+        p = NormBall((np.int64(0),), (np.float64(1.5),), np.float32(0.5))
+        assert p.pos == (0,) and p.center == (1.5,) and p.radius == 0.5
+        assert all(type(v) is int for v in p.pos) and type(p.radius) is float
+
     def test_dimension_error_on_short_state(self):
         p = NormBall((0, 3), (0.0, 0.0), 0.5, "l2")
         with pytest.raises(DimensionError):

@@ -203,6 +203,14 @@ class TestExpected:
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3, 1e-200])
+    def test_hoeffding_half_width_is_the_dkw_epsilon_scaled(self, delta):
+        z = S(-1.0, 0.25, 2.0)
+        mean = expected(z)
+        half = 5.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * z.n))
+        assert expected_hoeffding(z, delta, (-2.0, 3.0)) == (mean - half, mean + half)
+        assert half == 5.0 * dkw_epsilon(z.n, delta)
+
     def test_bounds_violation(self):
         with pytest.raises(BoundsError):
             expected_hoeffding(S(2, -1), 0.1, (0.0, 1.0))

@@ -136,7 +136,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("data", [{"betas": ["x"]}, {"delta": "abc"}, {"trajectories": [[["a", 0]] * 4]}])
     def test_from_json_rejects_non_numbers(self, data):
-        with pytest.raises(ConfigError, match="could not convert string to float"):
+        with pytest.raises(ConfigError, match=r"^(betas|delta|trajectories\[0\]\[0\]): expected real numbers, got \['"):
             CaseStudyConfig.from_json_dict(data)
 
     def test_from_json_rejects_null_trajectories(self):

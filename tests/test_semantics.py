@@ -22,7 +22,14 @@ from stlrisk.predicates import Complement, CustomPredicate, Halfspace, NormBall,
 from stlrisk.semantics import _window, eval_boolean, eval_robust, eval_robust_ensemble
 from stlrisk.trace import Ensemble, Trace
 
-from .helpers import beta_oracle, random_admissible_case, random_formula, random_trace, rho_oracle
+from .helpers import (
+    beta_oracle,
+    random_admissible_case,
+    random_formula,
+    random_predicates,
+    random_trace,
+    rho_oracle,
+)
 
 P = Predicate("p")
 Q = Predicate("q")
@@ -143,6 +150,45 @@ class TestHorizonRefusal:
         eval_boolean(f, TR312, 1, PREDS)
         eval_robust_ensemble(f, Ensemble((TR312, TR312)), 1, PREDS)
         assert len(calls) == 3
+
+
+    def test_engine_matches_oracles_at_both_edges_and_refuses_beyond(self):
+        rng = np.random.default_rng(33)
+        for _ in range(400):
+            preds = random_predicates(rng, 2)
+            f = random_formula(rng, preds, depth=int(rng.integers(0, 5)))
+            h = horizon(f)
+            trace = random_trace(rng, h.past_depth + h.future_depth + int(rng.integers(1, 4)), 2)
+            for t in (h.past_depth, trace.length - 1 - h.future_depth):
+                assert eval_robust(f, trace, t, preds) == rho_oracle(f, trace, t, preds)
+                assert eval_boolean(f, trace, t, preds) == beta_oracle(f, trace, t, preds)
+            for t in (h.past_depth - 1, trace.length - h.future_depth):
+                with pytest.raises(InsufficientHorizonError):
+                    eval_robust(f, trace, t, preds)
+
+    def test_unread_left_operand_of_a_short_until_needs_no_trace(self, monkeypatch):
+        import stlrisk.semantics
+
+        table = {"p": Halfspace((1.0,), 0.0), "q": Halfspace((0.0, 1.0), 0.0)}
+        read = []
+
+        def counted(p, states, real=stlrisk.semantics.margins):
+            read.append(p)
+            return real(p, states)
+
+        monkeypatch.setattr(stlrisk.semantics, "margins", counted)
+        f = parse_helper("(G[0,5] p) U[0,1] q")
+        trace = Trace(np.array([[1.5, 0.2], [-0.5, 0.5]]))
+        assert eval_robust(f, trace, 0, table) == 0.5 == rho_oracle(f, trace, 0, table)
+        assert eval_boolean(f, trace, 0, table) is True
+        assert read == [table["q"]] * 2
+
+    def test_past_operand_of_a_future_window_stays_inside_the_trace(self):
+        f = parse_helper("F[2,3] O[0,1] p")
+        for trace in (TR312, TR126):
+            trace = Trace(np.vstack([trace.states, [[-4.0]]]))
+            assert eval_robust(f, trace, 0, PREDS) == rho_oracle(f, trace, 0, PREDS)
+            assert eval_boolean(f, trace, 0, PREDS) == beta_oracle(f, trace, 0, PREDS)
 
 
 def parse_helper(text):
