@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -139,24 +140,18 @@ def cmd_risk(args) -> int:
 
 
 def cmd_casestudy(args) -> int:
-    inputs = {}
+    data, inputs = {}, {}
     if args.config:
         try:
             data, inputs[str(args.config)] = read_json(args.config, ConfigError, "invalid JSON")
         except OSError as exc:
             raise ConfigError(str(exc)) from None
-        config = CaseStudyConfig.from_json_dict(data)
-    else:
-        kwargs = {}
-        if args.seed is not None:
-            kwargs["seed"] = args.seed
-        if args.n is not None:
-            kwargs["n"] = args.n
-        if args.delta is not None:
-            kwargs["delta"] = args.delta
-        if args.betas is not None:
-            kwargs["betas"] = _parse_betas(args.betas)
-        config = CaseStudyConfig(**kwargs)
+    # The file's config, validated whole; each flag given then overrides its
+    # key, and ``replace`` validates the result again.
+    flags = {key: getattr(args, key) for key in ("seed", "n", "delta", "betas") if getattr(args, key) is not None}
+    if "betas" in flags:
+        flags["betas"] = _parse_betas(flags["betas"])
+    config = replace(CaseStudyConfig.from_json_dict(data), **flags)
     result = run_case_study(config)
     csv_text = result.to_csv()
     _write_outputs(

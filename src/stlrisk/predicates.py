@@ -63,16 +63,19 @@ LINF = "linf"
 
 
 def real_numbers(values, what: str) -> tuple:
-    """``values`` as floats.  A bool, a string or anything else that is not
-    a real number is refused, not coerced, with a ValueError naming
-    ``what``; so is an integer beyond the float range."""
+    """``values`` as finite floats: a bool, a string or anything else that is
+    not a real number is refused, not coerced, with a ValueError naming
+    ``what``; so is a NaN, an infinity or an integer beyond the float range."""
     values = tuple(values)
     if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
         raise ValueError(f"{what}: expected real numbers, got {list(values)!r}")
     try:
-        return tuple(map(float, values))
-    except OverflowError:
-        raise ValueError(f"{what}: values must be finite, got {list(values)!r}") from None
+        numbers = tuple(map(float, values))
+    except OverflowError:  # an integer beyond the float range
+        numbers = (math.inf,)
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError(f"{what}: values must be finite, got {list(values)!r}")
+    return numbers
 
 
 def _indices(values, what: str) -> tuple:
@@ -103,8 +106,6 @@ class Halfspace:
         a, (b,) = real_numbers(self.a, "a"), real_numbers((self.b,), "b")
         if not a or all(v == 0.0 for v in a):
             raise ValueError("halfspace normal must be a non-zero vector")
-        if not all(map(math.isfinite, a + (b,))):
-            raise ValueError(f"halfspace a and b must be finite, got a={list(a)}, b={b}")
         norm = math.hypot(*a)
         if not (math.isfinite(1.0 / norm) and math.isfinite(b / norm)):
             raise ValueError(f"halfspace 1/|a| and b/|a| must be finite, got |a|={norm!r}, b={b!r}")
@@ -124,13 +125,11 @@ class NormBall:
         center = self.center
         if not isinstance(center, StateSlice):
             center = real_numbers(center, "center")
-            if not all(map(math.isfinite, center)):
-                raise ValueError(f"center must be finite, got {list(center)}")
         if len(center.indices if isinstance(center, StateSlice) else center) != len(pos):
             raise ValueError("pos and center must have equal length")
         (radius,) = real_numbers((self.radius,), "radius")
-        if not 0.0 < radius < math.inf:
-            raise ValueError(f"radius must be positive and finite, got {self.radius!r}")
+        if not radius > 0.0:
+            raise ValueError(f"radius must be positive, got {self.radius!r}")
         if self.norm not in (L2, LINF):
             raise ValueError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
         object.__setattr__(self, "pos", pos)

@@ -33,7 +33,7 @@ from .errors import (
 )
 from .formula import Formula
 from .semantics import eval_robust_ensemble
-from .trace import Ensemble
+from .trace import Ensemble, frozen_array
 
 __all__ = [
     "RobustnessSamples",
@@ -59,19 +59,13 @@ MEASURES = ("var", "cvar", "expected", "meanvar", "worst")
 
 @dataclass(frozen=True, eq=False)
 class RobustnessSamples:
-    """A vector of N finite cost samples."""
+    """A vector of N >= 1 finite cost samples, held as a read-only
+    ``frozen_array`` copy of what it was built from."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError(f"samples must form a non-empty vector, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("samples must all be finite")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", frozen_array(self.values, 1, "robustness samples"))
 
     @property
     def n(self) -> int:

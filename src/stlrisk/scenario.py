@@ -88,23 +88,6 @@ DEFAULT_TRAJECTORIES = (
 )
 
 
-@dataclass(frozen=True)
-class GaussianRegion:
-    """An uncertain region center: isotropic Gaussian in the plane."""
-
-    mean: Tuple[float, float]
-    variance: float
-
-    def __post_init__(self):
-        mean = tuple(float(v) for v in self.mean)
-        if len(mean) != 2:
-            raise ConfigError(f"region mean must be a 2-vector, got {self.mean!r}")
-        if not float(self.variance) > 0.0:
-            raise ConfigError(f"region variance must be positive, got {self.variance!r}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", float(self.variance))
-
-
 def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]:
     """``values``, a list of finite numbers, as floats; a ``ConfigError``
     naming ``key`` otherwise."""
@@ -114,11 +97,26 @@ def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]
         numbers = real_numbers(values, key)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if not all(math.isfinite(v) for v in numbers):
-        raise ConfigError(f"{key}: values must be finite, got {values!r}")
     if count is not None and len(numbers) != count:
         raise ConfigError(f"{key}: expected {count} values, got {len(numbers)}")
     return numbers
+
+
+@dataclass(frozen=True)
+class GaussianRegion:
+    """An uncertain region center: isotropic Gaussian in the plane, with a
+    finite mean and a finite variance > 0."""
+
+    mean: Tuple[float, float]
+    variance: float
+
+    def __post_init__(self):
+        mean = _numbers("region mean", self.mean, 2)
+        (variance,) = _numbers("region variance", [self.variance])
+        if not variance > 0.0:
+            raise ConfigError(f"region variance must be positive, got {self.variance!r}")
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", variance)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,9 @@ consecutive integer times starting at 0, UTF-8, LF or CRLF line endings.
 An ensemble is either a directory of such CSVs (members ordered by file
 name) or a JSON manifest ``{"traces": [paths...], "seed": ...}`` with paths
 resolved relative to the manifest.  In memory it is one read-only (N, T, d)
-array, and a single trace is loaded as a one-member ensemble.  Members of
+array, and a single trace is loaded as a one-member ensemble.  Every array
+a trace, an ensemble or a sample vector holds is a copy that one validator,
+``frozen_array``, made and checked: none is an uncopied view.  Members of
 the plain layout ``save_trace_csv`` writes are checked and converted as one
 batch: one decode of their joined bytes, whole-list layout checks over all
 members, and, when cell texts repeat, one ``float`` call per distinct text.
@@ -48,23 +50,28 @@ __all__ = [
 ]
 
 
+def frozen_array(values, ndim: int, what: str) -> np.ndarray:
+    """A read-only float64 copy of ``values``, the one check of every array a
+    ``Trace``, ``Ensemble`` or ``RobustnessSamples`` holds: a ValueError naming
+    ``what`` refuses a rank other than ``ndim``, an empty axis, a NaN or inf."""
+    arr = np.array(values, dtype=np.float64)
+    if arr.ndim != ndim or 0 in arr.shape:
+        raise ValueError(f"{what} must be a {ndim}-D array with no empty axis, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{what} must be finite (no NaN or inf)")
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """A finite state sequence: row t of ``states`` is the state at time t."""
+    """A finite state sequence: row t of ``states``, a read-only (T, d)
+    ``frozen_array`` copy of what it was built from, is the state at time t."""
 
     states: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.states, dtype=float)
-        if arr.ndim != 2:
-            raise ValueError(f"states must be a 2-D array, got shape {arr.shape}")
-        if arr.shape[0] < 1 or arr.shape[1] < 1:
-            raise ValueError(f"trace needs at least one step and one component, got shape {arr.shape}")
-        if not np.isfinite(arr).all():
-            raise ValueError("trace states must be finite (no NaN or inf)")
-        arr = arr.copy()
-        arr.flags.writeable = False
-        object.__setattr__(self, "states", arr)
+        object.__setattr__(self, "states", frozen_array(self.states, 2, "trace states"))
 
     @property
     def length(self) -> int:
@@ -84,13 +91,6 @@ class Trace:
     def __len__(self) -> int:
         return self.length
 
-    @classmethod
-    def _view(cls, states: np.ndarray) -> "Trace":
-        """A trace over a read-only array that is already checked, uncopied."""
-        trace = cls.__new__(cls)
-        object.__setattr__(trace, "states", states)
-        return trace
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
@@ -98,9 +98,10 @@ class Ensemble:
 
     ``states`` is one read-only (N, T, d) array: ``states[i]`` is member i's
     trace.  Build an ensemble from a sequence of ``Trace`` objects, or from an
-    array with ``Ensemble.from_states``.  The order only matters for
-    reproducibility of derived logs; every risk estimator downstream is
-    permutation invariant.
+    array with ``Ensemble.from_states``; either way ``states`` is a
+    ``frozen_array`` copy, never a view of the caller's data.  The order only
+    matters for reproducibility of derived logs; every risk estimator
+    downstream is permutation invariant.
     """
 
     states: np.ndarray
@@ -117,32 +118,25 @@ class Ensemble:
                     f"trace {i} has dim={tr.dim}, length={tr.length}; "
                     f"expected dim={dim}, length={length}"
                 )
-        self._freeze(np.stack([tr.states for tr in traces]), metadata)
+        object.__setattr__(self, "states", frozen_array([tr.states for tr in traces], 3, "ensemble states"))
+        object.__setattr__(self, "metadata", metadata)
 
     @classmethod
     def from_states(cls, states, metadata: Optional[Mapping] = None) -> "Ensemble":
-        """An ensemble over a copy of an (N, T, d) array of finite states."""
-        arr = np.array(states, dtype=float)
-        if arr.ndim != 3 or arr.shape[1] < 1 or arr.shape[2] < 1:
-            raise ValueError(f"states must be an (N, T, d) array with T, d >= 1, got shape {arr.shape}")
-        if arr.shape[0] < 1:
+        """An ensemble over a ``frozen_array`` copy of an (N, T, d) array;
+        an EmptyError if N = 0."""
+        if np.ndim(states) == 3 and len(states) == 0:
             raise EmptyError("an ensemble needs at least one trace")
-        if not np.isfinite(arr).all():
-            raise ValueError("ensemble states must be finite (no NaN or inf)")
         ensemble = cls.__new__(cls)
-        ensemble._freeze(arr, metadata)
+        object.__setattr__(ensemble, "states", frozen_array(states, 3, "ensemble states"))
+        object.__setattr__(ensemble, "metadata", metadata)
         return ensemble
-
-    def _freeze(self, states: np.ndarray, metadata: Optional[Mapping]) -> None:
-        states.flags.writeable = False
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "metadata", metadata)
 
     @cached_property
     def traces(self) -> tuple:
-        """The members as ``Trace`` objects over rows of ``states``, built on
-        first use."""
-        return tuple(Trace._view(s) for s in self.states)
+        """The members as ``Trace`` objects, copies of rows of ``states``,
+        built on first use."""
+        return tuple(map(Trace, self.states))
 
     @property
     def n(self) -> int:
@@ -333,8 +327,7 @@ def _load_members(files: list, metadata: Optional[dict]) -> tuple:
             break  # raised again below, after the members before it are checked
     states = _batch_states(contents) if len(contents) == len(files) else None
     if states is not None:
-        ensemble = Ensemble.__new__(Ensemble)
-        ensemble._freeze(states, metadata)  # new and checked finite: no copy
+        ensemble = Ensemble.from_states(states, metadata)
     else:
         # Member by member, as files are read: the first bad member raises
         # its own error, before a later member or the mismatch check does.

@@ -152,6 +152,8 @@ class TestMonitor:
         "table",
         [
             '{"p": {"kind": "halfspace", "a": [1], "b": NaN}}',
+            '{"p": {"kind": "halfspace", "a": [1], "b": Infinity}}',
+            '{"p": {"kind": "ball", "pos": [0], "center": [Infinity], "radius": 1}}',
             '{"p": {"kind": "halfspace", "a": [1e400], "b": 0}}',
             '{"p": {"kind": "halfspace", "a": [1e-310], "b": 1}}',
             '{"p": {"kind": "halfspace", "a": [1e-10], "b": 1e300}}',
@@ -615,6 +617,35 @@ class TestCaseStudy:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": 2, "n": 10, "betas": [0.9]}))
         assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+
+    def test_flags_override_config_keys(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 50, "seed": 3}))
+        out = tmp_path / "o"
+        assert main(["casestudy", "--config", str(cfg), "--n", "7", "--betas", "0.5", "--out", str(out)]) == 0
+        parameters = json.loads((out / "manifest.json").read_text())["parameters"]
+        assert (parameters["seed"], parameters["n"], parameters["betas"]) == (3, 7, [0.5])
+        assert len((out / "table.csv").read_text().splitlines()) == 7
+        assert capsys.readouterr().out == (out / "table.csv").read_text()
+
+    @pytest.mark.parametrize(
+        "text, flags, message",
+        [
+            ('{"n": 0}', ["--n", "7"], "error: n must be a positive integer, got 0\n"),
+            ('{"betas": ["0.9"]}', ["--betas", "0.5"], "error: betas: expected real numbers, got ['0.9']\n"),
+            ('{"n": 7}', ["--betas", ""], "error: --betas expects comma-separated numbers, got ''\n"),
+            ('{"n": 7}', ["--delta", "nan"], "error: delta: values must be finite, got [nan]\n"),
+        ],
+        ids=["overridden-n", "overridden-betas", "empty-betas", "nan-delta"],
+    )
+    def test_file_and_flags_pass_one_validation(self, tmp_path, capsys, text, flags, message):
+        # A file value a flag overrides is still checked, and a flag is
+        # checked as the same key in the file would be.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        assert main(["casestudy", "--config", str(cfg), *flags, "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_exits_5(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

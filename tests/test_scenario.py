@@ -123,6 +123,31 @@ class TestConfig:
         with pytest.raises(ConfigError):
             GaussianRegion((0.0, 0.0), 0.0)
 
+    @pytest.mark.parametrize(
+        "mean, variance, key",
+        [
+            (("2", "3"), 0.5, "region mean"),
+            ((True, 3.0), 0.5, "region mean"),
+            ((math.nan, 3.0), 0.5, "region mean"),
+            ((2.0, math.inf), 0.5, "region mean"),
+            ((2.0, 3.0, 4.0), 0.5, "region mean"),
+            ((2.0, 3.0), "0.5", "region variance"),
+            ((2.0, 3.0), False, "region variance"),
+            ((2.0, 3.0), math.inf, "region variance"),
+            ((2.0, 3.0), math.nan, "region variance"),
+            ((2.0, 3.0), 0.0, "region variance"),
+            ((2.0, 3.0), -0.5, "region variance"),
+        ],
+    )
+    def test_gaussian_region_refuses_what_it_would_coerce(self, mean, variance, key):
+        with pytest.raises(ConfigError, match=f"^{key}"):
+            GaussianRegion(mean, variance)
+
+    def test_gaussian_region_reads_finite_reals(self):
+        region = GaussianRegion((2, 3), 1)
+        assert region.mean == (2.0, 3.0) and region.variance == 1.0
+        assert all(type(v) is float for v in region.mean + (region.variance,))
+
     def test_from_json(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text(

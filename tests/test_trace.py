@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 from stlrisk import trace
 from stlrisk.errors import EmptyError, FormatError, GapError, MismatchError
+from stlrisk.risk import RobustnessSamples
 from stlrisk.trace import Ensemble, Trace, load_ensemble, load_trace_csv, read_ensemble, save_trace_csv
 
 from .helpers import load_ensemble_oracle, load_trace_csv_oracle
@@ -116,6 +118,46 @@ class TestTraceInvariants:
         tr = Trace(np.ones((2, 2)))
         with pytest.raises(ValueError):
             tr.states[0, 0] = 5.0
+
+
+# Each container's array and the attribute that holds it, with one valid
+# source per container: all three go through trace.frozen_array.
+CONTAINERS = {
+    "trace": (Trace, "states", np.arange(6.0).reshape(3, 2)),
+    "ensemble": (Ensemble.from_states, "states", np.arange(12.0).reshape(3, 2, 2)),
+    "samples": (RobustnessSamples, "values", np.arange(4.0)),
+}
+
+
+class TestOneArrayValidator:
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_refuses_empty_axis_wrong_rank_and_non_finite(self, name):
+        build, _, source = CONTAINERS[name]
+        bad = [source[..., :0], source[None], source[0]]
+        for value in (math.nan, math.inf, -math.inf):
+            entry = source.copy()
+            entry.flat[-1] = value
+            bad.append(entry)
+        for values in bad:
+            with pytest.raises(ValueError):
+                build(values)
+
+    @pytest.mark.parametrize("name", CONTAINERS)
+    def test_holds_a_read_only_copy(self, name):
+        build, attr, source = CONTAINERS[name]
+        source = source.copy()
+        held = getattr(build(source), attr)
+        source.flat[0] = 99.0
+        assert held.flat[0] == 0.0 and not held.flags.writeable and held.dtype == np.float64
+        with pytest.raises(ValueError):
+            held.flat[0] = 5.0
+
+    def test_member_traces_are_the_rows_bit_for_bit(self):
+        states = np.array([[[0.1, -0.0], [1e-310, 2.5]], [[-7.0, 1e300], [3.0, 0.3]]])
+        e = Ensemble.from_states(states)
+        for i, tr in enumerate(e.traces):
+            assert tr.states.tobytes() == states[i].tobytes()
+            assert not tr.states.flags.writeable and not np.shares_memory(tr.states, e.states)
 
 
 class TestLoadEnsemble:
