@@ -15,7 +15,6 @@ from .errors import (
     InsufficientHorizonError,
     IntervalError,
     MismatchError,
-    MonotonicityError,
     ParamError,
     StlRiskError,
     UnknownPredicateError,
@@ -56,10 +55,8 @@ from .risk import (
     RiskResult,
     RobustnessSamples,
     VarTriple,
-    apply_cost,
     cvar_point,
     dkw_epsilon,
-    empirical_cdf,
     expected,
     expected_hoeffding,
     mean_variance,

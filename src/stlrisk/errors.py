@@ -61,10 +61,6 @@ class BoundsError(StlRiskError):
     """A sample falls outside the declared [a, b] support."""
 
 
-class MonotonicityError(StlRiskError):
-    """A cost transform claimed to be non-decreasing is not, on the samples."""
-
-
 class InfiniteRobustnessError(StlRiskError):
     """Robustness values of +/-inf cannot enter the sample-based estimators,
     and an estimate that overflows from finite costs cannot leave them."""

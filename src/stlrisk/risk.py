@@ -21,14 +21,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import (
     BoundsError,
     InfiniteRobustnessError,
-    MonotonicityError,
     ParamError,
 )
 from .formula import Formula
@@ -41,7 +40,6 @@ __all__ = [
     "VarTriple",
     "RiskResult",
     "dkw_epsilon",
-    "empirical_cdf",
     "var_point",
     "var_bounds",
     "cvar_point",
@@ -49,7 +47,6 @@ __all__ = [
     "expected_hoeffding",
     "mean_variance",
     "worst_case",
-    "apply_cost",
     "risk_of_formula",
     "MEASURES",
 ]
@@ -133,11 +130,6 @@ def _log_two_over(delta: float) -> float:
     which elsewhere can round one ulp away from the log of the quotient."""
     ratio = 2.0 / delta
     return math.log(ratio) if math.isfinite(ratio) else math.log(2.0) - math.log(delta)
-
-
-def empirical_cdf(z: RobustnessSamples, alpha: float) -> float:
-    """Fraction of samples <= alpha (right-continuous step function)."""
-    return float(np.count_nonzero(z.values <= alpha)) / z.n
 
 
 def _quantile_index(n: int, q: float) -> int:
@@ -247,21 +239,6 @@ def mean_variance(z: RobustnessSamples, lam: float) -> float:
 def worst_case(z: RobustnessSamples) -> float:
     """Largest observed cost."""
     return float(z.values.max())
-
-
-def apply_cost(z: RobustnessSamples, cost: Callable[[float], float]) -> RobustnessSamples:
-    """Transform each sample by a non-decreasing cost function.
-
-    Monotonicity is spot-checked on the sample values themselves; for a
-    strictly increasing cost the empirical quantile commutes with the
-    transform.
-    """
-    transformed = [float(cost(float(v))) for v in z.values]
-    by_input = sorted(zip(z.values.tolist(), transformed))
-    for (_, lo), (_, hi) in zip(by_input, by_input[1:]):
-        if lo > hi:
-            raise MonotonicityError("cost function decreases on the sample values")
-    return RobustnessSamples(np.asarray(transformed))
 
 
 def format_number(v: float) -> str:

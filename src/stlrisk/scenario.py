@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from statistics import NormalDist
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -44,7 +43,7 @@ from .parser import parse
 from .predicates import NormBall, StateSlice, real_numbers
 from .risk import RobustnessSamples, format_number, json_number, var_bounds
 from .semantics import eval_robust_ensemble
-from .trace import Ensemble, Trace, read_json
+from .trace import Ensemble, Trace
 
 __all__ = [
     "GaussianRegion",
@@ -165,10 +164,6 @@ class CaseStudyConfig:
             data = {**data, "trajectories": DEFAULT_TRAJECTORIES}
         return cls(**data)
 
-    @classmethod
-    def from_json_file(cls, path) -> "CaseStudyConfig":
-        return cls.from_json_dict(read_json(path, ConfigError, "invalid JSON")[0])
-
 
 def build_case_study_formula() -> Tuple[Formula, dict]:
     """The delivery formula and its predicate table.
@@ -204,7 +199,13 @@ def nominal_trace(waypoints, c: Sequence[float] = _C_MEAN, d: Sequence[float] = 
     return Trace(_states(waypoints, np.array([c], dtype=float), np.array([d], dtype=float))[0])
 
 
-_NORMAL = NormalDist()
+try:  # the C function NormalDist.inv_cdf wraps: same bits, and no statistics import
+    from _statistics import _normal_dist_inv_cdf
+except ImportError:
+    from statistics import NormalDist
+
+    def _normal_dist_inv_cdf(p: float, mu: float, sigma: float) -> float:
+        return NormalDist(mu, sigma).inv_cdf(p)
 
 
 def _standard_normals(seed: int, trajectory_index: int, count: int) -> np.ndarray:
@@ -212,8 +213,7 @@ def _standard_normals(seed: int, trajectory_index: int, count: int) -> np.ndarra
     key = np.array([seed, trajectory_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
     uniforms = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    inv = _NORMAL.inv_cdf
-    return np.array([inv(u) for u in uniforms.tolist()], dtype=float)
+    return np.array([_normal_dist_inv_cdf(u, 0.0, 1.0) for u in uniforms.tolist()], dtype=float)
 
 
 def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:

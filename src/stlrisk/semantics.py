@@ -29,12 +29,14 @@ recursion, takes the anchors at which each node is read from
 anchor is neither charged nor computed), and computes each node bottom-up
 as an (N, times) array: the array kernels ``predicates.margins`` for the
 leaves, minimum and maximum for the connectives, window minima and maxima
-over a doubling table for always and eventually (``_window``; Donze,
-Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013), and for
-until window maxima over the same doubling of left minima (see
-``_until``).  The two semantics differ only in the leaf map (margin or
-margin >= 0), the value of truth and the negation.  The cost is
-O(formula size x N x (anchors + width) x log width).
+for always and eventually (``_window``), and for until window maxima over
+running minima of the left operand (see ``_until``).  A node read at one
+anchor, as every root is, reduces its window in one pass: O(N x width).
+A node read at several anchors takes its windows from a doubling table
+(Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013):
+O(N x (anchors + width) x log width), log squared for the until.  The two
+semantics differ only in the leaf map (margin or margin >= 0), the value
+of truth and the negation.
 
 A robustness or cost of zero, on the boundary of the formula's set, is
 returned as +0.0, whichever zero the min/max ties inside the engine kept.
@@ -101,7 +103,12 @@ def _levels(values: np.ndarray, count: int, pick):
 
 def _window(values: np.ndarray, count: int, n: int, pick) -> np.ndarray:
     """pick (np.maximum or np.minimum) over values[:, i : i + count] for each
-    of the first n columns i, as two overlapping blocks of the largest w."""
+    of the first n columns i: one reduction when n = 1, else two overlapping
+    blocks of the largest w."""
+    if n == 1:
+        # Over a time-major copy, each step is one pass over the members;
+        # numpy reduces a row-major window row by row, slowly for many rows.
+        return pick.reduce(np.ascontiguousarray(values[:, :count].T), axis=0)[:, None]
     for w, table in _levels(values, count, pick):
         pass
     return pick(table[:, :n], table[:, count - w : count - w + n])
@@ -113,9 +120,12 @@ def _until(node, a: int, b: int, at) -> np.ndarray:
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
     there and of left at the k - 1 steps between (the windows of ``reach``);
     the value is the best candidate.  The past, reversed in time, is the
-    future.  Minima of left over w = 1, 2, 4, ... steps come from
-    ``_levels``.  The k - 1 steps before candidate k, for k - 1 in [w, 2w),
-    are the first w of them and the last w, so min(table[i],
+    future.  At one anchor, the running minimum of left gives every
+    candidate in one pass: O(N x hi).
+
+    Over several anchors, minima of left over w = 1, 2, 4, ... steps come
+    from ``_levels``.  The k - 1 steps before candidate k, for k - 1 in
+    [w, 2w), are the first w of them and the last w, so min(table[i],
     table[i + k - 1 - w]); the first term is the same for all these k, so
     each w takes one ``_window`` maximum over min(table, right):
     O(N x (anchors + hi) x log^2 hi) work in all.
@@ -127,6 +137,14 @@ def _until(node, a: int, b: int, at) -> np.ndarray:
     (left, llo, lhi), (right, rlo, rhi) = reach(node)
     right = at(right, a + rlo, b + rhi)[:, ::step]
     left = at(left, a + llo, b + lhi)[:, ::step] if llo <= lhi else None  # hi <= 1: no steps between
+
+    if n == 1:
+        value = right  # candidates k <= 1 take right alone
+        if left is not None:
+            k1 = max(lo, 2)  # candidate k >= 2: column k - 2 of left's running minimum
+            tails = np.minimum(np.minimum.accumulate(left, axis=1)[:, k1 - 2 :], right[:, k1 - lo :])
+            value = np.concatenate((right[:, : k1 - lo], tails), axis=1)
+        return _window(value, hi - lo + 1, 1, np.maximum)
 
     value = _window(right, min(hi, 1) - lo + 1, n, np.maximum) if lo <= 1 else None
     for w, table in _levels(left, hi - 1, np.minimum):  # table[:, x]: min of left[:, x : x + w]

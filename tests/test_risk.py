@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from stlrisk.errors import (
     BoundsError,
     InfiniteRobustnessError,
-    MonotonicityError,
     ParamError,
 )
 from stlrisk.formula import TRUE, Predicate
@@ -18,10 +17,8 @@ from stlrisk.predicates import Halfspace
 from stlrisk.risk import (
     RiskParams,
     RobustnessSamples,
-    apply_cost,
     cvar_point,
     dkw_epsilon,
-    empirical_cdf,
     expected,
     expected_hoeffding,
     mean_variance,
@@ -42,19 +39,6 @@ def S(*values):
 samples_strategy = st.lists(
     st.floats(min_value=-1e6, max_value=1e6, allow_nan=False), min_size=1, max_size=60
 ).map(lambda xs: RobustnessSamples(np.array(xs)))
-
-
-class TestEmpiricalCdf:
-    def test_single_sample_inclusive(self):
-        z = S(5.0)
-        assert empirical_cdf(z, 4.9) == 0.0
-        assert empirical_cdf(z, 5.0) == 1.0
-
-    def test_direct_count(self):
-        assert empirical_cdf(S(1, 2, 3), 2.0) == pytest.approx(2 / 3)
-
-    def test_ties_counted(self):
-        assert empirical_cdf(S(1, 1, 1), 1.0) == 1.0
 
 
 class TestVarPoint:
@@ -84,6 +68,15 @@ class TestVarPoint:
                 z = np.round(z)  # force ties
             beta = float(rng.uniform(0.01, 0.99))
             assert var_point(RobustnessSamples(z), beta) == var_scan(z, beta)
+
+    def test_strictly_increasing_cost_commutes_with_quantile(self):
+        rng = np.random.default_rng(36)
+        cost = lambda v: math.atan(v) * 2.0 + 0.1 * v
+        for _ in range(200):
+            z = rng.normal(size=int(rng.integers(1, 25)))
+            beta = float(rng.uniform(0.05, 0.95))
+            costs = np.array([cost(v) for v in z.tolist()])
+            assert var_point(RobustnessSamples(costs), beta) == cost(var_point(RobustnessSamples(z), beta))
 
 
 class TestVarBounds:
@@ -260,28 +253,6 @@ class TestMeanVarianceWorst:
         eps = 1e-9
         assert mean_variance(low, lam_threshold + eps) > mean_variance(high, lam_threshold + eps)
         assert mean_variance(low, lam_threshold - eps) < mean_variance(high, lam_threshold - eps)
-
-
-class TestApplyCost:
-    def test_identity(self):
-        z = S(3, 1, 2)
-        assert apply_cost(z, lambda v: v).values.tolist() == [3.0, 1.0, 2.0]
-
-    def test_translation_shifts_quantile(self):
-        z = apply_cost(S(1, 2, 3), lambda v: v + 10)
-        assert var_point(z, 0.5) == 12.0
-
-    def test_decreasing_cost_rejected(self):
-        with pytest.raises(MonotonicityError):
-            apply_cost(S(1, 2), lambda v: -v)
-
-    def test_strictly_increasing_commutes_with_quantile(self):
-        rng = np.random.default_rng(36)
-        for _ in range(200):
-            z = RobustnessSamples(rng.normal(size=int(rng.integers(1, 25))))
-            beta = float(rng.uniform(0.05, 0.95))
-            cost = lambda v: math.atan(v) * 2.0 + 0.1 * v
-            assert var_point(apply_cost(z, cost), beta) == cost(var_point(z, beta))
 
 
 class TestCoherenceAxioms:

@@ -1,9 +1,14 @@
-import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
 
+import stlrisk
 from stlrisk.errors import ConfigError
 from stlrisk.formula import Horizon, horizon
 from stlrisk.parser import format_formula, parse
@@ -105,6 +110,36 @@ class TestSampling:
             expected[0, :, 6:] = (cx, cy, dx, dy)
             assert nominal_trace(waypoints).states.tobytes() == expected[0].tobytes()
 
+    def test_normals_equal_normal_dist_inv_cdf_bit_for_bit(self):
+        count = 10**6
+        raw = np.random.Philox(key=np.array([7, 3], dtype=np.uint64)).random_raw(count)
+        uniforms = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+        inv = NormalDist().inv_cdf
+        expected = np.array([inv(u) for u in uniforms.tolist()])
+        assert _standard_normals(7, 3, count).tobytes() == expected.tobytes()
+
+    @staticmethod
+    def run_python(code: str) -> str:
+        env = {**os.environ, "PYTHONPATH": str(Path(stlrisk.__file__).parents[1])}
+        return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+
+    def test_import_leaves_statistics_unloaded(self):
+        # statistics pulls in fractions, decimal and random: several ms.
+        code = (
+            "import sys, numpy, stlrisk\n"
+            "print(sorted({'statistics', 'decimal', 'fractions'} & set(sys.modules)))"
+        )
+        assert self.run_python(code) == "[]\n"
+
+    def test_normals_without_the_c_inverse_cdf(self):
+        # Where _statistics is missing, NormalDist.inv_cdf gives the same bits.
+        code = (
+            "import sys; sys.modules['_statistics'] = None\n"
+            "from stlrisk.scenario import _standard_normals\n"
+            "print(_standard_normals(7, 3, 1000).tobytes().hex())"
+        )
+        assert self.run_python(code) == _standard_normals(7, 3, 1000).tobytes().hex() + "\n"
+
     def test_trajectory_index_range(self):
         with pytest.raises(ConfigError):
             sample_ensemble(CaseStudyConfig(n=1), 6)
@@ -148,14 +183,9 @@ class TestConfig:
         assert region.mean == (2.0, 3.0) and region.variance == 1.0
         assert all(type(v) is float for v in region.mean + (region.variance,))
 
-    def test_from_json(self, tmp_path):
-        path = tmp_path / "config.json"
-        path.write_text(
-            json.dumps(
-                {"seed": 11, "n": 20, "betas": [0.8, 0.9], "delta": 0.01, "trajectories": "default"}
-            )
-        )
-        config = CaseStudyConfig.from_json_file(path)
+    def test_from_json(self):
+        data = {"seed": 11, "n": 20, "betas": [0.8, 0.9], "delta": 0.01, "trajectories": "default"}
+        config = CaseStudyConfig.from_json_dict(data)
         assert config.seed == 11 and config.n == 20
         assert config.trajectories == CaseStudyConfig().trajectories
 

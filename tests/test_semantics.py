@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stlrisk import semantics
 from stlrisk.errors import InsufficientHorizonError, UnknownPredicateError
 from stlrisk.formula import (
     TRUE,
@@ -265,7 +266,11 @@ class TestEngineCoverage:
 
     def test_until_over_many_anchors_matches_oracles(self):
         # Windows of 0..9 steps reach the first four levels of the until's
-        # table of left minima, with lo below, inside and above each level.
+        # table of left minima, with lo below, inside and above each level;
+        # 31..33 and 200 steps reach further.  The bare until is read at one
+        # anchor, without the table; the outer operators read it at six.  The
+        # oracles' cost grows as hi squared, so wide windows get one trace,
+        # and over 200 steps only the bare until is checked.
         # Integer states put many margins at exactly 0.0 or -0.0 (under the
         # complement); whichever zero wins a tie inside, a zero robustness
         # comes out as +0.0, the oracle's value plus 0.0.
@@ -273,13 +278,14 @@ class TestEngineCoverage:
         p, q = Predicate("p"), Predicate("q")
         rng = np.random.default_rng(31)
         for lo in (0, 1, 2, 3, 5):
-            for hi in (0, 1, 2, 3, 4, 5, 8, 9):
+            for hi in (0, 1, 2, 3, 4, 5, 8, 9, 31, 32, 33, 200):
                 if hi < lo:
                     continue
                 iv = TimeInterval(lo, hi)
                 for until in (UntilFuture(And(p, Not(q)), q, iv), UntilPast(Not(p), And(q, Not(p)), iv)):
                     outer = (AlwaysFuture(until, TimeInterval(0, 5)), UntilFuture(q, until, TimeInterval(0, 5)))
-                    for _ in range(12):
+                    outer = (until,) if hi > 100 else (until, *outer)
+                    for _ in range(12 if hi < 10 else 1):
                         trace = Trace(rng.integers(-2, 3, size=(16 + hi, 1)).astype(float))
                         for f in outer:
                             t = horizon(f).past_depth
@@ -310,6 +316,7 @@ class TestEngineCoverage:
 
 class TestWindowKernel:
     WIDTHS = range(1, 71)  # every power of two up to 64, and 2^k - 1, 2^k + 1
+    # n = 1 is the one-reduction path; n >= 2 walks the doubling table.
 
     def naive(self, values, count, n, pick):
         reduce = np.max if pick is np.maximum else np.min
@@ -320,24 +327,25 @@ class TestWindowKernel:
         pool = np.array([-math.inf, math.inf, 0.0, -0.0, -1.5, 2.0, 3.25])
         for count in self.WIDTHS:
             for members in (1, 3):
-                n = int(rng.integers(1, 9))
-                extra = int(rng.integers(0, 3))  # columns past the last window are ignored
-                values = rng.choice(pool, size=(members, n + count - 1 + extra))
-                for pick in (np.maximum, np.minimum):
-                    got = _window(values, count, n, pick)
-                    assert got.shape == (members, n)
-                    assert (got == self.naive(values, count, n, pick)).all(), (count, members, pick)
+                for n in (1, int(rng.integers(2, 9))):
+                    extra = int(rng.integers(0, 3))  # columns past the last window are ignored
+                    values = rng.choice(pool, size=(members, n + count - 1 + extra))
+                    for pick in (np.maximum, np.minimum):
+                        got = _window(values, count, n, pick)
+                        assert got.shape == (members, n)
+                        assert (got == self.naive(values, count, n, pick)).all(), (count, members, n, pick)
 
     def test_bool_windows_match_a_per_anchor_reduction(self):
         rng = np.random.default_rng(41)
         for count in self.WIDTHS:
             for members in (1, 3):
-                n = int(rng.integers(1, 9))
-                values = rng.random((members, n + count - 1)) < rng.choice((0.05, 0.5, 0.95))
-                for pick in (np.maximum, np.minimum):
-                    got = _window(values, count, n, pick)
-                    assert got.dtype == bool
-                    assert (got == self.naive(values, count, n, pick)).all(), (count, members, pick)
+                for n in (1, int(rng.integers(2, 9))):
+                    extra = int(rng.integers(0, 3))
+                    values = rng.random((members, n + count - 1 + extra)) < rng.choice((0.05, 0.5, 0.95))
+                    for pick in (np.maximum, np.minimum):
+                        got = _window(values, count, n, pick)
+                        assert got.dtype == bool and got.shape == (members, n)
+                        assert (got == self.naive(values, count, n, pick)).all(), (count, members, n, pick)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33])
     def test_windows_that_touch_both_ends_of_the_trace(self, width):
@@ -362,6 +370,30 @@ class TestWindowKernel:
             for f, t in cases:
                 assert eval_robust(f, trace, t, PREDS) == rho_oracle(f, trace, t, PREDS), (f, t)
                 assert eval_boolean(f, trace, t, PREDS) == beta_oracle(f, trace, t, PREDS), (f, t)
+
+    def test_one_anchor_builds_no_doubling_table(self, monkeypatch):
+        # A node read at one anchor reduces its window in one pass; a spy on
+        # the doubling table sees it only under a node read at several.
+        tables = []
+
+        def levels(values, count, pick):
+            tables.append(count)
+            return original(values, count, pick)
+
+        original = semantics._levels
+        monkeypatch.setattr(semantics, "_levels", levels)
+        trace = Trace(np.random.default_rng(42).normal(2.0, 3.0, size=(501, 1)))
+        cases = [
+            (AlwaysFuture(P, TimeInterval(0, 500)), 0),
+            (UntilFuture(P, Q, TimeInterval(0, 200)), 0),
+            (AlwaysPast(P, TimeInterval(0, 100)), 100),
+        ]
+        for f, t in cases:
+            assert eval_robust(f, trace, t, PREDS) == rho_oracle(f, trace, t, PREDS), f
+            assert eval_boolean(f, trace, t, PREDS) == beta_oracle(f, trace, t, PREDS), f
+        assert tables == []
+        eval_robust(EventuallyFuture(AlwaysFuture(P, TimeInterval(0, 5)), TimeInterval(0, 3)), trace, 0, PREDS)
+        assert tables == [6]
 
 
 class TestSoundness:
