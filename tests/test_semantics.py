@@ -395,6 +395,36 @@ class TestWindowKernel:
         eval_robust(EventuallyFuture(AlwaysFuture(P, TimeInterval(0, 5)), TimeInterval(0, 3)), trace, 0, PREDS)
         assert tables == [6]
 
+    @pytest.mark.parametrize("kind", [UntilFuture, UntilPast])
+    @pytest.mark.parametrize("dtype", [float, bool])
+    def test_one_anchor_until_equals_each_column_of_the_table_path(self, kind, dtype):
+        # The until kernel read at each anchor alone (running minimum of
+        # left) gives the columns of one read over several anchors (doubling
+        # table), at every width up to 70 and lo = 0..3.  Ties of 0.0 and
+        # -0.0 may pick either zero inside; the root adds 0.0 to its value.
+        rng = np.random.default_rng(43)
+        pool = np.array([-math.inf, math.inf, 0.0, -0.0, -1.5, 2.0, 3.25])
+        for hi in range(0, 71):
+            for lo in range(0, min(hi, 3) + 1):
+                node = kind(P, Q, TimeInterval(lo, hi))
+                n = int(rng.integers(2, 7))
+                a = hi  # the past until looks hi steps back from its first anchor
+                length = a + n + hi
+                if dtype is bool:
+                    operands = {id(P): rng.random((2, length)) < 0.7, id(Q): rng.random((2, length)) < 0.2}
+                else:
+                    operands = {id(P): rng.choice(pool, size=(2, length)), id(Q): rng.choice(pool, size=(2, length))}
+
+                def at(g, first, last):
+                    return operands[id(g)][:, first : last + 1]
+
+                many = semantics._until(node, a, a + n - 1, at)
+                assert many.shape == (2, n) and many.dtype == dtype
+                for j in range(n):
+                    one = semantics._until(node, a + j, a + j, at)
+                    assert one.shape == (2, 1) and one.dtype == dtype
+                    assert (one == many[:, j : j + 1]).all(), (lo, hi, j)
+
 
 class TestSoundness:
     def test_sign_of_margin_decides_satisfaction(self):
