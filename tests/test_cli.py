@@ -1,9 +1,11 @@
 import builtins
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import warnings
@@ -728,3 +730,18 @@ class TestCaseStudy:
             "table.csv": "23ed0ed66bd8d96cbb5a3f001fcd1077348b710df08ff935252a7485952f7d0e",
             "table.json": "90689002809dc54438abacc5b4d571156e4984164af1798319fabc3e8e1b32f8",
         }
+
+
+MODULES_WITH_ALL = ["formula", "parser", "predicates", "risk", "scenario", "semantics", "trace"]
+
+
+@pytest.mark.parametrize("name", [m.name for m in pkgutil.iter_modules(stlrisk.__path__)])
+def test_every_exported_name_resolves(name):
+    """Each name in a module's ``__all__`` exists, so a star import cannot
+    raise on a name left behind by a removal."""
+    module = importlib.import_module(f"stlrisk.{name}")
+    exported = getattr(module, "__all__", None)
+    assert (exported is not None) == (name in MODULES_WITH_ALL)
+    for attr in exported or ():
+        assert hasattr(module, attr), f"stlrisk.{name}.__all__ names missing {attr!r}"
+    exec(f"from stlrisk.{name} import *", {})

@@ -27,7 +27,9 @@ from stlrisk.risk import (
     var_point,
     worst_case,
 )
-from stlrisk.trace import Ensemble, Trace
+from stlrisk.cli import main
+from stlrisk.parser import parse
+from stlrisk.trace import Ensemble, Trace, save_trace_csv
 
 from .helpers import cvar_exact, cvar_scan, var_bounds_scan, var_scan
 
@@ -389,3 +391,65 @@ class TestRobustnessSamplesInvariants:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             RobustnessSamples(np.array([]))
+
+
+# Seven one-step-window members of a 1-D trace: under F[0,1] p with p the
+# halfspace x >= 0, the costs are -max(x0, x1): -0.5, -2, 0.75, -4, 0.25,
+# -0.125, -3.
+PINNED_MEMBERS = [[0.5, -1.25], [2.0, 1.0], [-0.75, -3.0], [1.5, 4.0], [-2.5, -0.25], [0.125, 0.0], [3.0, -1.0]]
+NULLS = {"lower": None, "upper": None, "beta": None, "delta": None, "epsilon": None}
+EPS = 0.3681148874318879  # dkw_epsilon(7, 0.3)
+
+# Each measure's whole payload at beta=0.75, delta=0.3, lambda=0.5, and
+# which fields it leaves null.
+PINNED = [
+    ("var", None, {"measure": "var", "value": 0.25, "lower": -2.0, "upper": "inf",
+                   "beta": 0.75, "delta": 0.3, "n": 7, "epsilon": EPS}),
+    ("cvar", None, {**NULLS, "measure": "cvar", "value": 0.5357142857142856, "beta": 0.75, "n": 7}),
+    ("expected", None, {**NULLS, "measure": "expected", "value": -1.2321428571428572, "n": 7}),
+    ("expected", (-5.0, 5.0), {**NULLS, "measure": "expected", "value": -1.2321428571428572,
+                                "lower": -4.913291731461737, "upper": 2.4490060171760217,
+                                "delta": 0.3, "n": 7, "epsilon": EPS}),
+    ("meanvar", None, {**NULLS, "measure": "meanvar", "value": 0.3731398809523807, "n": 7}),
+    ("worst", None, {**NULLS, "measure": "worst", "value": 0.75, "n": 7}),
+]
+
+# The bytes `risk --out` writes to result.json for each row of PINNED.
+PINNED_RESULT_JSON = [
+    b'{\n  "measure": "var",\n  "value": 0.25,\n  "lower": -2.0,\n  "upper": "inf",\n  "beta": 0.75,\n'
+    b'  "delta": 0.3,\n  "n": 7,\n  "epsilon": 0.3681148874318879\n}\n',
+    b'{\n  "measure": "cvar",\n  "value": 0.5357142857142856,\n  "lower": null,\n  "upper": null,\n'
+    b'  "beta": 0.75,\n  "delta": null,\n  "n": 7,\n  "epsilon": null\n}\n',
+    b'{\n  "measure": "expected",\n  "value": -1.2321428571428572,\n  "lower": null,\n  "upper": null,\n'
+    b'  "beta": null,\n  "delta": null,\n  "n": 7,\n  "epsilon": null\n}\n',
+    b'{\n  "measure": "expected",\n  "value": -1.2321428571428572,\n  "lower": -4.913291731461737,\n'
+    b'  "upper": 2.4490060171760217,\n  "beta": null,\n  "delta": 0.3,\n  "n": 7,\n'
+    b'  "epsilon": 0.3681148874318879\n}\n',
+    b'{\n  "measure": "meanvar",\n  "value": 0.3731398809523807,\n  "lower": null,\n  "upper": null,\n'
+    b'  "beta": null,\n  "delta": null,\n  "n": 7,\n  "epsilon": null\n}\n',
+    b'{\n  "measure": "worst",\n  "value": 0.75,\n  "lower": null,\n  "upper": null,\n  "beta": null,\n'
+    b'  "delta": null,\n  "n": 7,\n  "epsilon": null\n}\n',
+]
+
+
+@pytest.mark.parametrize("row", range(len(PINNED)), ids=[m + ("-bounds" if b else "") for m, b, _ in PINNED])
+class TestMeasureOutputsPinned:
+    def test_payload(self, row):
+        measure, bounds, want = PINNED[row]
+        ensemble = Ensemble(tuple(Trace(np.array(m)[:, None]) for m in PINNED_MEMBERS))
+        params = RiskParams(beta=0.75, delta=0.3, lam=0.5, bounds=bounds)
+        got = risk_of_formula(ensemble, parse("F[0,1] p"), PREDS, 0, params, measure).to_json_dict()
+        assert got == want
+
+    def test_result_json_bytes(self, row, tmp_path, capsys):
+        measure, bounds, _ = PINNED[row]
+        (tmp_path / "p.json").write_text(json.dumps({"p": {"kind": "halfspace", "a": [1.0], "b": 0.0}}))
+        (tmp_path / "ens").mkdir()
+        for i, m in enumerate(PINNED_MEMBERS):
+            save_trace_csv(Trace(np.array(m)[:, None]), tmp_path / "ens" / f"m{i}.csv")
+        argv = ["risk", "--formula", "F[0,1] p", "--predicates", str(tmp_path / "p.json"),
+                "--ensemble", str(tmp_path / "ens"), "--measure", measure, "--beta", "0.75",
+                "--delta", "0.3", "--lambda", "0.5", "--out", str(tmp_path / "out")]
+        assert main(argv + (["--bounds=-5,5"] if bounds else [])) == 0
+        assert (tmp_path / "out" / "result.json").read_bytes() == PINNED_RESULT_JSON[row]
+        assert json.loads(capsys.readouterr().out) == json.loads(PINNED_RESULT_JSON[row])
