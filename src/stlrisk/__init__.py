@@ -41,7 +41,6 @@ from .formula import (
 from .parser import SourceSpan, format_formula, parse
 from .predicates import (
     Complement,
-    CustomPredicate,
     Halfspace,
     NormBall,
     PredicateDef,

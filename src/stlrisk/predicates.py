@@ -11,7 +11,7 @@ is ``margin >= 0``, so boundaries count as satisfying, matching the closed
 states to their margins, and the evaluator calls it once per predicate.
 ``signed_distance`` is its one-state case.
 
-Supported families:
+The families, all of which the JSON table below can build:
 
 * ``Halfspace(a, b)``      -- {x : a.x + b >= 0}, margin (a.x + b)/|a|.
 * ``NormBall(pos, center, radius, norm)`` -- {x : |x[pos] - center| <= radius}
@@ -20,7 +20,6 @@ Supported families:
   as a reference point (the margin is measured in the ``pos`` coordinates
   with the center held fixed).
 * ``Complement(inner)``    -- set complement, flipping the sign.
-* ``CustomPredicate(fn)``  -- an arbitrary margin function, for embedders.
 
 A JSON predicate table maps names to definitions::
 
@@ -37,7 +36,7 @@ import math
 from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -49,7 +48,6 @@ __all__ = [
     "Halfspace",
     "NormBall",
     "Complement",
-    "CustomPredicate",
     "PredicateDef",
     "signed_distance",
     "margins",
@@ -142,12 +140,7 @@ class Complement:
     inner: "PredicateDef"
 
 
-@dataclass(frozen=True)
-class CustomPredicate:
-    fn: Callable[[Sequence[float]], float]
-
-
-PredicateDef = Union[Halfspace, NormBall, Complement, CustomPredicate]
+PredicateDef = Union[Halfspace, NormBall, Complement]
 
 
 def _hypot(x: np.ndarray) -> np.ndarray:
@@ -163,8 +156,7 @@ def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
     as the scalar test oracle: a halfspace's dot product is summed left to
     right from 0 (``sum`` of floats compensates from Python 3.12), and
     Euclidean norms are taken with ``math.hypot`` (``np.hypot`` rounds some
-    pairs differently).  A ``CustomPredicate.fn`` gets each state as a list
-    of floats.
+    pairs differently).
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[-1]
@@ -191,9 +183,6 @@ def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
         return np.where(diffs.max(-1) <= p.radius, (p.radius - diffs).min(-1), outside)
     if isinstance(p, Complement):
         return -margins(p.inner, states)
-    if isinstance(p, CustomPredicate):
-        rows = states.reshape(-1, dim).tolist()
-        return np.array([float(p.fn(row)) for row in rows], dtype=float).reshape(states.shape[:-1])
     raise TypeError(f"not a predicate definition: {p!r}")
 
 

@@ -51,9 +51,6 @@ __all__ = [
     "MEASURES",
 ]
 
-MEASURES = ("var", "cvar", "expected", "meanvar", "worst")
-
-
 @dataclass(frozen=True, eq=False)
 class RobustnessSamples:
     """A vector of N >= 1 finite cost samples, held as a read-only
@@ -259,9 +256,10 @@ def json_number(v: Optional[float]):
 class RiskResult:
     """A risk value with the parameters that produced it.
 
-    ``lower``/``upper`` and ``epsilon`` are populated for the measures that
-    carry bounds ("var" always, "expected" when a support interval enables
-    the Hoeffding interval) and are None otherwise.
+    The fields other than ``measure``, ``value`` and ``n`` are None unless
+    the measure's estimator in ``MEASURES`` fills them: "var" fills all
+    five, "cvar" ``beta``, and "expected" with a support interval
+    ``lower``/``upper``/``delta``/``epsilon`` (the Hoeffding interval).
     """
 
     measure: str
@@ -318,36 +316,31 @@ def risk_of_formula(
 
 @np.errstate(over="ignore", invalid="ignore")  # risk_of_formula refuses what overflows
 def _estimate(z: RobustnessSamples, params: RiskParams, measure: str) -> RiskResult:
-    if measure == "var":
-        triple = var_bounds(z, params.beta, params.delta)
-        return RiskResult(
-            measure="var",
-            value=triple.point,
-            n=z.n,
-            lower=triple.lower,
-            upper=triple.upper,
-            beta=params.beta,
-            delta=params.delta,
-            epsilon=triple.epsilon,
-        )
-    if measure == "cvar":
-        return RiskResult(measure="cvar", value=cvar_point(z, params.beta), n=z.n, beta=params.beta)
-    if measure == "expected":
-        value = expected(z)
-        if params.bounds is not None:
-            lo, hi = expected_hoeffding(z, params.delta, params.bounds)
-            return RiskResult(
-                measure="expected",
-                value=value,
-                n=z.n,
-                lower=lo,
-                upper=hi,
-                delta=params.delta,
-                epsilon=dkw_epsilon(z.n, params.delta),
-            )
-        return RiskResult(measure="expected", value=value, n=z.n)
-    if measure == "meanvar":
-        return RiskResult(measure="meanvar", value=mean_variance(z, params.lam), n=z.n)
-    if measure == "worst":
-        return RiskResult(measure="worst", value=worst_case(z), n=z.n)
-    raise ParamError(f"unknown measure {measure!r}; expected one of {', '.join(MEASURES)}")
+    if measure not in MEASURES:
+        raise ParamError(f"unknown measure {measure!r}; expected one of {', '.join(MEASURES)}")
+    return RiskResult(measure=measure, n=z.n, **MEASURES[measure](z, params))
+
+
+def _var(z: RobustnessSamples, params: RiskParams) -> dict:
+    triple = var_bounds(z, params.beta, params.delta)
+    return dict(value=triple.point, lower=triple.lower, upper=triple.upper,
+                beta=params.beta, delta=params.delta, epsilon=triple.epsilon)
+
+
+def _expected(z: RobustnessSamples, params: RiskParams) -> dict:
+    if params.bounds is None:
+        return dict(value=expected(z))
+    lower, upper = expected_hoeffding(z, params.delta, params.bounds)
+    return dict(value=expected(z), lower=lower, upper=upper,
+                delta=params.delta, epsilon=dkw_epsilon(z.n, params.delta))
+
+
+# Each measure's estimator: (samples, params) -> the RiskResult fields it
+# fills, ``value`` and whichever of lower/upper/beta/delta/epsilon apply.
+MEASURES = {
+    "var": _var,
+    "cvar": lambda z, params: dict(value=cvar_point(z, params.beta), beta=params.beta),
+    "expected": _expected,
+    "meanvar": lambda z, params: dict(value=mean_variance(z, params.lam)),
+    "worst": lambda z, params: dict(value=worst_case(z)),
+}

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -213,7 +214,7 @@ def _standard_normals(seed: int, trajectory_index: int, count: int) -> np.ndarra
     key = np.array([seed, trajectory_index], dtype=np.uint64)
     raw = np.random.Philox(key=key).random_raw(count)
     uniforms = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return np.array([_normal_dist_inv_cdf(u, 0.0, 1.0) for u in uniforms.tolist()], dtype=float)
+    return np.fromiter(map(_normal_dist_inv_cdf, uniforms.tolist(), repeat(0.0), repeat(1.0)), float, count)
 
 
 def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:
@@ -226,9 +227,7 @@ def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:
     z = _standard_normals(config.seed, trajectory_index, 4 * config.n).reshape(config.n, 4)
     c = np.array(config.region_c.mean) + math.sqrt(config.region_c.variance) * z[:, 0:2]
     d = np.array(config.region_d.mean) + math.sqrt(config.region_d.variance) * z[:, 2:4]
-    states = _states(waypoints, c, d)
-    metadata = {"seed": config.seed, "trajectory": trajectory_index, "n": config.n}
-    return Ensemble.from_states(states, metadata)
+    return Ensemble.from_states(_states(waypoints, c, d))
 
 
 @dataclass(frozen=True)
@@ -244,12 +243,6 @@ class CaseStudyRow:
 class CaseStudyResult:
     config: CaseStudyConfig
     rows: Tuple[CaseStudyRow, ...]
-
-    def upper(self, trajectory: int, beta: float) -> float:
-        for row in self.rows:
-            if row.trajectory == trajectory and row.beta == beta:
-                return row.var_upper
-        raise KeyError((trajectory, beta))
 
     def to_csv(self) -> str:
         lines = ["trajectory,beta,var_lower,var_point,var_upper"]

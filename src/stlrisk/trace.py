@@ -3,11 +3,12 @@
 Trace CSV wire format: header ``t,x1,...,xn``, one row per step with
 consecutive integer times starting at 0, UTF-8, LF or CRLF line endings.
 An ensemble is either a directory of such CSVs (members ordered by file
-name) or a JSON manifest ``{"traces": [paths...], "seed": ...}`` with paths
-resolved relative to the manifest.  In memory it is one read-only (N, T, d)
-array, and a single trace is loaded as a one-member ensemble.  Every array
-a trace, an ensemble or a sample vector holds is a copy that one validator,
-``frozen_array``, made and checked: none is an uncopied view.  Members of
+name) or a JSON manifest ``{"traces": [paths...]}`` with paths resolved
+relative to the manifest; its other keys, such as ``"seed"``, are not read.
+In memory it is one read-only (N, T, d) array, and a single trace is loaded
+as a one-member ensemble.  Every array a trace, an ensemble or a sample
+vector holds is a copy that one validator, ``frozen_array``, made and
+checked: none is an uncopied view.  Members of
 the plain layout ``save_trace_csv`` writes are checked and converted as one
 batch: one decode of their joined bytes, whole-list layout checks over all
 members, and, when cell texts repeat, one ``float`` call per distinct text.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import cycle, repeat
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -81,16 +82,6 @@ class Trace:
     def dim(self) -> int:
         return self.states.shape[1]
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return self.states.shape == other.states.shape and bool(
-            np.array_equal(self.states, other.states)
-        )
-
-    def __len__(self) -> int:
-        return self.length
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
@@ -105,9 +96,8 @@ class Ensemble:
     """
 
     states: np.ndarray
-    metadata: Optional[Mapping] = None
 
-    def __init__(self, traces: Sequence[Trace], metadata: Optional[Mapping] = None):
+    def __init__(self, traces: Sequence[Trace]):
         traces = tuple(traces)
         if not traces:
             raise EmptyError("an ensemble needs at least one trace")
@@ -119,17 +109,15 @@ class Ensemble:
                     f"expected dim={dim}, length={length}"
                 )
         object.__setattr__(self, "states", frozen_array([tr.states for tr in traces], 3, "ensemble states"))
-        object.__setattr__(self, "metadata", metadata)
 
     @classmethod
-    def from_states(cls, states, metadata: Optional[Mapping] = None) -> "Ensemble":
+    def from_states(cls, states) -> "Ensemble":
         """An ensemble over a ``frozen_array`` copy of an (N, T, d) array;
         an EmptyError if N = 0."""
         if np.ndim(states) == 3 and len(states) == 0:
             raise EmptyError("an ensemble needs at least one trace")
         ensemble = cls.__new__(cls)
         object.__setattr__(ensemble, "states", frozen_array(states, 3, "ensemble states"))
-        object.__setattr__(ensemble, "metadata", metadata)
         return ensemble
 
     @cached_property
@@ -149,12 +137,6 @@ class Ensemble:
     @property
     def length(self) -> int:
         return self.states.shape[1]
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.traces)
 
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
@@ -316,7 +298,7 @@ def read_json(path, error: type, what: str) -> tuple:
         raise error(f"{path}: {what}: {exc}") from None
 
 
-def _load_members(files: list, metadata: Optional[dict]) -> tuple:
+def _load_members(files: list) -> tuple:
     """The ensemble of the member CSVs ``files``, each read once, and the
     bytes read, by path text."""
     contents = []
@@ -327,7 +309,7 @@ def _load_members(files: list, metadata: Optional[dict]) -> tuple:
             break  # raised again below, after the members before it are checked
     states = _batch_states(contents) if len(contents) == len(files) else None
     if states is not None:
-        ensemble = Ensemble.from_states(states, metadata)
+        ensemble = Ensemble.from_states(states)
     else:
         # Member by member, as files are read: the first bad member raises
         # its own error, before a later member or the mismatch check does.
@@ -336,13 +318,13 @@ def _load_members(files: list, metadata: Optional[dict]) -> tuple:
             if i == len(contents):
                 contents.append(_read(p))
             traces.append(_parse_trace(p, contents[i]))
-        ensemble = Ensemble(traces, metadata)
+        ensemble = Ensemble(traces)
     return ensemble, dict(zip(map(str, files), contents))
 
 
 def load_trace_csv(path) -> Trace:
     """Read one trace from CSV, as the one member of an ensemble is read."""
-    return _load_members([Path(path)], None)[0].traces[0]
+    return _load_members([Path(path)])[0].traces[0]
 
 
 def save_trace_csv(trace: Trace, path) -> None:
@@ -360,7 +342,6 @@ def read_ensemble(path) -> tuple:
     the bytes of every file it was built from, keyed by the file's path as
     text: the manifest, if any, and each member, each read once."""
     path = Path(path)
-    metadata: dict = {"source": str(path)}
     sources = {}
     if path.is_dir():
         # The entries whose Path.suffix is ".csv", by name, each as the text
@@ -381,9 +362,7 @@ def read_ensemble(path) -> tuple:
         if not listed:
             raise EmptyError(f"{path}: manifest lists no traces")
         files = [path.parent / p for p in listed]
-        if "seed" in manifest:
-            metadata["seed"] = manifest["seed"]
-    ensemble, members = _load_members(files, metadata)
+    ensemble, members = _load_members(files)
     sources.update(members)
     return ensemble, sources
 

@@ -40,7 +40,7 @@ from stlrisk.formula import (
     UntilPast,
     horizon,
 )
-from stlrisk.predicates import L2, Complement, CustomPredicate, Halfspace, NormBall, StateSlice
+from stlrisk.predicates import L2, Complement, Halfspace, NormBall, StateSlice
 from stlrisk.trace import Trace
 
 INF = math.inf
@@ -86,8 +86,6 @@ def signed_distance_oracle(p, state) -> float:
         return -math.hypot(*(max(d - p.radius, 0.0) for d in diffs))
     if isinstance(p, Complement):
         return -signed_distance_oracle(p.inner, state)
-    if isinstance(p, CustomPredicate):
-        return float(p.fn(state))
     raise TypeError(f"not a predicate definition: {p!r}")
 
 
@@ -402,11 +400,10 @@ def load_trace_csv_oracle(path) -> np.ndarray:
     return states
 
 
-def load_ensemble_oracle(path) -> tuple:
-    """(states (N, T, d), metadata) of an ensemble directory or manifest,
-    each member read on its own, in order, before the shapes are compared."""
+def load_ensemble_oracle(path) -> np.ndarray:
+    """The (N, T, d) states of an ensemble directory or manifest, each
+    member read on its own, in order, before the shapes are compared."""
     path = Path(path)
-    metadata: dict = {"source": str(path)}
     if path.is_dir():
         files = sorted((p for p in path.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
         if not files:
@@ -427,8 +424,6 @@ def load_ensemble_oracle(path) -> tuple:
         if not listed:
             raise EmptyError(f"{path}: manifest lists no traces")
         files = [path.parent / p for p in listed]
-        if "seed" in manifest:
-            metadata["seed"] = manifest["seed"]
     members = [load_trace_csv_oracle(p) for p in files]
     length, dim = members[0].shape
     for i, m in enumerate(members):
@@ -437,7 +432,7 @@ def load_ensemble_oracle(path) -> tuple:
                 f"trace {i} has dim={m.shape[1]}, length={m.shape[0]}; "
                 f"expected dim={dim}, length={length}"
             )
-    return np.stack(members), metadata
+    return np.stack(members)
 
 
 # ---------------------------------------------------------------------------

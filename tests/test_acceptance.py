@@ -250,7 +250,7 @@ def test_criterion_8_case_study_pattern():
     result = run_case_study(config)
     betas = config.betas
     assert len(result.rows) == 24  # 6 trajectories x 4 levels
-    upp = {(j, b): result.upper(j, b) for j in range(1, 7) for b in betas}
+    upp = {(row.trajectory, row.beta): row.var_upper for row in result.rows}
     positive_rows = all(upp[(j, b)] > 0 for j in (1, 2) for b in betas)
     negative_rows = all(upp[(j, b)] < 0 for j in (3, 4, 5, 6) for b in betas)
     top_ordering = all(upp[(1, b)] > upp[(2, b)] > upp[(3, b)] for b in betas)

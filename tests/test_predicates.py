@@ -7,7 +7,6 @@ import pytest
 from stlrisk.errors import DimensionError, FormatError
 from stlrisk.predicates import (
     Complement,
-    CustomPredicate,
     Halfspace,
     NormBall,
     StateSlice,
@@ -152,15 +151,11 @@ class TestNormBall:
             signed_distance(p, [1.0, 2.0])
 
 
-class TestComplementAndCustom:
+class TestComplement:
     def test_complement_flips_sign(self):
         inner = NormBall((0,), (0.0,), 1.0, "l2")
         outer = Complement(inner)
         assert signed_distance(outer, [0.2]) == -signed_distance(inner, [0.2])
-
-    def test_custom_callable(self):
-        p = CustomPredicate(lambda s: s[0] - 1.0)
-        assert signed_distance(p, [3.0]) == 2.0
 
 
 def assert_margins_bit_equal(p, states):
@@ -234,19 +229,11 @@ class TestArrayMargins:
         outside = NormBall((0, 1), (-1.0, -1.0), 1.0, "linf")
         assert_margins_bit_equal(outside, states + np.array([1.0, 1.0, 0.0, 0.0]))
 
-    def test_complement_and_custom(self):
+    def test_complements(self):
         rng = np.random.default_rng(16)
         states = rng.normal(size=(3, 4, 3))
         assert_margins_bit_equal(Complement(NormBall((0, 2), StateSlice((1, 1)), 0.8, "linf")), states)
         assert_margins_bit_equal(Complement(Halfspace((1.0, -2.0, 0.5), 0.1)), states)
-        seen = []
-
-        def fn(row):
-            seen.append(row)
-            return row[0] * row[2] - 1.0
-
-        assert_margins_bit_equal(CustomPredicate(fn), states)
-        assert all(type(row) is list for row in seen)
 
     def test_short_state_raises_the_scalar_message(self):
         states = np.zeros((2, 3, 2))
@@ -263,14 +250,6 @@ class TestArrayMargins:
             with pytest.raises(DimensionError) as one:
                 signed_distance(p, [0.0, 0.0])
             assert str(array.value) == str(one.value) == str(scalar.value)
-
-    def test_custom_gets_one_state_as_a_list_of_floats(self):
-        seen = []
-        p = CustomPredicate(lambda row: seen.append(row) or row[1])
-        assert signed_distance(p, (1, 2.5)) == 2.5
-        assert signed_distance(p, np.array([0.0, -1.0])) == -1.0
-        assert seen == [[1.0, 2.5], [0.0, -1.0]]
-        assert all(type(row) is list and all(type(v) is float for v in row) for row in seen)
 
 
 class TestPredicateTable:

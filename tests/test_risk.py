@@ -358,7 +358,7 @@ class TestRiskOfFormula:
 
     def test_unknown_measure(self):
         e = Ensemble((Trace(np.array([[1.0]])),))
-        with pytest.raises(ParamError):
+        with pytest.raises(ParamError, match="^unknown measure 'median'; expected one of var, cvar, expected, meanvar, worst$"):
             risk_of_formula(e, Predicate("p"), PREDS, 0, RiskParams(), "median")
 
     def test_json_serialization_tokens(self):

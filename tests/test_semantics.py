@@ -19,7 +19,7 @@ from stlrisk.formula import (
     UntilPast,
     horizon,
 )
-from stlrisk.predicates import Complement, CustomPredicate, Halfspace, NormBall, StateSlice
+from stlrisk.predicates import Complement, Halfspace, NormBall, StateSlice
 from stlrisk.semantics import _window, eval_boolean, eval_robust, eval_robust_ensemble
 from stlrisk.trace import Ensemble, Trace
 
@@ -242,13 +242,12 @@ class TestOracleEquivalence:
 
 
 class TestEngineCoverage:
-    def test_slice_centers_complements_and_custom_predicates_match_oracles(self):
+    def test_slice_centers_and_complements_match_oracles(self):
         table = {
             "near": NormBall((0, 1), StateSlice((2, 3)), 1.5, "l2"),
             "box": NormBall((0, 1), StateSlice((3, 2)), 1.0, "linf"),
             "away": Complement(NormBall((1,), StateSlice((3,)), 0.7, "linf")),
             "below": Complement(Halfspace((1.0, -1.0, 0.0, 0.5), 0.2)),
-            "custom": CustomPredicate(lambda s: s[0] * s[1] - s[3]),
         }
         rng = np.random.default_rng(30)
         for _ in range(300):

@@ -92,7 +92,7 @@ class TestRoundTrip:
         path = tmp_path / "rt.csv"
         save_trace_csv(tr, path)
         again = load_trace_csv(path)
-        assert again == tr
+        assert again.states.shape == tr.states.shape and again.states.tobytes() == tr.states.tobytes()
         save_trace_csv(again, tmp_path / "rt2.csv")
         assert (tmp_path / "rt2.csv").read_bytes() == path.read_bytes()
 
@@ -102,7 +102,7 @@ class TestRoundTrip:
             tr = Trace(rng.normal(scale=10.0 ** rng.integers(-6, 7), size=(4, 2)))
             path = tmp_path / f"r{i}.csv"
             save_trace_csv(tr, path)
-            assert load_trace_csv(path) == tr
+            assert load_trace_csv(path).states.tobytes() == tr.states.tobytes()
 
 
 class TestTraceInvariants:
@@ -175,7 +175,7 @@ class TestLoadEnsemble:
         write(tmp_path, "b.csv", "t,x1\n0,2\n")
         write(tmp_path, "a.csv", "t,x1\n0,1\n")
         e = load_ensemble(tmp_path)
-        assert [tr.states[0, 0] for tr in e] == [1.0, 2.0]
+        assert e.states[:, 0, 0].tolist() == [1.0, 2.0]
 
     def test_length_mismatch(self, tmp_path):
         with pytest.raises(MismatchError):
@@ -192,7 +192,6 @@ class TestLoadEnsemble:
         )
         e = load_ensemble(manifest)
         assert e.n == 2
-        assert e.metadata["seed"] == 99
         # manifest order wins over name order
         assert e.traces[0].states[0, 0] == 1.0
 
@@ -211,17 +210,15 @@ class TestEnsembleLayout:
         e = Ensemble(traces)
         assert e.states.shape == (2, 2, 2) and (e.n, e.length, e.dim) == (2, 2, 2)
         assert np.array_equal(e.states, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
-        assert e.traces == traces
-        assert list(e) == list(traces)
+        assert [tr.states.tobytes() for tr in e.traces] == [tr.states.tobytes() for tr in traces]
         with pytest.raises(ValueError):
             e.states[0, 0, 0] = 9.0
 
     def test_from_states_copies_and_validates(self):
         source = np.arange(12.0).reshape(3, 2, 2)
-        e = Ensemble.from_states(source, {"seed": 1})
+        e = Ensemble.from_states(source)
         source[0, 0, 0] = 99.0
         assert e.states[0, 0, 0] == 0.0 and not e.states.flags.writeable
-        assert e.metadata == {"seed": 1}
         assert [tr.states.tolist() for tr in e.traces] == np.arange(12.0).reshape(3, 2, 2).tolist()
         with pytest.raises(ValueError):
             Ensemble.from_states(np.ones((2, 2)))
@@ -309,18 +306,17 @@ def write_members(directory, members):
 
 
 def outcome(load, path):
-    """What loading gives: the states' shape and bits and the metadata, or
-    the exception's type and message."""
+    """What loading gives: the states' shape and bits, or the exception's
+    type and message."""
     try:
-        states, metadata = load(path)
+        states = load(path)
     except Exception as exc:
         return type(exc), str(exc)
-    return states.shape, states.tobytes(), metadata
+    return states.shape, states.tobytes()
 
 
 def loaded(path):
-    e = load_ensemble(path)
-    return e.states, e.metadata
+    return load_ensemble(path).states
 
 
 class TestIngestMatchesOracle:
@@ -339,8 +335,7 @@ class TestIngestMatchesOracle:
     def test_single_trace(self, tmp_path, name):
         d = write_members(tmp_path / "ens", INGEST_CASES[name])
         for p in sorted(d.iterdir()):
-            got = outcome(lambda path: (load_trace_csv(path).states, None), p)
-            assert got == outcome(lambda path: (load_trace_csv_oracle(path), None), p)
+            assert outcome(lambda path: load_trace_csv(path).states, p) == outcome(load_trace_csv_oracle, p)
 
     def test_expected_outcomes(self, tmp_path):
         d = write_members(tmp_path / "ens", INGEST_CASES["length_mismatch_then_bad_member"])
@@ -436,15 +431,14 @@ class TestReadEnsemble:
         d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
         e, sources = read_ensemble(d)
         assert sources == {str(p): p.read_bytes() for p in sorted(d.iterdir())}
-        assert e.metadata == {"source": str(d)}
+        assert e.n == 2
 
     def test_member_paths_are_path_slash_name(self, tmp_path, monkeypatch):
         d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
         monkeypatch.chdir(d)
         for path in (".", "./", d, f"{d}//", tmp_path / "ens" / ".." / "ens"):
-            e, sources = read_ensemble(path)
+            sources = read_ensemble(path)[1]
             assert list(sources) == [str(Path(path) / f"m0{i}.csv") for i in range(2)]
-            assert e.metadata == {"source": str(Path(path))}
 
     def test_manifest_sources_include_the_listing(self, tmp_path):
         d = write_members(tmp_path / "ens", INGEST_CASES["quoted_cells"])
