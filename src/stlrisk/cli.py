@@ -7,12 +7,13 @@ table).  Machine-readable output goes to stdout, diagnostics to stderr.
 
 Exit codes, from one table (``_EXIT_CODES``) that ``main`` applies to any
 error: 0 success, 2 formula syntax or interval error, 3 insufficient trace
-horizon, 4 bad risk parameter, non-finite robustness or non-finite
-estimate, 5 bad case-study config, 1 anything else, including internal
-errors.  Each failure is one line on stderr; an input file (JSON or CSV)
-that is not UTF-8 is named with the offset of its first bad byte.  The
-``manifest.json`` of ``risk --out`` and ``casestudy`` digests the input
-bytes that were parsed and the output bytes that were written.
+horizon, 4 bad risk parameter (including costs outside ``--bounds``),
+non-finite robustness or non-finite estimate, 5 bad case-study config, 1
+anything else, including internal errors.  Each failure is one line on
+stderr; an input file (JSON or CSV) that is not UTF-8 is named with the
+offset of its first bad byte.  The ``manifest.json`` of ``risk --out`` and
+``casestudy`` digests the input bytes that were parsed and the output bytes
+that were written.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from pathlib import Path
 
 from . import __version__
 from .errors import (
+    BoundsError,
     ConfigError,
     FormulaSyntaxError,
     InfiniteRobustnessError,
@@ -56,7 +58,7 @@ EXIT_CONFIG = 5
 _EXIT_CODES = (
     ((FormulaSyntaxError, IntervalError), EXIT_PARSE),
     (InsufficientHorizonError, EXIT_HORIZON),
-    ((ParamError, InfiniteRobustnessError), EXIT_RISK_PARAM),
+    ((ParamError, BoundsError, InfiniteRobustnessError), EXIT_RISK_PARAM),
     (ConfigError, EXIT_CONFIG),
     (Exception, EXIT_OTHER),
 )

@@ -1,17 +1,21 @@
 """Formula syntax trees for discrete-time signal temporal logic.
 
-The core connectives are truth, named predicates, negation, conjunction and
-the two until operators (future and past), each until carrying an integer
-time window.  Disjunction, eventually and always (future and past variants)
-are provided as first-class nodes.  Formula values are immutable and safe to
-share across threads.
+Nodes are truth, named predicates, negation, conjunction, disjunction and
+six temporal operators on two frozen dataclass bases: ``Until(left, right,
+interval)`` for U and S, the future and past until, and ``Window(child,
+interval)`` for F and G, eventually and always ahead, and O and H behind.
+Each operator class adds only class attributes: its letter ``symbol``,
+``past``, and for a window ``eventually`` (the best value in the window,
+else the worst).  ``OPERATORS`` maps each letter to its class, and parsing,
+printing, ``reach`` and evaluation read these attributes.  Formula values
+are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 from .errors import IntervalError
 
@@ -23,12 +27,15 @@ __all__ = [
     "Not",
     "And",
     "Or",
+    "Until",
+    "Window",
     "UntilFuture",
     "UntilPast",
     "EventuallyFuture",
     "AlwaysFuture",
     "EventuallyPast",
     "AlwaysPast",
+    "OPERATORS",
     "Formula",
     "Horizon",
     "horizon",
@@ -102,56 +109,60 @@ class Or:
 
 
 @dataclass(frozen=True)
-class UntilFuture:
+class Until:
+    """Base of U and S: a subclass sets its letter ``symbol`` and ``past``."""
+
     left: "Formula"
     right: "Formula"
     interval: TimeInterval
+    symbol: ClassVar[str]
+    past: ClassVar[bool]
 
 
 @dataclass(frozen=True)
-class UntilPast:
-    left: "Formula"
-    right: "Formula"
-    interval: TimeInterval
+class Window:
+    """Base of F, G, O and H: a subclass sets ``symbol``, ``past`` and
+    ``eventually``, true for F and O, which take the best value in the
+    window; G and H take the worst."""
 
-
-@dataclass(frozen=True)
-class EventuallyFuture:
     child: "Formula"
     interval: TimeInterval
+    symbol: ClassVar[str]
+    past: ClassVar[bool]
+    eventually: ClassVar[bool]
 
 
-@dataclass(frozen=True)
-class AlwaysFuture:
-    child: "Formula"
-    interval: TimeInterval
+class UntilFuture(Until):
+    symbol, past = "U", False
 
 
-@dataclass(frozen=True)
-class EventuallyPast:
-    child: "Formula"
-    interval: TimeInterval
+class UntilPast(Until):
+    symbol, past = "S", True
 
 
-@dataclass(frozen=True)
-class AlwaysPast:
-    child: "Formula"
-    interval: TimeInterval
+class EventuallyFuture(Window):
+    symbol, past, eventually = "F", False, True
 
 
-Formula = Union[
-    TrueFormula,
-    Predicate,
-    Not,
-    And,
-    Or,
-    UntilFuture,
-    UntilPast,
-    EventuallyFuture,
-    AlwaysFuture,
-    EventuallyPast,
-    AlwaysPast,
-]
+class AlwaysFuture(Window):
+    symbol, past, eventually = "G", False, False
+
+
+class EventuallyPast(Window):
+    symbol, past, eventually = "O", True, True
+
+
+class AlwaysPast(Window):
+    symbol, past, eventually = "H", True, False
+
+
+# Each temporal operator by its letter in the formula language.
+OPERATORS = {
+    op.symbol: op for op in (UntilFuture, UntilPast, EventuallyFuture, AlwaysFuture, EventuallyPast, AlwaysPast)
+}
+
+
+Formula = Union[TrueFormula, Predicate, Not, And, Or, Until, Window]
 
 TRUE = TrueFormula()
 
@@ -182,15 +193,17 @@ def reach(f: Formula) -> tuple:
             return ((child, 0, 0),)
         case And(left, right) | Or(left, right):
             return ((left, 0, 0), (right, 0, 0))
-        case EventuallyFuture(child, iv) | AlwaysFuture(child, iv):
-            return ((child, iv.lo, iv.hi),)
-        case EventuallyPast(child, iv) | AlwaysPast(child, iv):
-            return ((child, -iv.hi, -iv.lo),)
-        case UntilFuture(left, right, iv):
-            return ((left, 1, iv.hi - 1), (right, iv.lo, iv.hi))
-        case UntilPast(left, right, iv):
-            return ((left, 1 - iv.hi, -1), (right, -iv.hi, -iv.lo))
+        case Window(child, iv):
+            return (_steps(f, child, iv.lo, iv.hi),)
+        case Until(left, right, iv):
+            return (_steps(f, left, 1, iv.hi - 1), _steps(f, right, iv.lo, iv.hi))
     raise TypeError(f"not a formula node: {f!r}")
+
+
+def _steps(f: Formula, g: Formula, lo, hi) -> tuple:
+    """(g, first, last) for the steps lo..hi away from the anchor in the
+    direction of f: offsets ascending, so mirrored for a past operator."""
+    return (g, -hi, -lo) if f.past else (g, lo, hi)
 
 
 def postorder(f: Formula) -> list:

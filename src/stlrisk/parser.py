@@ -32,22 +32,7 @@ import re
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, IntervalError
-from .formula import (
-    TRUE,
-    AlwaysFuture,
-    AlwaysPast,
-    And,
-    EventuallyFuture,
-    EventuallyPast,
-    Formula,
-    Not,
-    Or,
-    Predicate,
-    TimeInterval,
-    TrueFormula,
-    UntilFuture,
-    UntilPast,
-)
+from .formula import OPERATORS, TRUE, And, Formula, Not, Or, Predicate, TimeInterval, TrueFormula, Until, Window
 
 __all__ = ["SourceSpan", "parse", "format_formula"]
 
@@ -62,7 +47,7 @@ class SourceSpan:
     end: int
 
 
-_RESERVED = {"true", "U", "S", "G", "F", "H", "O"}
+_RESERVED = {"true", *OPERATORS}
 
 _TOKEN_RE = re.compile(
     r"""
@@ -166,38 +151,35 @@ class _Parser:
             f = And(f, self.until())
         return f
 
+    def operator(self, base: type):
+        """The class whose letter is the next token, if it derives from base
+        (``Until`` or ``Window``), else None."""
+        tok = self.peek()
+        op = OPERATORS.get(tok.text) if tok.kind == "kw" else None
+        return op if op is not None and issubclass(op, base) else None
+
     def until(self) -> Formula:
         left = self.unary()
-        tok = self.peek()
-        if tok.kind == "kw" and tok.text in ("U", "S"):
-            self.take()
-            interval = self.interval()
-            right = self.unary()
-            nxt = self.peek()
-            if nxt.kind == "kw" and nxt.text in ("U", "S"):
-                raise FormulaSyntaxError(
-                    "until is non-associative; parenthesize the chain", nxt.span
-                )
-            node = UntilFuture if tok.text == "U" else UntilPast
-            return node(left, right, interval)
-        return left
+        op = self.operator(Until)
+        if op is None:
+            return left
+        self.take()
+        interval = self.interval()
+        right = self.unary()
+        if self.operator(Until) is not None:
+            raise FormulaSyntaxError("until is non-associative; parenthesize the chain", self.peek().span)
+        return op(left, right, interval)
 
     def unary(self) -> Formula:
         tok = self.peek()
         if tok.kind == "!":
             self.take()
             return Not(self.nest(tok, self.unary))
-        if tok.kind == "kw" and tok.text in ("G", "F", "H", "O"):
+        op = self.operator(Window)
+        if op is not None:
             self.take()
             interval = self.interval()
-            child = self.nest(tok, self.unary)
-            node = {
-                "G": AlwaysFuture,
-                "F": EventuallyFuture,
-                "H": AlwaysPast,
-                "O": EventuallyPast,
-            }[tok.text]
-            return node(child, interval)
+            return op(self.nest(tok, self.unary), interval)
         return self.atom()
 
     def atom(self) -> Formula:
@@ -258,15 +240,12 @@ def _level(f: Formula) -> int:
             return _LVL_OR
         case And():
             return _LVL_AND
-        case UntilFuture() | UntilPast():
+        case Until():
             return _LVL_UNTIL
-        case Not() | EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
+        case Not() | Window():
             return _LVL_UNARY
         case _:
             return _LVL_ATOM
-
-
-_UNARY_OPS = {EventuallyFuture: "F", AlwaysFuture: "G", EventuallyPast: "O", AlwaysPast: "H"}
 
 
 def format_formula(f: Formula) -> str:
@@ -299,15 +278,13 @@ def format_formula(f: Formula) -> str:
                 stack += [(right, _LVL_UNTIL), " & ", (left, _LVL_AND)]
             case Or(left, right):
                 stack += [(right, _LVL_AND), " | ", (left, _LVL_OR)]
-            case UntilFuture(left, right, interval):
-                stack += [(right, _LVL_UNARY), f" U{interval} ", (left, _LVL_UNARY)]
-            case UntilPast(left, right, interval):
-                stack += [(right, _LVL_UNARY), f" S{interval} ", (left, _LVL_UNARY)]
-            case EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
+            case Until(left, right, interval):
+                stack += [(right, _LVL_UNARY), f" {node.symbol}{interval} ", (left, _LVL_UNARY)]
+            case Window(child, interval):
                 # No space before an operand that gets parentheses.
-                sep = "" if _level(node.child) < _LVL_UNARY else " "
-                out.append(f"{_UNARY_OPS[type(node)]}{node.interval}{sep}")
-                stack.append((node.child, _LVL_UNARY))
+                sep = "" if _level(child) < _LVL_UNARY else " "
+                out.append(f"{node.symbol}{interval}{sep}")
+                stack.append((child, _LVL_UNARY))
             case _:
                 raise TypeError(f"not a formula node: {node!r}")
     return "".join(out)

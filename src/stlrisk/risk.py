@@ -209,14 +209,21 @@ def expected_hoeffding(
     Half-width (b - a) * sqrt(ln(2/delta) / (2 N)), that is (b - a) times
     ``dkw_epsilon``, valid at level 1 - delta by Hoeffding's inequality.
     """
+    interval = _hoeffding(z, delta, bounds)
+    return (interval["lower"], interval["upper"])
+
+
+def _hoeffding(z: RobustnessSamples, delta: float, bounds: Tuple[float, float]) -> dict:
+    """``expected_hoeffding`` as ``RiskResult`` fields, with the mean and
+    the epsilon that the interval is built from."""
     a, b = bounds
     _check_bounds(a, b)
-    _check_level(delta, "delta")
+    eps = dkw_epsilon(z.n, delta)
     if bool((z.values < a).any() or (z.values > b).any()):
         raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")
-    half = (b - a) * dkw_epsilon(z.n, delta)
+    half = (b - a) * eps
     mean = expected(z)
-    return (mean - half, mean + half)
+    return dict(value=mean, lower=mean - half, upper=mean + half, delta=delta, epsilon=eps)
 
 
 def mean_variance(z: RobustnessSamples, lam: float) -> float:
@@ -330,9 +337,7 @@ def _var(z: RobustnessSamples, params: RiskParams) -> dict:
 def _expected(z: RobustnessSamples, params: RiskParams) -> dict:
     if params.bounds is None:
         return dict(value=expected(z))
-    lower, upper = expected_hoeffding(z, params.delta, params.bounds)
-    return dict(value=expected(z), lower=lower, upper=upper,
-                delta=params.delta, epsilon=dkw_epsilon(z.n, params.delta))
+    return _hoeffding(z, params.delta, params.bounds)
 
 
 # Each measure's estimator: (samples, params) -> the RiskResult fields it

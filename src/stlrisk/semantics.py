@@ -28,10 +28,13 @@ recursion, takes the anchors at which each node is read from
 ``formula.spans`` (which also decide admissibility, so a subtree read at no
 anchor is neither charged nor computed), and computes each node bottom-up
 as an (N, times) array: the array kernels ``predicates.margins`` for the
-leaves, minimum and maximum for the connectives, window minima and maxima
-for always and eventually (``_window``), and for until window maxima over
-running minima of the left operand (see ``_until``).  A node read at one
-anchor, as every root is, reduces its window in one pass: O(N x width).
+leaves, minimum and maximum for the connectives, for a ``formula.Window``
+(F, G, O, H) the window maximum if it is an ``eventually`` and else the
+window minimum (``_window``), and for a ``formula.Until`` (U, S) window
+maxima over running minima of the left operand (see ``_until``).  A past
+operator reads the mirror image of its future twin's window
+(``formula.reach``).  A node read at one anchor, as every root is, reduces
+its window in one pass: O(N x width).
 A node read at several anchors takes its windows from a doubling table
 (Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013):
 O(N x (anchors + width) x log width), log squared for the until.  The two
@@ -50,23 +53,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InsufficientHorizonError, UnknownPredicateError
-from .formula import (
-    AlwaysFuture,
-    AlwaysPast,
-    And,
-    EventuallyFuture,
-    EventuallyPast,
-    Formula,
-    Not,
-    Or,
-    Predicate,
-    TrueFormula,
-    UntilFuture,
-    UntilPast,
-    postorder,
-    reach,
-    spans,
-)
+from .formula import And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, postorder, reach, spans
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
 
@@ -132,7 +119,7 @@ def _until(node, a: int, b: int, at) -> np.ndarray:
     """
     lo, hi = node.interval.lo, node.interval.hi
     n = b - a + 1
-    step = 1 if isinstance(node, UntilFuture) else -1
+    step = -1 if node.past else 1
     # right[:, i + k - lo] and left[:, i + j - 1] sit k and j steps from anchor i.
     (left, llo, lhi), (right, rlo, rhi) = reach(node)
     right = at(right, a + rlo, b + rhi)[:, ::step]
@@ -189,11 +176,11 @@ def _evaluate(
                 value = np.minimum(at(left, a, b), at(right, a, b))
             case Or(left, right):
                 value = np.maximum(at(left, a, b), at(right, a, b))
-            case EventuallyFuture() | AlwaysFuture() | EventuallyPast() | AlwaysPast():
+            case Window():
                 [(child, lo, hi)] = reach(node)
-                pick = np.maximum if isinstance(node, (EventuallyFuture, EventuallyPast)) else np.minimum
+                pick = np.maximum if node.eventually else np.minimum
                 value = _window(at(child, a + lo, b + hi), hi - lo + 1, b - a + 1, pick)
-            case UntilFuture() | UntilPast():
+            case Until():
                 value = _until(node, a, b, at)
         values[id(node)] = value
     return values[id(f)][:, 0]

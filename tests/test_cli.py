@@ -401,6 +401,17 @@ class TestRisk:
         )
         assert code == 4
 
+    def test_samples_outside_the_bounds_exit_4(self, workdir, capsys):
+        # A refused --bounds is a risk parameter like any other, not an
+        # internal error.
+        out = workdir / "out"
+        args = ["risk", "--formula", "F[0,1] p", "--predicates", str(workdir / "preds.json"),
+                "--ensemble", str(workdir / "ensemble"), "--measure", "expected", "--bounds=0,0.1", "--out", str(out)]
+        assert main(args) == 4
+        stdout, err = capsys.readouterr()
+        assert stdout == "" and not out.exists()
+        assert err == "error: samples fall outside the declared support [0.0, 0.1]\n"
+
 
 class TestRiskManifest:
     def risk_out(self, workdir, ensemble, out):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from stlrisk.errors import IntervalError
+from stlrisk.errors import FormulaSyntaxError, IntervalError
 from stlrisk.formula import (
+    OPERATORS,
     TRUE,
     AlwaysFuture,
     AlwaysPast,
@@ -16,6 +17,7 @@ from stlrisk.formula import (
     Or,
     Predicate,
     TimeInterval,
+    Until,
     UntilFuture,
     UntilPast,
     horizon,
@@ -23,6 +25,7 @@ from stlrisk.formula import (
     predicate_names,
     reach,
 )
+from stlrisk.parser import format_formula, parse
 from stlrisk.semantics import eval_boolean, eval_robust
 
 from .helpers import anchors_oracle, desugar, horizon_oracle, random_admissible_case, random_formula
@@ -171,6 +174,56 @@ class TestReach:
             for node, window in ((UntilFuture(P, Q, TimeInterval(0, hi)), (0, hi)), (UntilPast(P, Q, TimeInterval(0, hi)), (-hi, 0))):
                 [(left, lo, lhi), (right, rlo, rhi)] = reach(node)
                 assert (left, right) == (P, Q) and lo > lhi and (rlo, rhi) == window
+
+
+# Each past operator's future twin, written out apart from the classes.
+FUTURE_TWIN = {"S": "U", "O": "F", "H": "G"}
+
+
+def operator_node(op, left=P, right=Q, iv=TimeInterval(1, 3)):
+    return op(left, right, iv) if issubclass(op, Until) else op(left, iv)
+
+
+class TestOperators:
+    def test_table_maps_each_letter_to_its_class(self):
+        assert OPERATORS == {
+            "U": UntilFuture, "S": UntilPast, "F": EventuallyFuture,
+            "G": AlwaysFuture, "O": EventuallyPast, "H": AlwaysPast,
+        }
+        assert set(FUTURE_TWIN) | set(FUTURE_TWIN.values()) == set(OPERATORS)
+
+    @pytest.mark.parametrize("letter", OPERATORS)
+    def test_letter_is_refused_as_a_predicate_name(self, letter):
+        for text in (letter, f"!{letter}", f"p & {letter}", f"F[0,1] {letter}", f"({letter})"):
+            with pytest.raises(FormulaSyntaxError):
+                parse(text)
+
+    @pytest.mark.parametrize("letter", OPERATORS)
+    def test_format_then_parse_round_trips(self, letter):
+        op = OPERATORS[letter]
+        for node in (operator_node(op), operator_node(op, And(P, Q), Not(Q), TimeInterval(0, math.inf))):
+            text = format_formula(node)
+            assert letter in text and parse(text) == node and type(parse(text)) is op
+        assert format_formula(operator_node(op)) == (f"p {letter}[1,3] q" if issubclass(op, Until) else f"{letter}[1,3] p")
+
+    @pytest.mark.parametrize("letter", OPERATORS)
+    def test_operators_with_equal_operands_differ(self, letter):
+        op = OPERATORS[letter]
+        node = operator_node(op)
+        assert node == operator_node(op) and hash(node) == hash(operator_node(op))
+        assert repr(node).startswith(f"{op.__name__}(")
+        for other in OPERATORS.values():
+            if other is not op:
+                assert node != operator_node(other) and operator_node(other) != node
+                assert not isinstance(node, other)
+
+    @pytest.mark.parametrize("letter", FUTURE_TWIN)
+    @pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (1, 3), (2, 7), (0, math.inf)])
+    def test_past_reach_mirrors_the_future_twin(self, letter, lo, hi):
+        past, future = OPERATORS[letter], OPERATORS[FUTURE_TWIN[letter]]
+        iv = TimeInterval(lo, hi)
+        mirrored = tuple((g, -last, -first) for g, first, last in reach(operator_node(future, iv=iv)))
+        assert reach(operator_node(past, iv=iv)) == mirrored
 
 
 def test_predicate_names_collects_all():
