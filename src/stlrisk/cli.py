@@ -223,9 +223,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ensemble", required=True, help="directory of CSVs or JSON manifest")
     p.add_argument("--time", type=int, default=0)
     p.add_argument("--measure", choices=MEASURES, default="var")
-    p.add_argument("--beta", type=float, default=0.9)
-    p.add_argument("--delta", type=float, default=0.05)
-    p.add_argument("--lambda", dest="lam", type=float, default=0.0)
+    p.add_argument("--beta", type=float, default=RiskParams.beta)
+    p.add_argument("--delta", type=float, default=RiskParams.delta)
+    p.add_argument("--lambda", dest="lam", type=float, default=RiskParams.lam)
     p.add_argument("--bounds", help="A,B support interval for the mean confidence interval; --bounds=-5,5 if A < 0")
     p.add_argument("--out", help="directory for result.json and manifest.json")
     p.set_defaults(func=cmd_risk)

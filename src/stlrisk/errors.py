@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 
 class StlRiskError(Exception):
     """Base class for all errors raised by this package."""

@@ -14,6 +14,7 @@ are immutable and safe to share across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -51,7 +52,8 @@ class TimeInterval:
     """Closed window [lo, hi] of integer time steps; ``hi`` may be math.inf.
 
     Unbounded windows are representable but rejected by evaluation on finite
-    traces, since no finite trace can cover them.
+    traces, since no finite trace can cover them.  A finite bound is at most
+    ``sys.maxsize``, the length of the longest trace.
     """
 
     lo: int
@@ -60,13 +62,14 @@ class TimeInterval:
     def __post_init__(self):
         if not isinstance(self.lo, int) or isinstance(self.lo, bool):
             raise IntervalError(f"interval lower bound must be an integer, got {self.lo!r}")
-        if self.lo < 0:
-            raise IntervalError(f"interval bounds must be non-negative, got lo={self.lo}")
-        if self.hi != math.inf:
-            if not isinstance(self.hi, int) or isinstance(self.hi, bool):
-                raise IntervalError(f"interval upper bound must be an integer or inf, got {self.hi!r}")
-            if self.hi < 0:
-                raise IntervalError(f"interval bounds must be non-negative, got hi={self.hi}")
+        if self.hi != math.inf and (not isinstance(self.hi, int) or isinstance(self.hi, bool)):
+            raise IntervalError(f"interval upper bound must be an integer or inf, got {self.hi!r}")
+        for name, bound in (("lo", self.lo), ("hi", self.hi)):
+            # Before a message formats the bound: str() refuses an int past its digit limit.
+            if bound != math.inf and abs(bound) > sys.maxsize:
+                raise IntervalError(f"interval bound {name} is out of range: finite bounds are at most sys.maxsize = {sys.maxsize}")
+            if bound < 0:
+                raise IntervalError(f"interval bounds must be non-negative, got {name}={bound}")
         if self.lo > self.hi:
             raise IntervalError(f"empty interval: lo={self.lo} > hi={self.hi}")
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, IntervalError
@@ -221,7 +222,11 @@ class _Parser:
             self.take()
             negative = True
         num = self.expect("int", "an integer bound")
-        value = int(num.text)
+        try:
+            value = int(num.text)
+        except ValueError:  # past int()'s digit limit, which counts leading zeros
+            digits = num.text.lstrip("0") or "0"  # longer than sys.maxsize: TimeInterval refuses it
+            value = int(digits) if len(digits) <= len(str(sys.maxsize)) else sys.maxsize + 1
         return -value if negative else value
 
 

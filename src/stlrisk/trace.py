@@ -139,7 +139,7 @@ class Ensemble:
         return self.states.shape[1]
 
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_INT_RE = re.compile(r"^([+-]?)0*(\d+)$")  # sign, then digits without leading zeros
 _BLOCK = 1024  # cells that _values splits at a time
 
 
@@ -174,9 +174,14 @@ def _parse_trace(path: Path, data: bytes) -> Trace:
         if len(row) != dim + 1:
             raise FormatError(f"{path}: row {idx}: expected {dim + 1} cells, got {len(row)}")
         t_cell = row[0].strip()
-        if not _INT_RE.match(t_cell):
+        m = _INT_RE.match(t_cell)
+        if not m:
             raise FormatError(f"{path}: row {idx}: time cell {t_cell!r} is not an integer")
-        if int(t_cell) != idx:
+        try:
+            t = int(t_cell)
+        except ValueError:  # past int()'s digit limit, which counts leading zeros
+            t = int(m[1] + m[2]) if len(m[2]) <= len(str(idx)) else None  # more digits: not idx
+        if t != idx:
             raise GapError(f"{path}: expected t={idx}, got t={t_cell} (times must be consecutive from 0)")
         for j, cell in enumerate(row[1:]):
             states[idx, j] = _parse_cell(path, idx, f"x{j + 1}", cell.strip())
@@ -288,13 +293,15 @@ def read_json(path, error: type, what: str) -> tuple:
     """The value in a JSON file and the bytes it was parsed from, read once.
 
     Newlines are translated as text-mode ``open`` would, so syntax errors
-    keep their positions; they raise ``error("<path>: <what>: ...")``.
+    keep their positions.  Every decode failure raises ``error("<path>:
+    <what>: ...")``: a syntax error, an integer literal past ``int()``'s
+    digit limit (a ValueError) or nesting past the recursion limit.
     """
     data = _read(path)
     text = _decode(path, data, error).replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text), data
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{path}: {what}: {exc}") from None
 
 

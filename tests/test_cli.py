@@ -17,7 +17,12 @@ import pytest
 import stlrisk
 from stlrisk import cli, trace
 from stlrisk.cli import main
+from stlrisk.risk import RiskParams
 from stlrisk.trace import Trace, save_trace_csv
+
+# int()'s digit limit, or 0 where there is none.
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(DIGIT_LIMIT == 0, reason="int() has no digit limit")
 
 PREDICATES = {
     "p": {"kind": "halfspace", "a": [1.0], "b": 0.0},
@@ -80,6 +85,25 @@ class TestCheck:
         out = capsys.readouterr().out.splitlines()
         assert out[0] == text
         assert out[2] == "predicates: " + " ".join(f"p{i}" for i in range(7))
+
+    @needs_digit_limit
+    def test_bound_past_the_digit_limit_exits_2(self, capsys):
+        text = "G[0," + "9" * (DIGIT_LIMIT + 1) + "] p"
+        assert main(["check", "--formula", text]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: interval bound hi is out of range") and err.count("\n") == 1
+        assert err.endswith(f" (at offset 1-{len(text) - 2})\n")
+
+    @needs_digit_limit
+    @pytest.mark.parametrize("command", ["check", "monitor"])
+    def test_horizon_past_the_digit_limit_exits_2(self, command, workdir, capsys):
+        # Each bound can be printed, but their sum, the horizon, could not.
+        bound = "9" * DIGIT_LIMIT
+        argv = [command, "--formula", f"G[0,{bound}] G[0,{bound}] p"]
+        if command == "monitor":
+            argv += ["--predicates", str(workdir / "preds.json"), "--trace", str(workdir / "trace.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: interval bound hi is out of range")
 
     def test_internal_error_is_one_line_exit_1(self, monkeypatch, capsys):
         def broken(text):
@@ -211,6 +235,11 @@ class TestMonitor:
 
 
 class TestRisk:
+    def test_defaults_are_risk_params_defaults(self):
+        args = cli._build_parser().parse_args(["risk", "--formula", "p", "--predicates", "t.json", "--ensemble", "e"])
+        defaults = RiskParams()
+        assert (args.beta, args.delta, args.lam) == (defaults.beta, defaults.delta, defaults.lam)
+
     def test_var_json_ordering(self, workdir, capsys):
         code = main(
             [
@@ -563,6 +592,28 @@ def test_json_not_utf8_named_with_its_offset(workdir, kind, code, pad, capsys):
     assert capsys.readouterr().err == f"error: {bad}: not UTF-8: byte 0xff at offset {offset}\n"
 
 
+@pytest.mark.parametrize(
+    "content",
+    [
+        pytest.param("[" * 10**5 + "]" * 10**5, id="nested-past-the-recursion-limit"),
+        pytest.param('{"traces": ' + "9" * (DIGIT_LIMIT + 1) + "}", id="integer-past-the-digit-limit", marks=needs_digit_limit),
+    ],
+)
+@pytest.mark.parametrize("kind, code", [("predicates", 1), ("manifest", 1), ("config", 5)])
+def test_json_that_cannot_be_decoded_is_named(workdir, kind, code, content, capsys):
+    bad = workdir / "bad.json"
+    bad.write_text(content)
+    preds, ensemble = str(workdir / "preds.json"), str(workdir / "ensemble")
+    args = {
+        "predicates": ["risk", "--formula", "p", "--predicates", str(bad), "--ensemble", ensemble],
+        "manifest": ["risk", "--formula", "p", "--predicates", preds, "--ensemble", str(bad)],
+        "config": ["casestudy", "--config", str(bad), "--out", str(workdir / "out")],
+    }[kind]
+    assert main(args) == code
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -756,3 +807,18 @@ def test_every_exported_name_resolves(name):
     for attr in exported or ():
         assert hasattr(module, attr), f"stlrisk.{name}.__all__ names missing {attr!r}"
     exec(f"from stlrisk.{name} import *", {})
+
+
+def test_package_exports_exactly_each_module_all():
+    """``stlrisk`` holds ``__version__``, its submodules, every name of a
+    module's ``__all__`` (the same object) and the 14 exception classes."""
+    submodules = {m.name for m in pkgutil.iter_modules(stlrisk.__path__)}
+    names = {n for n in dir(stlrisk) if n == "__version__" or not n.startswith("__")}
+    exported = {"__version__"}
+    for name in MODULES_WITH_ALL:
+        module = importlib.import_module(f"stlrisk.{name}")
+        exported.update(module.__all__)
+        assert all(getattr(stlrisk, attr) is getattr(module, attr) for attr in module.__all__)
+    errors = {n for n, v in vars(stlrisk.errors).items() if isinstance(v, type) and issubclass(v, Exception)}
+    assert len(errors) == 14
+    assert names - submodules == exported | errors

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,19 @@ class TestTimeInterval:
     def test_rejects_negative(self):
         with pytest.raises(IntervalError):
             TimeInterval(-1, 2)
+
+    def test_bounds_up_to_maxsize(self):
+        assert TimeInterval(sys.maxsize, sys.maxsize).hi == sys.maxsize
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [(sys.maxsize + 1, math.inf), (0, sys.maxsize + 1), (0, 10**5000), (-(10**5000), 1)],
+        ids=["lo", "hi", "hi-past-the-digit-limit", "negative-lo-past-the-digit-limit"],
+    )
+    def test_rejects_bound_past_maxsize_without_printing_it(self, lo, hi):
+        name = "hi" if lo == 0 else "lo"
+        with pytest.raises(IntervalError, match=f"^interval bound {name} is out of range: finite bounds are at most sys.maxsize = {sys.maxsize}$"):
+            TimeInterval(lo, hi)
 
     def test_unbounded_upper(self):
         iv = TimeInterval(0, math.inf)

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -49,7 +50,16 @@ class TestParse:
         with pytest.raises(IntervalError):
             parse("G[-1,2] p")
 
-    @pytest.mark.parametrize("text, lo, hi", [("p U[3,1] q", 3, 1), ("G[-1,2] p", -1, 2)])
+    @pytest.mark.parametrize(
+        "text, lo, hi",
+        [
+            ("p U[3,1] q", 3, 1),
+            ("G[-1,2] p", -1, 2),
+            pytest.param(f"G[0,{sys.maxsize + 1}] p", 0, sys.maxsize + 1, id="hi-past-maxsize"),
+            pytest.param("G[" + "9" * 5000 + ",1] p", 10**5000 - 1, 1, id="lo-past-the-digit-limit"),
+            pytest.param("G[0,-" + "9" * 5000 + "] p", 0, 1 - 10**5000, id="negative-hi-past-the-digit-limit"),
+        ],
+    )
     def test_interval_error_is_time_intervals_at_the_bracket(self, text, lo, hi):
         with pytest.raises(IntervalError) as exc:
             parse(text)
@@ -57,6 +67,10 @@ class TestParse:
             TimeInterval(lo, hi)
         assert str(exc.value) == str(direct.value)
         assert exc.value.span == SourceSpan(text.index("["), text.index("]") + 1)
+
+    def test_zero_padded_bounds_past_the_digit_limit_keep_their_value(self):
+        zeros = "0" * 5000
+        assert parse(f"G[{zeros},{zeros}{sys.maxsize}] p") == AlwaysFuture(P, TimeInterval(0, sys.maxsize))
 
     def test_unbounded_interval_parses(self):
         f = parse("F[2,inf] p")

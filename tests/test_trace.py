@@ -33,6 +33,18 @@ class TestLoadTraceCsv:
         with pytest.raises(GapError):
             load_trace_csv(write(tmp_path, "a.csv", "t,x1\n0,1\n2,5\n"))
 
+    @pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0, reason="int() has no digit limit")
+    def test_time_cell_past_the_digit_limit_is_a_gap(self, tmp_path):
+        t_cell = "1" * (sys.get_int_max_str_digits() + 1)
+        path = write(tmp_path, "a.csv", f"t,x1\n0,1\n{t_cell},5\n")
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={t_cell} "):
+            load_trace_csv(path)
+
+    def test_zero_padded_time_cells_past_the_digit_limit_keep_their_value(self, tmp_path):
+        zeros = "0" * 5000
+        tr = load_trace_csv(write(tmp_path, "a.csv", f"t,x1\n-{zeros},3\n+{zeros}1,1\n"))
+        assert np.array_equal(tr.states, [[3.0], [1.0]])
+
     def test_nan_rejected(self, tmp_path):
         with pytest.raises(FormatError):
             load_trace_csv(write(tmp_path, "a.csv", "t,x1,x2\n0,1,NaN\n"))
