@@ -6,7 +6,8 @@ class StlRiskError(Exception):
 
 
 class IntervalError(StlRiskError):
-    """A time interval has a negative bound or lo > hi."""
+    """A time interval has a negative bound, a finite bound above sys.maxsize,
+    or lo > hi."""
 
     def __init__(self, message: str, span=None):
         super().__init__(message)

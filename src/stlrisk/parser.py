@@ -38,6 +38,7 @@ from .formula import OPERATORS, TRUE, And, Formula, Not, Or, Predicate, TimeInte
 __all__ = ["SourceSpan", "parse", "format_formula"]
 
 _MAX_DEPTH = 100
+_BOUND_DIGITS = len(str(sys.maxsize))  # every bound TimeInterval accepts has at most these
 
 
 @dataclass(frozen=True)
@@ -222,11 +223,11 @@ class _Parser:
             self.take()
             negative = True
         num = self.expect("int", "an integer bound")
-        try:
-            value = int(num.text)
-        except ValueError:  # past int()'s digit limit, which counts leading zeros
-            digits = num.text.lstrip("0") or "0"  # longer than sys.maxsize: TimeInterval refuses it
-            value = int(digits) if len(digits) <= len(str(sys.maxsize)) else sys.maxsize + 1
+        # int() counts leading zeros, of any script, against its digit limit; float() has no
+        # such limit and is 0 only if every digit is.  So the last digits hold every bound up
+        # to sys.maxsize, and a nonzero digit before them puts the bound past it.
+        head, tail = num.text[:-_BOUND_DIGITS], num.text[-_BOUND_DIGITS:]
+        value = int(tail) if float(head or "0") == 0 else sys.maxsize + 1
         return -value if negative else value
 
 

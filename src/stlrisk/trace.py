@@ -139,7 +139,7 @@ class Ensemble:
         return self.states.shape[1]
 
 
-_INT_RE = re.compile(r"^([+-]?)0*(\d+)$")  # sign, then digits without leading zeros
+_INT_RE = re.compile(r"^[+-]?\d+$")
 _BLOCK = 1024  # cells that _values splits at a time
 
 
@@ -174,14 +174,11 @@ def _parse_trace(path: Path, data: bytes) -> Trace:
         if len(row) != dim + 1:
             raise FormatError(f"{path}: row {idx}: expected {dim + 1} cells, got {len(row)}")
         t_cell = row[0].strip()
-        m = _INT_RE.match(t_cell)
-        if not m:
+        if not _INT_RE.match(t_cell):
             raise FormatError(f"{path}: row {idx}: time cell {t_cell!r} is not an integer")
-        try:
-            t = int(t_cell)
-        except ValueError:  # past int()'s digit limit, which counts leading zeros
-            t = int(m[1] + m[2]) if len(m[2]) <= len(str(idx)) else None  # more digits: not idx
-        if t != idx:
+        # float() reads digits of any script with no digit limit, where int() would refuse a
+        # long cell even if its digits are mostly zeros; it is exact for every row index.
+        if float(t_cell) != idx:
             raise GapError(f"{path}: expected t={idx}, got t={t_cell} (times must be consecutive from 0)")
         for j, cell in enumerate(row[1:]):
             states[idx, j] = _parse_cell(path, idx, f"x{j + 1}", cell.strip())

@@ -72,6 +72,11 @@ class TestParse:
         zeros = "0" * 5000
         assert parse(f"G[{zeros},{zeros}{sys.maxsize}] p") == AlwaysFuture(P, TimeInterval(0, sys.maxsize))
 
+    @pytest.mark.parametrize("zero", ["0", "\u0660"], ids=["ascii", "arabic-indic"])
+    def test_bounds_padded_with_zeros_of_any_script_keep_their_value(self, zero):
+        pad = zero * 30
+        assert parse(f"G[{pad}\u0663,{pad}{sys.maxsize}] p") == AlwaysFuture(P, TimeInterval(3, sys.maxsize))
+
     def test_unbounded_interval_parses(self):
         f = parse("F[2,inf] p")
         assert f == EventuallyFuture(P, TimeInterval(2, math.inf))

@@ -37,13 +37,30 @@ class TestLoadTraceCsv:
     def test_time_cell_past_the_digit_limit_is_a_gap(self, tmp_path):
         t_cell = "1" * (sys.get_int_max_str_digits() + 1)
         path = write(tmp_path, "a.csv", f"t,x1\n0,1\n{t_cell},5\n")
-        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={t_cell} "):
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(t_cell)} "):
             load_trace_csv(path)
 
     def test_zero_padded_time_cells_past_the_digit_limit_keep_their_value(self, tmp_path):
         zeros = "0" * 5000
         tr = load_trace_csv(write(tmp_path, "a.csv", f"t,x1\n-{zeros},3\n+{zeros}1,1\n"))
         assert np.array_equal(tr.states, [[3.0], [1.0]])
+
+    def test_time_cells_padded_with_zeros_of_another_script_keep_their_value(self, tmp_path):
+        zeros = "\u0660" * 5000
+        tr = load_trace_csv(write(tmp_path, "a.csv", f"t,x1\n{zeros},3\n{zeros}\u0661,1\n"))
+        assert np.array_equal(tr.states, [[3.0], [1.0]])
+
+    @pytest.mark.parametrize("t_cell", ["-1", "-01", "10", "+2", "0" * 5000 + "2"])
+    def test_time_cell_with_another_value_is_a_gap(self, tmp_path, t_cell):
+        path = write(tmp_path, "a.csv", f"t,x1\n0,1\n{t_cell},5\n")
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(t_cell)} "):
+            load_trace_csv(path)
+
+    def test_many_zeros_before_a_non_digit_fail_fast(self, tmp_path):
+        # A pattern that splits the zeros between two quantifiers backtracks quadratically here.
+        path = write(tmp_path, "a.csv", "t,x1\n" + "0" * 10**5 + "x,1\n")
+        with pytest.raises(FormatError, match="is not an integer"):
+            load_trace_csv(path)
 
     def test_nan_rejected(self, tmp_path):
         with pytest.raises(FormatError):
