@@ -40,10 +40,9 @@ __all__ = [
     "Formula",
     "Horizon",
     "horizon",
-    "postorder",
+    "plan",
     "predicate_names",
     "reach",
-    "spans",
 ]
 
 
@@ -209,49 +208,49 @@ def _steps(f: Formula, g: Formula, lo, hi) -> tuple:
     return (g, -hi, -lo) if f.past else (g, lo, hi)
 
 
-def postorder(f: Formula) -> list:
-    """Each distinct node object of f once, after all of its operands.
+def plan(f: Formula, t: int) -> tuple:
+    """(order, span) for evaluating f at t, from one walk that calls
+    ``reach`` once per node.
+
+    ``order`` lists each distinct node object of f once, after all of its
+    operands, as a pair (node, reach(node)).  ``span`` is {id(node): (first,
+    last)}: each node is read at anchors first..last, the hull of what its
+    parents read through ``reach``.  A node read at no anchor, because every
+    path down to it crosses an empty window, is left out of ``span``.
 
     The walk keeps an explicit stack, so any nesting depth is fine, and keys
     nodes by identity, so a subformula object shared by several parents is
     listed once.
     """
-    order, seen, stack = [], set(), [(f, False)]
+    order, seen, stack = [], set(), [(f, None)]
     while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            order.append(node)
+        node, reads = stack.pop()
+        if reads is not None:
+            order.append((node, reads))
         elif id(node) not in seen:
             seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((child, False) for child, _, _ in reversed(reach(node)))
-    return order
-
-
-def spans(order: list, t: int) -> dict:
-    """{id(node): (first, last)} for the formula whose ``postorder`` is
-    ``order``, evaluated at t: each node is read at anchors first..last,
-    the hull of what its parents read through ``reach``.  A node read at no
-    anchor, because every path down to it crosses an empty window, is left
-    out."""
-    span = {id(order[-1]): (t, t)}
-    for node in reversed(order):  # every parent before its operands
+            reads = reach(node)
+            stack.append((node, reads))
+            for child, _, _ in reversed(reads):
+                stack.append((child, None))
+    span = {id(f): (t, t)}
+    for node, reads in reversed(order):  # every parent before its operands
         if id(node) in span:
             a, b = span[id(node)]
-            for child, lo, hi in reach(node):
+            for child, lo, hi in reads:
                 if lo <= hi:
                     first, last = span.get(id(child), (a + lo, b + hi))
                     span[id(child)] = (min(first, a + lo), max(last, b + hi))
-    return span
+    return order, span
 
 
 def horizon(f: Formula) -> Horizon:
-    """The extent of ``spans`` at anchor 0: how far the anchors that
+    """The extent of ``plan``'s spans at anchor 0: how far the anchors that
     evaluation reads reach ahead of and behind the anchor."""
-    reads = spans(postorder(f), 0).values()
+    reads = plan(f, 0)[1].values()
     return Horizon(max(last for _, last in reads), -min(first for first, _ in reads))
 
 
 def predicate_names(f: Formula) -> frozenset:
     """All predicate names referenced anywhere in the formula."""
-    return frozenset(node.name for node in postorder(f) if isinstance(node, Predicate))
+    return frozenset(node.name for node, _ in plan(f, 0)[0] if isinstance(node, Predicate))

@@ -41,7 +41,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .trace import read_json
+from .trace import read_json, shortened
 
 __all__ = [
     "StateSlice",
@@ -66,13 +66,13 @@ def real_numbers(values, what: str) -> tuple:
     ``what``; so is a NaN, an infinity or an integer beyond the float range."""
     values = tuple(values)
     if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
-        raise ValueError(f"{what}: expected real numbers, got {list(values)!r}")
+        raise ValueError(f"{what}: expected real numbers, got {shortened(repr(list(values)))}")
     try:
         numbers = tuple(map(float, values))
     except OverflowError:  # an integer beyond the float range
         numbers = (math.inf,)
     if not all(map(math.isfinite, numbers)):
-        raise ValueError(f"{what}: values must be finite, got {list(values)!r}")
+        raise ValueError(f"{what}: values must be finite, got {shortened(repr(list(values)))}")
     return numbers
 
 
@@ -81,7 +81,7 @@ def _indices(values, what: str) -> tuple:
     or a string is refused, not truncated or coerced."""
     values = tuple(values)
     if not values or not all(isinstance(i, Integral) and not isinstance(i, bool) and i >= 0 for i in values):
-        raise ValueError(f"{what} must be non-negative integer state indices, got {list(values)!r}")
+        raise ValueError(f"{what} must be non-negative integer state indices, got {shortened(repr(list(values)))}")
     return tuple(map(int, values))
 
 
@@ -152,21 +152,31 @@ def _hypot(x: np.ndarray) -> np.ndarray:
 def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
     """Margins of an (..., d) array of states, shaped (...).
 
-    Each entry has the same bits on every Python version and the same bits
-    as the scalar test oracle: a halfspace's dot product is summed left to
-    right from 0 (``sum`` of floats compensates from Python 3.12), and
-    Euclidean norms are taken with ``math.hypot`` (``np.hypot`` rounds some
-    pairs differently).
+    For finite states each entry has the same bits on every Python version
+    and the same bits as the scalar test oracle: a halfspace's dot product
+    has the bits of a left-to-right sum from 0 (``sum`` of floats
+    compensates from Python 3.12), and Euclidean norms are taken with
+    ``math.hypot`` (``np.hypot`` rounds some pairs differently).  A
+    halfspace makes no array pass that cannot change a bit: it skips terms
+    with coefficient 0, takes a column whose coefficient is 1 as it is, and
+    divides only by a norm other than 1.
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[-1]
     if isinstance(p, Halfspace):
         if dim != len(p.a):
             raise DimensionError(f"halfspace of dim {len(p.a)} applied to state of dim {dim}")
-        dot = 0
+        # A sum from 0 is never -0.0, so a zero term changes none of its bits.
+        # From the first term, the sum is -0.0 where every term is; adding
+        # b + 0.0, never -0.0, makes that +0.0 as a sum from 0 has it.
+        dot = None
         for j, aj in enumerate(p.a):
-            dot = dot + aj * states[..., j]
-        return (dot + p.b) / math.hypot(*p.a)
+            if aj != 0.0:
+                term = states[..., j] if aj == 1.0 else aj * states[..., j]
+                dot = term if dot is None else dot + term
+        dot = dot + (p.b + 0.0)
+        norm = math.hypot(*p.a)
+        return dot if norm == 1.0 else dot / norm
     if isinstance(p, NormBall):
         slice_center = isinstance(p.center, StateSlice)
         for i in p.pos + (p.center.indices if slice_center else ()):

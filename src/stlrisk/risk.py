@@ -44,7 +44,6 @@ __all__ = [
     "var_bounds",
     "cvar_point",
     "expected",
-    "expected_hoeffding",
     "mean_variance",
     "worst_case",
     "risk_of_formula",
@@ -201,21 +200,13 @@ def expected(z: RobustnessSamples) -> float:
     return float(z.sorted().mean())
 
 
-def expected_hoeffding(
-    z: RobustnessSamples, delta: float, bounds: Tuple[float, float]
-) -> Tuple[float, float]:
-    """Two-sided mean confidence interval for samples supported on [a, b].
+def _hoeffding(z: RobustnessSamples, delta: float, bounds: Tuple[float, float]) -> dict:
+    """Two-sided mean confidence interval for samples supported on [a, b],
+    as ``RiskResult`` fields, with the mean and the epsilon it is built from.
 
     Half-width (b - a) * sqrt(ln(2/delta) / (2 N)), that is (b - a) times
     ``dkw_epsilon``, valid at level 1 - delta by Hoeffding's inequality.
     """
-    interval = _hoeffding(z, delta, bounds)
-    return (interval["lower"], interval["upper"])
-
-
-def _hoeffding(z: RobustnessSamples, delta: float, bounds: Tuple[float, float]) -> dict:
-    """``expected_hoeffding`` as ``RiskResult`` fields, with the mean and
-    the epsilon that the interval is built from."""
     a, b = bounds
     _check_bounds(a, b)
     eps = dkw_epsilon(z.n, delta)

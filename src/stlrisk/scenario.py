@@ -44,7 +44,7 @@ from .parser import parse
 from .predicates import NormBall, StateSlice, real_numbers
 from .risk import RobustnessSamples, format_number, json_number, var_bounds
 from .semantics import eval_robust_ensemble
-from .trace import Ensemble, Trace
+from .trace import Ensemble, Trace, shortened
 
 __all__ = [
     "GaussianRegion",
@@ -67,6 +67,7 @@ _BOX_RADIUS = 0.5
 _DISK_RADIUS = 0.7
 _STEPS = 4
 _STATE_DIM = 10
+_MAX_N = 10**7  # realizations per trajectory: their (n, 4, 10) states alone take 3.2 GB
 
 DEFAULT_BETAS = (0.9, 0.925, 0.95, 0.975)
 
@@ -131,9 +132,11 @@ class CaseStudyConfig:
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
-            raise ConfigError(f"seed must be an integer in [0, 2**64), got {self.seed!r}")
+            raise ConfigError(f"seed must be an integer in [0, 2**64), got {shortened(repr(self.seed))}")
         if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ConfigError(f"n must be a positive integer, got {self.n!r}")
+            raise ConfigError(f"n must be a positive integer, got {shortened(repr(self.n))}")
+        if self.n > _MAX_N:  # refused before anything is sized by n, and without formatting n
+            raise ConfigError(f"n must be at most {_MAX_N} realizations per trajectory")
         betas = _numbers("betas", self.betas)
         if not betas or any(not 0.0 < b < 1.0 for b in betas):
             raise ConfigError(f"betas must be a non-empty list within (0, 1), got {self.betas!r}")

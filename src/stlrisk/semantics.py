@@ -23,10 +23,10 @@ window lies inside the trace.
 
 Both semantics, for one trace or a whole ensemble, run through one array
 engine over (N, T, d) member states: an ensemble's ``states``, or a trace
-as N = 1.  It walks the formula's nodes once in postorder without
-recursion, takes the anchors at which each node is read from
-``formula.spans`` (which also decide admissibility, so a subtree read at no
-anchor is neither charged nor computed), and computes each node bottom-up
+as N = 1.  One ``formula.plan`` walk per call gives the nodes in postorder,
+each node's operand reads and the anchors at which each node is read (which
+also decide admissibility, so a subtree read at no anchor is neither charged
+nor computed); the engine then computes each node bottom-up
 as an (N, times) array: the array kernels ``predicates.margins`` for the
 leaves, minimum and maximum for the connectives, for a ``formula.Window``
 (F, G, O, H) the window maximum if it is an ``eventually`` and else the
@@ -53,7 +53,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InsufficientHorizonError, UnknownPredicateError
-from .formula import And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, postorder, reach, spans
+from .formula import And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, plan
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace
 
@@ -61,9 +61,9 @@ __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
 
 
 def _check_admissible(order: list, span: dict, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
-    """Refuse a formula, given as its postorder and its ``spans`` at t, that
-    names an undefined predicate or reads a subformula outside the trace."""
-    missing = sorted({node.name for node in order if isinstance(node, Predicate)} - set(predicates))
+    """Refuse a formula, given as its ``plan`` at t, that names an undefined
+    predicate or reads a subformula outside the trace."""
+    missing = sorted({node.name for node, _ in order if isinstance(node, Predicate)} - set(predicates))
     if missing:
         raise UnknownPredicateError(f"formula references undefined predicates: {', '.join(missing)}")
     if not 0 <= t < length:
@@ -101,11 +101,11 @@ def _window(values: np.ndarray, count: int, n: int, pick) -> np.ndarray:
     return pick(table[:, :n], table[:, count - w : count - w + n])
 
 
-def _until(node, a: int, b: int, at) -> np.ndarray:
-    """Until at anchors a..b.
+def _until(node, reads: tuple, a: int, b: int, at) -> np.ndarray:
+    """Until at anchors a..b, given its operand reads ``reach(node)``.
 
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
-    there and of left at the k - 1 steps between (the windows of ``reach``);
+    there and of left at the k - 1 steps between (the windows of ``reads``);
     the value is the best candidate.  The past, reversed in time, is the
     future.  At one anchor, the running minimum of left gives every
     candidate in one pass: O(N x hi).
@@ -121,7 +121,7 @@ def _until(node, a: int, b: int, at) -> np.ndarray:
     n = b - a + 1
     step = -1 if node.past else 1
     # right[:, i + k - lo] and left[:, i + j - 1] sit k and j steps from anchor i.
-    (left, llo, lhi), (right, rlo, rhi) = reach(node)
+    (left, llo, lhi), (right, rlo, rhi) = reads
     right = at(right, a + rlo, b + rhi)[:, ::step]
     left = at(left, a + llo, b + lhi)[:, ::step] if llo <= lhi else None  # hi <= 1: no steps between
 
@@ -152,17 +152,17 @@ def _evaluate(
     ``leaf`` maps predicate margins to values, ``top`` is the value of truth
     and ``neg`` negates; every other operation is a minimum or a maximum.
     """
-    order = postorder(f)
-    span = spans(order, t)
+    order, span = plan(f, t)
     _check_admissible(order, span, states.shape[1], t, predicates)
-    order = [node for node in order if id(node) in span]
     values: dict = {}
 
     def at(g: Formula, lo: int, hi: int) -> np.ndarray:
         start = span[id(g)][0]
         return values[id(g)][:, lo - start : hi - start + 1]
 
-    for node in order:
+    for node, reads in order:
+        if id(node) not in span:
+            continue
         a, b = span[id(node)]
         shape = (states.shape[0], b - a + 1)
         match node:
@@ -177,11 +177,11 @@ def _evaluate(
             case Or(left, right):
                 value = np.maximum(at(left, a, b), at(right, a, b))
             case Window():
-                [(child, lo, hi)] = reach(node)
+                [(child, lo, hi)] = reads
                 pick = np.maximum if node.eventually else np.minimum
                 value = _window(at(child, a + lo, b + hi), hi - lo + 1, b - a + 1, pick)
             case Until():
-                value = _until(node, a, b, at)
+                value = _until(node, reads, a, b, at)
         values[id(node)] = value
     return values[id(f)][:, 0]
 

@@ -64,6 +64,12 @@ def frozen_array(values, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def shortened(text: str) -> str:
+    """``text`` as an error message quotes input: whole up to 60 characters,
+    else its first 60 and its length, so that the message stays one short line."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
+
+
 @dataclass(frozen=True, eq=False)
 class Trace:
     """A finite state sequence: row t of ``states``, a read-only (T, d)
@@ -147,9 +153,9 @@ def _parse_cell(path: Path, row_no: int, name: str, cell: str) -> float:
     try:
         value = float(cell)
     except ValueError:
-        raise FormatError(f"{path}: row {row_no}: non-numeric {name} cell {cell!r}") from None
+        raise FormatError(f"{path}: row {row_no}: non-numeric {name} cell {shortened(repr(cell))}") from None
     if not math.isfinite(value):
-        raise FormatError(f"{path}: row {row_no}: non-finite {name} value {cell!r}")
+        raise FormatError(f"{path}: row {row_no}: non-finite {name} value {shortened(repr(cell))}")
     return value
 
 
@@ -161,11 +167,11 @@ def _parse_trace(path: Path, data: bytes) -> Trace:
         raise EmptyError(f"{path}: empty file")
     header = rows[0]
     if len(header) < 2 or header[0].strip() != "t":
-        raise FormatError(f"{path}: header must be t,x1,...,xn, got {header!r}")
+        raise FormatError(f"{path}: header must be t,x1,...,xn, got {shortened(repr(header))}")
     dim = len(header) - 1
     for i, name in enumerate(header[1:], start=1):
         if name.strip() != f"x{i}":
-            raise FormatError(f"{path}: header must be t,x1,...,xn, got {header!r}")
+            raise FormatError(f"{path}: header must be t,x1,...,xn, got {shortened(repr(header))}")
     data = rows[1:]
     if not data:
         raise EmptyError(f"{path}: no data rows")
@@ -175,11 +181,11 @@ def _parse_trace(path: Path, data: bytes) -> Trace:
             raise FormatError(f"{path}: row {idx}: expected {dim + 1} cells, got {len(row)}")
         t_cell = row[0].strip()
         if not _INT_RE.match(t_cell):
-            raise FormatError(f"{path}: row {idx}: time cell {t_cell!r} is not an integer")
+            raise FormatError(f"{path}: row {idx}: time cell {shortened(repr(t_cell))} is not an integer")
         # float() reads digits of any script with no digit limit, where int() would refuse a
         # long cell even if its digits are mostly zeros; it is exact for every row index.
         if float(t_cell) != idx:
-            raise GapError(f"{path}: expected t={idx}, got t={t_cell} (times must be consecutive from 0)")
+            raise GapError(f"{path}: expected t={idx}, got t={shortened(t_cell)} (times must be consecutive from 0)")
         for j, cell in enumerate(row[1:]):
             states[idx, j] = _parse_cell(path, idx, f"x{j + 1}", cell.strip())
     return Trace(states)

@@ -167,6 +167,23 @@ class TestMonitor:
         assert code == 0
         assert capsys.readouterr().out.strip() == "inf"
 
+    @pytest.mark.parametrize(
+        "csv, table, start",
+        [
+            ("t,x1\n0,1\n" + "1" * 5000 + ",5\n", PREDICATES, "error: t.csv: expected t=1, got t=1111"),
+            ("t,x1\n0,1\n", {"p": {"kind": "halfspace", "a": [1], "b": int("9" * 4000)}}, "error: predicate 'p': b:"),
+        ],
+        ids=["5000-digit-time-cell", "4000-digit-b"],
+    )
+    def test_long_input_is_shortened_in_its_one_error_line(self, tmp_path, monkeypatch, capsys, csv, table, start):
+        # Quoted whole, these lines ran to 5075 and 4055 characters.
+        monkeypatch.chdir(tmp_path)
+        Path("t.csv").write_text(csv)
+        Path("p.json").write_text(json.dumps(table))
+        assert main(["monitor", "--formula", "p", "--predicates", "p.json", "--trace", "t.csv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(start) and err.count("\n") == 1 and len(err) <= 160
+
     def test_zero_robustness_prints_unsigned(self, workdir, capsys):
         # !p at x1 = 0 negates a zero margin; a zero is printed as 0, not -0.
         save_trace_csv(Trace(np.array([[0.0]])), workdir / "zero.csv")
@@ -752,6 +769,17 @@ class TestCaseStudy:
             assert main(["casestudy", *args, "--out", str(tmp_path / "o")]) == 5
             err = capsys.readouterr().err
             assert err == f"error: seed must be an integer in [0, 2**64), got {seed}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("n", [int("9" * 4000), 10**11, 10**7 + 1], ids=["4000-nines", "1e11", "cap-plus-1"])
+    def test_n_above_its_cap_exits_5(self, tmp_path, n, capsys):
+        # Uncapped, numpy refused the first shape (exit 1) or tried to
+        # allocate terabytes.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": n}))
+        for args in (["--n", str(n)], ["--config", str(cfg)]):
+            assert main(["casestudy", *args, "--out", str(tmp_path / "o")]) == 5
+            assert capsys.readouterr().err == "error: n must be at most 10000000 realizations per trajectory\n"
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])

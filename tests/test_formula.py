@@ -22,7 +22,7 @@ from stlrisk.formula import (
     UntilFuture,
     UntilPast,
     horizon,
-    postorder,
+    plan,
     predicate_names,
     reach,
 )
@@ -142,10 +142,10 @@ class TestHorizon:
             f = random_formula(rng, ["p", "q"], depth=int(rng.integers(0, 5)), unbounded=0.15)
             h, (future, past) = horizon(f), horizon_oracle(f)
             assert h.future_depth <= future and h.past_depth <= past
-            intervals = [node.interval for node in postorder(f) if hasattr(node, "interval")]
+            intervals = [node.interval for node, _ in plan(f, 0)[0] if hasattr(node, "interval")]
             if all(iv.bounded for iv in intervals):
                 assert h == Horizon(*anchors_oracle(f))
-            for node in postorder(f):
+            for node, _ in plan(f, 0)[0]:
                 if hasattr(node, "interval"):
                     lo, hi = node.interval.lo, node.interval.hi
                     kind = "inf" if hi == math.inf else "lo>0" if lo > 0 else "[0,0]" if hi == 0 else "[0,hi]"
@@ -163,7 +163,7 @@ class TestHorizon:
             assert h == Horizon(*anchors_oracle(f))
             assert h.future_depth <= nested.future_depth and h.past_depth <= nested.past_depth
             tighter += h != nested
-            for node in postorder(f):
+            for node, _ in plan(f, 0)[0]:
                 if hasattr(node, "interval"):
                     lo, hi = node.interval.lo, node.interval.hi
                     windows.add((type(node).__name__, "lo>0" if lo > 0 else f"[0,{min(hi, 2)}]"))

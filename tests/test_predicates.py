@@ -180,6 +180,25 @@ class TestArrayMargins:
             p = Halfspace(tuple(a), float(rng.normal()))
             assert_margins_bit_equal(p, rng.normal(scale=3.0, size=(3, 5, dim)))
 
+    def test_halfspaces_with_zero_and_unit_coefficients(self):
+        # Coefficients of 0, -0, 1 and -1 and offsets of 0 and -0 take the
+        # branches that skip a term, a product or the division; states of
+        # 0 and -0 make terms of either zero.
+        rng = np.random.default_rng(16)
+        coefficients = [0.0, -0.0, 1.0, -1.0, None]
+        offsets = [0.0, -0.0, None]
+        for _ in range(300):
+            dim = int(rng.integers(1, 5))
+            a = [float(rng.normal()) if c is None else c for c in rng.choice(coefficients, size=dim)]
+            if all(v == 0.0 for v in a):
+                a[int(rng.integers(dim))] = rng.choice([1.0, -1.0, float(rng.normal())])
+            b = rng.choice(offsets)
+            p = Halfspace(tuple(a), float(rng.normal()) if b is None else b)
+            states = rng.normal(scale=3.0, size=(3, 5, dim))
+            states[rng.random(states.shape) < 0.3] = 0.0
+            states[rng.random(states.shape) < 0.3] = -0.0
+            assert_margins_bit_equal(p, states)
+
     def test_halfspace_dot_is_summed_left_to_right(self):
         # 1e16 + 1 rounds to 1e16, so the left-to-right sum is 0; a compensated
         # sum (Python 3.12's sum() of floats) would give 1.

@@ -15,12 +15,12 @@ from stlrisk.errors import (
 from stlrisk.formula import TRUE, Predicate
 from stlrisk.predicates import Halfspace
 from stlrisk.risk import (
+    MEASURES,
     RiskParams,
     RobustnessSamples,
     cvar_point,
     dkw_epsilon,
     expected,
-    expected_hoeffding,
     mean_variance,
     risk_of_formula,
     var_bounds,
@@ -36,6 +36,12 @@ from .helpers import cvar_exact, cvar_scan, var_bounds_scan, var_scan
 
 def S(*values):
     return RobustnessSamples(np.array(values, dtype=float))
+
+
+def hoeffding(z, delta, bounds):
+    """(lower, upper) of the Hoeffding interval that ``expected`` reports."""
+    fields = MEASURES["expected"](z, RiskParams(delta=delta, bounds=bounds))
+    return fields["lower"], fields["upper"]
 
 
 samples_strategy = st.lists(
@@ -184,7 +190,7 @@ class TestDkwEpsilon:
         assert math.isfinite(dkw_epsilon(10, delta))
         assert dkw_epsilon(10, delta) == pytest.approx(want, rel=1e-15)
         assert dkw_epsilon(10, delta) >= dkw_epsilon(10, 1e-300)
-        lo, hi = expected_hoeffding(S(0, 1), delta, (0.0, 1.0))
+        lo, hi = hoeffding(S(0, 1), delta, (0.0, 1.0))
         assert math.isfinite(lo) and math.isfinite(hi)
 
 
@@ -194,7 +200,7 @@ class TestExpected:
 
     def test_hoeffding_half_width(self):
         delta = 2 * math.exp(-1.0)
-        lo, hi = expected_hoeffding(S(0, 1), delta, (0.0, 1.0))
+        lo, hi = hoeffding(S(0, 1), delta, (0.0, 1.0))
         assert lo == pytest.approx(0.0, abs=1e-12)
         assert hi == pytest.approx(1.0, abs=1e-12)
 
@@ -203,21 +209,21 @@ class TestExpected:
         z = S(-1.0, 0.25, 2.0)
         mean = expected(z)
         half = 5.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * z.n))
-        assert expected_hoeffding(z, delta, (-2.0, 3.0)) == (mean - half, mean + half)
+        assert hoeffding(z, delta, (-2.0, 3.0)) == (mean - half, mean + half)
         assert half == 5.0 * dkw_epsilon(z.n, delta)
 
     def test_bounds_violation(self):
         with pytest.raises(BoundsError):
-            expected_hoeffding(S(2, -1), 0.1, (0.0, 1.0))
+            hoeffding(S(2, -1), 0.1, (0.0, 1.0))
 
     def test_invalid_bounds(self):
         with pytest.raises(ParamError):
-            expected_hoeffding(S(0.5), 0.1, (1.0, 1.0))
+            hoeffding(S(0.5), 0.1, (1.0, 1.0))
 
     @pytest.mark.parametrize("bounds", [(-math.inf, 1.0), (0.0, math.inf), (-math.inf, math.inf), (math.nan, 1.0)])
     def test_non_finite_bounds(self, bounds):
         with pytest.raises(ParamError, match="finite"):
-            expected_hoeffding(S(0.5), 0.1, bounds)
+            hoeffding(S(0.5), 0.1, bounds)
         with pytest.raises(ParamError, match="finite"):
             RiskParams(bounds=bounds)
 

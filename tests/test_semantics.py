@@ -18,6 +18,7 @@ from stlrisk.formula import (
     UntilFuture,
     UntilPast,
     horizon,
+    reach,
 )
 from stlrisk.predicates import Complement, Halfspace, NormBall, StateSlice
 from stlrisk.semantics import _window, eval_boolean, eval_robust, eval_robust_ensemble
@@ -140,17 +141,47 @@ class TestHorizonRefusal:
 
         calls = []
 
-        def counted(f, real=stlrisk.formula.postorder):
+        def counted(f, t, real=stlrisk.formula.plan):
             calls.append(f)
-            return real(f)
+            return real(f, t)
 
-        monkeypatch.setattr(stlrisk.formula, "postorder", counted)
-        monkeypatch.setattr(stlrisk.semantics, "postorder", counted)
+        monkeypatch.setattr(stlrisk.formula, "plan", counted)
+        monkeypatch.setattr(stlrisk.semantics, "plan", counted)
         f = parse_helper("G[0,1] p & (q U[0,1] p) & H[0,1] q")
         eval_robust(f, TR312, 1, PREDS)
         eval_boolean(f, TR312, 1, PREDS)
         eval_robust_ensemble(f, Ensemble((TR312, TR312)), 1, PREDS)
         assert len(calls) == 3
+
+    def test_reach_runs_once_per_distinct_node_per_evaluation(self, monkeypatch):
+        import stlrisk.formula
+
+        calls = []
+
+        def counted(node, real=stlrisk.formula.reach):
+            calls.append(id(node))
+            return real(node)
+
+        # g is one object under three parents.
+        g = AlwaysFuture(P, TimeInterval(0, 1))
+        f = And(And(g, UntilFuture(Q, g, TimeInterval(0, 2))), EventuallyPast(Not(g), TimeInterval(1, 1)))
+        distinct, stack = set(), [f]
+        while stack:
+            node = stack.pop()
+            if id(node) not in distinct:
+                distinct.add(id(node))
+                stack.extend(getattr(node, name) for name in ("child", "left", "right") if hasattr(node, name))
+        assert len(distinct) == 8
+        monkeypatch.setattr(stlrisk.formula, "reach", counted)
+        trace = Trace(np.array([[1.0], [-2.0], [6.0], [0.5], [3.0], [-1.0]]))
+        for evaluate in (
+            lambda: eval_robust(f, trace, 1, PREDS),
+            lambda: eval_boolean(f, trace, 1, PREDS),
+            lambda: eval_robust_ensemble(f, Ensemble((trace, trace)), 1, PREDS),
+        ):
+            calls.clear()
+            evaluate()
+            assert sorted(calls) == sorted(distinct)
 
 
     def test_engine_matches_oracles_at_both_edges_and_refuses_beyond(self):
@@ -417,10 +448,10 @@ class TestWindowKernel:
                 def at(g, first, last):
                     return operands[id(g)][:, first : last + 1]
 
-                many = semantics._until(node, a, a + n - 1, at)
+                many = semantics._until(node, reach(node), a, a + n - 1, at)
                 assert many.shape == (2, n) and many.dtype == dtype
                 for j in range(n):
-                    one = semantics._until(node, a + j, a + j, at)
+                    one = semantics._until(node, reach(node), a + j, a + j, at)
                     assert one.shape == (2, 1) and one.dtype == dtype
                     assert (one == many[:, j : j + 1]).all(), (lo, hi, j)
 

@@ -37,7 +37,7 @@ class TestLoadTraceCsv:
     def test_time_cell_past_the_digit_limit_is_a_gap(self, tmp_path):
         t_cell = "1" * (sys.get_int_max_str_digits() + 1)
         path = write(tmp_path, "a.csv", f"t,x1\n0,1\n{t_cell},5\n")
-        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(t_cell)} "):
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(trace.shortened(t_cell))} "):
             load_trace_csv(path)
 
     def test_zero_padded_time_cells_past_the_digit_limit_keep_their_value(self, tmp_path):
@@ -53,7 +53,7 @@ class TestLoadTraceCsv:
     @pytest.mark.parametrize("t_cell", ["-1", "-01", "10", "+2", "0" * 5000 + "2"])
     def test_time_cell_with_another_value_is_a_gap(self, tmp_path, t_cell):
         path = write(tmp_path, "a.csv", f"t,x1\n0,1\n{t_cell},5\n")
-        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(t_cell)} "):
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(trace.shortened(t_cell))} "):
             load_trace_csv(path)
 
     def test_many_zeros_before_a_non_digit_fail_fast(self, tmp_path):
