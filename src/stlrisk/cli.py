@@ -43,7 +43,7 @@ from .predicates import load_predicates, read_predicates
 from .risk import MEASURES, RiskParams, format_number, risk_of_formula
 from .scenario import CaseStudyConfig, run_case_study
 from .semantics import eval_boolean, eval_robust
-from .trace import load_trace_csv, read_ensemble, read_json
+from .trace import load_trace_csv, read_ensemble, read_json, shortened
 
 EXIT_OK = 0
 EXIT_OTHER = 1
@@ -95,28 +95,20 @@ def cmd_monitor(args) -> int:
     return EXIT_OK
 
 
-def _parse_bounds(text: str):
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ParamError(f"--bounds expects A,B with two numbers, got {text!r}")
+def _flag_numbers(flag: str, text: str, error: type) -> tuple:
+    """The comma-separated numbers that ``flag`` was given as ``text``; an
+    ``error`` quoting the text if one is not a number."""
     try:
-        return (float(parts[0]), float(parts[1]))
+        return tuple(map(float, text.split(",")))
     except ValueError:
-        raise ParamError(f"--bounds expects numeric A,B, got {text!r}") from None
-
-
-def _parse_betas(text: str) -> tuple:
-    try:
-        return tuple(float(b) for b in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--betas expects comma-separated numbers, got {text!r}") from None
+        raise error(f"{flag} expects comma-separated numbers, got {shortened(repr(text))}") from None
 
 
 def cmd_risk(args) -> int:
     f = parse(args.formula)
     predicates, table = read_predicates(args.predicates)
     ensemble, sources = read_ensemble(args.ensemble)
-    bounds = _parse_bounds(args.bounds) if args.bounds else None
+    bounds = _flag_numbers("--bounds", args.bounds, ParamError) if args.bounds is not None else None
     params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
     result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
     payload = result.to_json_dict()
@@ -152,7 +144,7 @@ def cmd_casestudy(args) -> int:
     # key, and ``replace`` validates the result again.
     flags = {key: getattr(args, key) for key in ("seed", "n", "delta", "betas") if getattr(args, key) is not None}
     if "betas" in flags:
-        flags["betas"] = _parse_betas(flags["betas"])
+        flags["betas"] = _flag_numbers("--betas", flags["betas"], ConfigError)
     config = replace(CaseStudyConfig.from_json_dict(data), **flags)
     result = run_case_study(config)
     csv_text = result.to_csv()

@@ -2,24 +2,20 @@
 
 
 class StlRiskError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; ``span``, if set, locates one in formula text."""
+
+    def __init__(self, message: str, span=None):
+        super().__init__(message)
+        self.span = span
 
 
 class IntervalError(StlRiskError):
     """A time interval has a negative bound, a finite bound above sys.maxsize,
     or lo > hi."""
 
-    def __init__(self, message: str, span=None):
-        super().__init__(message)
-        self.span = span
-
 
 class FormulaSyntaxError(StlRiskError):
     """Malformed formula text. ``span`` locates the offending characters."""
-
-    def __init__(self, message: str, span=None):
-        super().__init__(message)
-        self.span = span
 
 
 class UnknownPredicateError(StlRiskError):

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 from .errors import FormulaSyntaxError, IntervalError
 from .formula import OPERATORS, TRUE, And, Formula, Not, Or, Predicate, TimeInterval, TrueFormula, Until, Window
+from .trace import shortened
 
 __all__ = ["SourceSpan", "parse", "format_formula"]
 
@@ -72,6 +73,11 @@ class _Token:
     @property
     def span(self) -> SourceSpan:
         return SourceSpan(self.start, self.end)
+
+    @property
+    def quoted(self) -> str:
+        """The token as a refusal names it."""
+        return "end of input" if self.kind == "eof" else shortened(repr(self.text))
 
 
 def _tokenize(text: str) -> list[_Token]:
@@ -126,17 +132,14 @@ class _Parser:
     def expect(self, kind: str, what: str) -> _Token:
         tok = self.peek()
         if tok.kind != kind:
-            raise FormulaSyntaxError(
-                f"expected {what}, found {tok.text!r}" if tok.kind != "eof" else f"expected {what}, found end of input",
-                tok.span,
-            )
+            raise FormulaSyntaxError(f"expected {what}, found {tok.quoted}", tok.span)
         return self.take()
 
     def parse(self) -> Formula:
         f = self.disj()
         tok = self.peek()
         if tok.kind != "eof":
-            raise FormulaSyntaxError(f"unexpected trailing input {tok.text!r}", tok.span)
+            raise FormulaSyntaxError(f"unexpected trailing input {tok.quoted}", tok.span)
         return f
 
     def disj(self) -> Formula:
@@ -197,10 +200,7 @@ class _Parser:
             f = self.nest(tok, self.disj)
             self.expect(")", "')'")
             return f
-        raise FormulaSyntaxError(
-            f"expected a formula, found {tok.text!r}" if tok.kind != "eof" else "expected a formula, found end of input",
-            tok.span,
-        )
+        raise FormulaSyntaxError(f"expected a formula, found {tok.quoted}", tok.span)
 
     def interval(self) -> TimeInterval:
         open_tok = self.expect("[", "'['")

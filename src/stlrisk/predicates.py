@@ -129,7 +129,7 @@ class NormBall:
         if not radius > 0.0:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         if self.norm not in (L2, LINF):
-            raise ValueError(f"norm must be {L2!r} or {LINF!r}, got {self.norm!r}")
+            raise ValueError(f"norm must be {L2!r} or {LINF!r}, got {shortened(repr(self.norm))}")
         object.__setattr__(self, "pos", pos)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "radius", radius)
@@ -210,7 +210,7 @@ def parse_predicate_table(data: dict) -> dict:
         try:
             table[name] = _parse_one(spec)
         except (KeyError, TypeError, ValueError) as exc:
-            raise FormatError(f"predicate {name!r}: {exc}") from None
+            raise FormatError(f"predicate {shortened(repr(name))}: {exc}") from None
     return table
 
 
@@ -221,14 +221,14 @@ def _known(spec: dict, keys: set, what: str) -> dict:
     """``spec``, refused if it holds a key outside ``keys``."""
     unknown = sorted(set(spec) - keys)
     if unknown:
-        raise ValueError(f"unknown {what} keys: {', '.join(map(repr, unknown))}")
+        raise ValueError(f"unknown {what} keys: {shortened(', '.join(map(repr, unknown)))}")
     return spec
 
 
 def _parse_one(spec: dict) -> PredicateDef:
     kind = spec["kind"]
     if kind not in ("halfspace", "ball"):
-        raise ValueError(f"unknown predicate kind {kind!r}")
+        raise ValueError(f"unknown predicate kind {shortened(repr(kind))}")
     _known(spec, _KEYS[kind] | {"kind", "complement"}, kind)
     if kind == "halfspace":
         p: PredicateDef = Halfspace(tuple(spec["a"]), spec["b"])
@@ -239,7 +239,7 @@ def _parse_one(spec: dict) -> PredicateDef:
         p = NormBall(tuple(spec["pos"]), center, spec["radius"], spec.get("norm", L2))
     complement = spec.get("complement", False)
     if not isinstance(complement, bool):
-        raise ValueError(f"complement must be true or false, got {complement!r}")
+        raise ValueError(f"complement must be true or false, got {shortened(repr(complement))}")
     return Complement(p) if complement else p
 
 

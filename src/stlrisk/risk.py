@@ -1,7 +1,7 @@
 """Sample-based risk measures over robustness samples.
 
 Estimators operate on a vector Z of finite cost samples (negated robustness
-values from an ensemble).  ``var_point`` is the empirical quantile
+values from an ensemble).  The value-at-risk point is the empirical quantile
 inf{a : F(a) >= beta} of the empirical CDF F.  ``var_bounds`` widens the
 quantile into a distribution-free confidence triple by shifting the
 empirical CDF up and down by the Dvoretzky-Kiefer-Wolfowitz band half-width
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .formula import Formula
 from .semantics import eval_robust_ensemble
-from .trace import Ensemble, frozen_array
+from .trace import Ensemble, frozen_array, shortened
 
 __all__ = [
     "RobustnessSamples",
@@ -40,7 +40,6 @@ __all__ = [
     "VarTriple",
     "RiskResult",
     "dkw_epsilon",
-    "var_point",
     "var_bounds",
     "cvar_point",
     "expected",
@@ -82,7 +81,7 @@ class RiskParams:
         _check_level(self.delta, "delta")
         _check_lambda(self.lam)
         if self.bounds is not None:
-            _check_bounds(*self.bounds)
+            _check_bounds(self.bounds)
 
 
 @dataclass(frozen=True)
@@ -109,9 +108,9 @@ def _check_lambda(lam: float) -> None:
         raise ParamError(f"lambda must be finite and >= 0, got {lam}")
 
 
-def _check_bounds(a: float, b: float) -> None:
-    if not -math.inf < a < b < math.inf:
-        raise ParamError(f"bounds must be finite with a < b, got [{a}, {b}]")
+def _check_bounds(bounds: Sequence[float]) -> None:
+    if len(bounds) != 2 or not -math.inf < bounds[0] < bounds[1] < math.inf:
+        raise ParamError(f"bounds must be two finite numbers a < b, got {shortened(repr(list(bounds)))}")
 
 
 def dkw_epsilon(n: int, delta: float) -> float:
@@ -151,12 +150,6 @@ def _quantile(srt: np.ndarray, level: float) -> float:
     if level > 1.0:
         return math.inf
     return float(srt[_quantile_index(len(srt), level) - 1])
-
-
-def var_point(z: RobustnessSamples, beta: float) -> float:
-    """Empirical value-at-risk: the smallest sample whose CDF reaches beta."""
-    _check_level(beta)
-    return _quantile(z.sorted(), beta)
 
 
 def var_bounds(z: RobustnessSamples, beta: float, delta: float) -> VarTriple:
@@ -207,8 +200,8 @@ def _hoeffding(z: RobustnessSamples, delta: float, bounds: Tuple[float, float]) 
     Half-width (b - a) * sqrt(ln(2/delta) / (2 N)), that is (b - a) times
     ``dkw_epsilon``, valid at level 1 - delta by Hoeffding's inequality.
     """
+    _check_bounds(bounds)
     a, b = bounds
-    _check_bounds(a, b)
     eps = dkw_epsilon(z.n, delta)
     if bool((z.values < a).any() or (z.values > b).any()):
         raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")

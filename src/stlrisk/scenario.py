@@ -42,7 +42,7 @@ from .errors import ConfigError
 from .formula import Formula
 from .parser import parse
 from .predicates import NormBall, StateSlice, real_numbers
-from .risk import RobustnessSamples, format_number, json_number, var_bounds
+from .risk import MEASURES, RiskParams, RobustnessSamples, format_number, json_number
 from .semantics import eval_robust_ensemble
 from .trace import Ensemble, Trace, shortened
 
@@ -93,7 +93,7 @@ def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]
     """``values``, a list of finite numbers, as floats; a ``ConfigError``
     naming ``key`` otherwise."""
     if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list of numbers, got {values!r}")
+        raise ConfigError(f"{key}: expected a list of numbers, got {shortened(repr(values))}")
     try:
         numbers = real_numbers(values, key)
     except ValueError as exc:
@@ -139,12 +139,12 @@ class CaseStudyConfig:
             raise ConfigError(f"n must be at most {_MAX_N} realizations per trajectory")
         betas = _numbers("betas", self.betas)
         if not betas or any(not 0.0 < b < 1.0 for b in betas):
-            raise ConfigError(f"betas must be a non-empty list within (0, 1), got {self.betas!r}")
+            raise ConfigError(f"betas must be a non-empty list within (0, 1), got {shortened(repr(self.betas))}")
         (delta,) = _numbers("delta", [self.delta])
         if not 0.0 < delta < 1.0:
             raise ConfigError(f"delta must lie in (0, 1), got {self.delta!r}")
         if not isinstance(self.trajectories, (list, tuple)) or not self.trajectories:
-            raise ConfigError(f"trajectories: expected a non-empty list, got {self.trajectories!r}")
+            raise ConfigError(f"trajectories: expected a non-empty list, got {shortened(repr(self.trajectories))}")
         for j, traj in enumerate(self.trajectories):
             if not isinstance(traj, (list, tuple)) or len(traj) != _STEPS:
                 raise ConfigError(f"trajectories[{j}]: expected a list of exactly {_STEPS} waypoints")
@@ -163,7 +163,7 @@ class CaseStudyConfig:
         known = {"seed", "n", "betas", "delta", "trajectories"}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config keys: {', '.join(sorted(unknown))}")
+            raise ConfigError(f"unknown config keys: {shortened(', '.join(sorted(unknown)))}")
         if data.get("trajectories") == "default":
             data = {**data, "trajectories": DEFAULT_TRAJECTORIES}
         return cls(**data)
@@ -279,8 +279,8 @@ def run_case_study(config: CaseStudyConfig) -> CaseStudyResult:
     """Value-at-risk bounds per trajectory and risk level.
 
     For each trajectory the N realizations are scored by negated robustness
-    at time 0 and the quantile bounds are computed at every requested level.
-    Identical configs produce bit-identical tables.
+    at time 0, and ``MEASURES["var"]`` gives the quantile bounds at every
+    requested level.  Identical configs produce bit-identical tables.
     """
     formula, predicates = build_case_study_formula()
     rows = []
@@ -288,14 +288,14 @@ def run_case_study(config: CaseStudyConfig) -> CaseStudyResult:
         ensemble = sample_ensemble(config, j)
         z = RobustnessSamples(eval_robust_ensemble(formula, ensemble, 0, predicates))
         for beta in config.betas:
-            triple = var_bounds(z, beta, config.delta)
+            var = MEASURES["var"](z, RiskParams(beta=beta, delta=config.delta))
             rows.append(
                 CaseStudyRow(
                     trajectory=j + 1,
                     beta=beta,
-                    var_lower=triple.lower,
-                    var_point=triple.point,
-                    var_upper=triple.upper,
+                    var_lower=var["lower"],
+                    var_point=var["value"],
+                    var_upper=var["upper"],
                 )
             )
     return CaseStudyResult(config=config, rows=tuple(rows))

@@ -55,7 +55,7 @@ import numpy as np
 from .errors import InsufficientHorizonError, UnknownPredicateError
 from .formula import And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, plan
 from .predicates import PredicateDef, margins
-from .trace import Ensemble, Trace
+from .trace import Ensemble, Trace, shortened
 
 __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
 
@@ -65,7 +65,7 @@ def _check_admissible(order: list, span: dict, length: int, t: int, predicates: 
     predicate or reads a subformula outside the trace."""
     missing = sorted({node.name for node, _ in order if isinstance(node, Predicate)} - set(predicates))
     if missing:
-        raise UnknownPredicateError(f"formula references undefined predicates: {', '.join(missing)}")
+        raise UnknownPredicateError(f"formula references undefined predicates: {shortened(', '.join(missing))}")
     if not 0 <= t < length:
         raise InsufficientHorizonError(f"time {t} outside the trace index range [0, {length - 1}]")
     first, last = min(a for a, _ in span.values()), max(b for _, b in span.values())

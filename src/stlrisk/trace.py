@@ -132,18 +132,6 @@ class Ensemble:
         built on first use."""
         return tuple(map(Trace, self.states))
 
-    @property
-    def n(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[2]
-
-    @property
-    def length(self) -> int:
-        return self.states.shape[1]
-
 
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BLOCK = 1024  # cells that _values splits at a time

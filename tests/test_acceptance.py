@@ -18,7 +18,6 @@ from stlrisk.risk import (
     cvar_point,
     expected,
     var_bounds,
-    var_point,
     worst_case,
 )
 from stlrisk.scenario import (
@@ -146,7 +145,7 @@ def test_criterion_5_risk_axioms():
     tol = 1e-12
     bad = 0
     estimators = {
-        "var": lambda z, b: var_point(z, b),
+        "var": lambda z, b: var_bounds(z, b, 0.5).point,
         "cvar": lambda z, b: cvar_point(z, b),
         "expected": lambda z, b: expected(z),
         "worst": lambda z, b: worst_case(z),
@@ -211,7 +210,7 @@ def test_criterion_6_clipped_margin_surrogate():
         z_exact = RobustnessSamples(-np.maximum(rho, 0.0))
         beta = float(rng.uniform(0.05, 0.95))
         checks = [
-            var_point(z_exact, beta) <= var_point(z_approx, beta),
+            var_bounds(z_exact, beta, 0.5).point <= var_bounds(z_approx, beta, 0.5).point,
             cvar_point(z_exact, beta) <= cvar_point(z_approx, beta) + 1e-12,
             expected(z_exact) <= expected(z_approx) + 1e-12,
             worst_case(z_exact) <= worst_case(z_approx),

@@ -355,6 +355,24 @@ class TestRisk:
         stdout, err = capsys.readouterr()
         assert stdout == "" and "finite" in err and not out.exists()
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            ("", "--bounds expects comma-separated numbers, got ''"),
+            ("a,b", "--bounds expects comma-separated numbers, got 'a,b'"),
+            ("1", "bounds must be two finite numbers a < b, got [1.0]"),
+            ("1,2,3", "bounds must be two finite numbers a < b, got [1.0, 2.0, 3.0]"),
+        ],
+        ids=["empty", "not-numbers", "one-number", "three-numbers"],
+    )
+    def test_bounds_that_are_not_two_numbers_exit_4(self, workdir, bounds, message, capsys):
+        out = workdir / "out"
+        args = ["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--ensemble", str(workdir / "ensemble"),
+                "--measure", "expected", f"--bounds={bounds}", "--out", str(out)]
+        assert main(args) == 4
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_lambda_and_bounds_give_strict_json(self, workdir, capsys):
         out = workdir / "out"
         for measure in ("meanvar", "expected"):
@@ -629,6 +647,59 @@ def test_json_that_cannot_be_decoded_is_named(workdir, kind, code, content, caps
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "kind, code, message",
+    [("predicates", 1, "predicate table must be a JSON object"), ("config", 5, "config must be a JSON object")],
+)
+def test_json_array_is_refused(workdir, kind, code, message, capsys):
+    bad = workdir / "bad.json"
+    bad.write_text("[1, 2]")
+    args = {
+        "predicates": ["monitor", "--formula", "p", "--predicates", str(bad), "--trace", str(workdir / "trace.csv")],
+        "config": ["casestudy", "--config", str(bad), "--out", str(workdir / "out")],
+    }[kind]
+    assert main(args) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+LONG = 3000
+MONITOR = ["monitor", "--predicates", "preds.json", "--trace", "trace.csv"]
+MONITOR_TABLE = ["monitor", "--formula", "p", "--predicates", "in.json", "--trace", "trace.csv"]
+RISK = ["risk", "--formula", "p", "--predicates", "preds.json", "--ensemble", "ensemble", "--measure", "expected"]
+CASESTUDY_CONFIG = ["casestudy", "--config", "in.json", "--out", "o"]
+
+
+@pytest.mark.parametrize(
+    "argv, content, code",
+    [
+        pytest.param(["check", "--formula", "p " + "q" * LONG], None, 2, id="trailing-input"),
+        pytest.param(["check", "--formula", "(p " + "q" * LONG], None, 2, id="expected-token"),
+        pytest.param(["check", "--formula", "p & " + "1" * LONG], None, 2, id="expected-formula"),
+        pytest.param(MONITOR + ["--formula", "q" * LONG], None, 1, id="undefined-predicate"),
+        pytest.param(MONITOR_TABLE, {"n" * LONG: {"kind": "halfspace"}}, 1, id="predicate-name"),
+        pytest.param(MONITOR_TABLE, {"p": {"kind": "k" * LONG}}, 1, id="predicate-kind"),
+        pytest.param(MONITOR_TABLE, {"p": {"kind": "halfspace", "a": [1], "b": 0, "k" * LONG: 1}}, 1, id="predicate-key"),
+        pytest.param(MONITOR_TABLE, {"p": {"kind": "ball", "pos": [0], "center": [0], "radius": 1, "norm": "n" * LONG}}, 1, id="norm"),
+        pytest.param(MONITOR_TABLE, {"p": {"kind": "halfspace", "a": [1], "b": 0, "complement": "c" * LONG}}, 1, id="complement"),
+        pytest.param(RISK + ["--bounds=" + "x" * LONG], None, 4, id="bounds-text"),
+        pytest.param(RISK + ["--bounds=" + ",".join(["1"] * (LONG // 2))], None, 4, id="bounds-count"),
+        pytest.param(["casestudy", "--betas", "x" * LONG, "--out", "o"], None, 5, id="betas-flag"),
+        pytest.param(CASESTUDY_CONFIG, {"betas": "x" * LONG}, 5, id="betas-text"),
+        pytest.param(CASESTUDY_CONFIG, {"betas": [2.0] * LONG}, 5, id="betas-range"),
+        pytest.param(CASESTUDY_CONFIG, {"trajectories": "t" * LONG}, 5, id="trajectories"),
+        pytest.param(CASESTUDY_CONFIG, {"k" * LONG: 1}, 5, id="config-key"),
+    ],
+)
+def test_long_quoted_input_is_cut_in_its_one_error_line(workdir, monkeypatch, argv, content, code, capsys):
+    # Each message quotes the input; quoted whole, these lines ran past 3000 characters.
+    monkeypatch.chdir(workdir)
+    if content is not None:
+        Path("in.json").write_text(json.dumps(content))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
 
 
 def sha256(data: bytes) -> str:

@@ -43,6 +43,11 @@ class TestTimeInterval:
         with pytest.raises(IntervalError):
             TimeInterval(-1, 2)
 
+    @pytest.mark.parametrize("lo, hi", [(1.5, 2), (True, 2), (0, "3")], ids=["float-lo", "bool-lo", "string-hi"])
+    def test_rejects_a_bound_that_is_not_an_integer(self, lo, hi):
+        with pytest.raises(IntervalError, match="must be an integer"):
+            TimeInterval(lo, hi)
+
     def test_bounds_up_to_maxsize(self):
         assert TimeInterval(sys.maxsize, sys.maxsize).hi == sys.maxsize
 

@@ -24,7 +24,6 @@ from stlrisk.risk import (
     mean_variance,
     risk_of_formula,
     var_bounds,
-    var_point,
     worst_case,
 )
 from stlrisk.cli import main
@@ -36,6 +35,11 @@ from .helpers import cvar_exact, cvar_scan, var_bounds_scan, var_scan
 
 def S(*values):
     return RobustnessSamples(np.array(values, dtype=float))
+
+
+def var_point(z, beta):
+    """The point value-at-risk, as ``var_bounds`` reports it at any delta."""
+    return var_bounds(z, beta, 0.5).point
 
 
 def hoeffding(z, delta, bounds):
@@ -387,6 +391,8 @@ class TestRiskOfFormula:
             RiskParams(lam=-1.0)
         with pytest.raises(ParamError):
             RiskParams(bounds=(2.0, 1.0))
+        with pytest.raises(ParamError, match=r"two finite numbers a < b, got \[1.0, 2.0, 3.0\]"):
+            RiskParams(bounds=(1.0, 2.0, 3.0))
 
 
 class TestRobustnessSamplesInvariants:

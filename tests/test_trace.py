@@ -198,7 +198,7 @@ class TestLoadEnsemble:
 
     def test_directory(self, tmp_path):
         e = load_ensemble(self.make_dir(tmp_path, [3, 3, 3]))
-        assert e.n == 3 and e.length == 3 and e.dim == 1
+        assert e.states.shape == (3, 3, 1)
 
     def test_directory_ordered_by_name(self, tmp_path):
         write(tmp_path, "b.csv", "t,x1\n0,2\n")
@@ -220,7 +220,7 @@ class TestLoadEnsemble:
             tmp_path, "ens.json", json.dumps({"traces": ["tr1.csv", "tr0.csv"], "seed": 99})
         )
         e = load_ensemble(manifest)
-        assert e.n == 2
+        assert len(e.states) == 2
         # manifest order wins over name order
         assert e.traces[0].states[0, 0] == 1.0
 
@@ -237,7 +237,7 @@ class TestEnsembleLayout:
     def test_states_stack_the_traces(self):
         traces = (Trace(np.array([[1.0, 2.0], [3.0, 4.0]])), Trace(np.array([[5.0, 6.0], [7.0, 8.0]])))
         e = Ensemble(traces)
-        assert e.states.shape == (2, 2, 2) and (e.n, e.length, e.dim) == (2, 2, 2)
+        assert e.states.shape == (2, 2, 2)
         assert np.array_equal(e.states, [[[1, 2], [3, 4]], [[5, 6], [7, 8]]])
         assert [tr.states.tobytes() for tr in e.traces] == [tr.states.tobytes() for tr in traces]
         with pytest.raises(ValueError):
@@ -460,7 +460,7 @@ class TestReadEnsemble:
         d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
         e, sources = read_ensemble(d)
         assert sources == {str(p): p.read_bytes() for p in sorted(d.iterdir())}
-        assert e.n == 2
+        assert len(e.states) == 2
 
     def test_member_paths_are_path_slash_name(self, tmp_path, monkeypatch):
         d = write_members(tmp_path / "ens", INGEST_CASES["plain"])
@@ -478,7 +478,7 @@ class TestReadEnsemble:
             str(d / "m01.csv"): (d / "m01.csv").read_bytes(),
             str(d / "m00.csv"): (d / "m00.csv").read_bytes(),
         }
-        assert e.n == 2
+        assert len(e.states) == 2
 
 
 class TestRead:
@@ -542,7 +542,7 @@ class TestRead:
             path = write(tmp_path, "ens.json", json.dumps({"traces": [f"ens/{n}" for n in listed] + ["ens/m99.csv"]}))
         before = len(os.listdir("/proc/self/fd"))
         if member is None:
-            assert read_ensemble(path)[0].n == 2
+            assert len(read_ensemble(path)[0].states) == 2
         else:
             with pytest.raises((OSError, FormatError), match="m99.csv"):
                 read_ensemble(path)
