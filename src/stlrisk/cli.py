@@ -9,11 +9,13 @@ Exit codes, from one table (``_EXIT_CODES``) that ``main`` applies to any
 error: 0 success, 2 formula syntax or interval error, 3 insufficient trace
 horizon, 4 bad risk parameter (including costs outside ``--bounds``),
 non-finite robustness or non-finite estimate, 5 bad case-study config, 1
-anything else, including internal errors.  Each failure is one line on
-stderr; an input file (JSON or CSV) that is not UTF-8 is named with the
-offset of its first bad byte.  The ``manifest.json`` of ``risk --out`` and
-``casestudy`` digests the input bytes that were parsed and the output bytes
-that were written.
+anything else, including internal errors.  A malformed numeric flag exits
+with its command's code (``--time`` 3, other ``risk`` numbers 4, ``casestudy``
+numbers 5); only argparse's usage errors (unknown or missing flags) exit 2
+with usage.  Any other failure is one line on stderr; an input file (JSON or
+CSV) that is not UTF-8 is named with the offset of its first bad byte.  The
+``manifest.json`` of ``risk --out`` and ``casestudy`` digests the input
+bytes that were parsed and the output bytes that were written.
 """
 
 from __future__ import annotations
@@ -95,21 +97,11 @@ def cmd_monitor(args) -> int:
     return EXIT_OK
 
 
-def _flag_numbers(flag: str, text: str, error: type) -> tuple:
-    """The comma-separated numbers that ``flag`` was given as ``text``; an
-    ``error`` quoting the text if one is not a number."""
-    try:
-        return tuple(map(float, text.split(",")))
-    except ValueError:
-        raise error(f"{flag} expects comma-separated numbers, got {shortened(repr(text))}") from None
-
-
 def cmd_risk(args) -> int:
     f = parse(args.formula)
     predicates, table = read_predicates(args.predicates)
     ensemble, sources = read_ensemble(args.ensemble)
-    bounds = _flag_numbers("--bounds", args.bounds, ParamError) if args.bounds is not None else None
-    params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=bounds)
+    params = RiskParams(beta=args.beta, delta=args.delta, lam=args.lam, bounds=args.bounds)
     result = risk_of_formula(ensemble, f, predicates, args.time, params, args.measure)
     payload = result.to_json_dict()
     if args.out:
@@ -124,7 +116,7 @@ def cmd_risk(args) -> int:
                 "beta": args.beta,
                 "delta": args.delta,
                 "lambda": args.lam,
-                "bounds": list(bounds) if bounds else None,
+                "bounds": list(args.bounds) if args.bounds else None,
                 "ensemble": str(args.ensemble),
             },
             inputs={**sources, str(args.predicates): table},
@@ -143,8 +135,6 @@ def cmd_casestudy(args) -> int:
     # The file's config, validated whole; each flag given then overrides its
     # key, and ``replace`` validates the result again.
     flags = {key: getattr(args, key) for key in ("seed", "n", "delta", "betas") if getattr(args, key) is not None}
-    if "betas" in flags:
-        flags["betas"] = _flag_numbers("--betas", flags["betas"], ConfigError)
     config = replace(CaseStudyConfig.from_json_dict(data), **flags)
     result = run_case_study(config)
     csv_text = result.to_csv()
@@ -191,6 +181,20 @@ def _write_outputs(outdir: Path, texts: dict, command: str, parameters: dict, in
     )
 
 
+def _add_number(p, flag: str, kind: type, error: type, **options) -> None:
+    """Add numeric ``flag`` to ``p``, read by ``kind`` (``tuple``: of
+    comma-separated floats); other text is an ``error`` that quotes it."""
+    expects = {int: "an integer", float: "a number", tuple: "comma-separated numbers"}[kind]
+
+    def read(text: str):
+        try:
+            return tuple(map(float, text.split(","))) if kind is tuple else kind(text)
+        except ValueError:
+            raise error(f"{flag} expects {expects}, got {shortened(repr(text))}") from None
+
+    p.add_argument(flag, type=read, **options)
+
+
 @cache  # one tree per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="stlrisk", description=__doc__)
@@ -205,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--predicates", required=True, help="predicate table JSON")
     p.add_argument("--trace", required=True, help="trace CSV")
-    p.add_argument("--time", type=int, default=0)
+    _add_number(p, "--time", int, InsufficientHorizonError, default=0)
     p.add_argument("--mode", choices=("boolean", "robust"), default="robust")
     p.set_defaults(func=cmd_monitor)
 
@@ -213,21 +217,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--formula", required=True)
     p.add_argument("--predicates", required=True)
     p.add_argument("--ensemble", required=True, help="directory of CSVs or JSON manifest")
-    p.add_argument("--time", type=int, default=0)
+    _add_number(p, "--time", int, InsufficientHorizonError, default=0)
     p.add_argument("--measure", choices=MEASURES, default="var")
-    p.add_argument("--beta", type=float, default=RiskParams.beta)
-    p.add_argument("--delta", type=float, default=RiskParams.delta)
-    p.add_argument("--lambda", dest="lam", type=float, default=RiskParams.lam)
-    p.add_argument("--bounds", help="A,B support interval for the mean confidence interval; --bounds=-5,5 if A < 0")
+    _add_number(p, "--beta", float, ParamError, default=RiskParams.beta)
+    _add_number(p, "--delta", float, ParamError, default=RiskParams.delta)
+    _add_number(p, "--lambda", float, ParamError, dest="lam", default=RiskParams.lam)
+    _add_number(p, "--bounds", tuple, ParamError, help="A,B support interval for the mean confidence interval; --bounds=-5,5 if A < 0")
     p.add_argument("--out", help="directory for result.json and manifest.json")
     p.set_defaults(func=cmd_risk)
 
     p = sub.add_parser("casestudy", help="run the bundled delivery scenario")
     p.add_argument("--config", help="config JSON file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--n", type=int)
-    p.add_argument("--delta", type=float)
-    p.add_argument("--betas", help="comma-separated risk levels")
+    _add_number(p, "--seed", int, ConfigError)
+    _add_number(p, "--n", int, ConfigError)
+    _add_number(p, "--delta", float, ConfigError)
+    _add_number(p, "--betas", tuple, ConfigError, help="comma-separated risk levels")
     p.add_argument("--out", default="casestudy-out", help="output directory")
     p.set_defaults(func=cmd_casestudy)
 
@@ -235,8 +239,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except Exception as exc:
         return _fail(exc)

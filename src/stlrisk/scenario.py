@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import repeat
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -198,9 +198,9 @@ def _states(waypoints, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     return states
 
 
-def nominal_trace(waypoints, c: Sequence[float] = _C_MEAN, d: Sequence[float] = _D_MEAN) -> Trace:
-    """The deterministic trace for one trajectory with fixed region centers."""
-    return Trace(_states(waypoints, np.array([c], dtype=float), np.array([d], dtype=float))[0])
+def nominal_trace(waypoints) -> Trace:
+    """The deterministic trace for one trajectory with the region centers at their means."""
+    return Trace(_states(waypoints, np.array([_C_MEAN], dtype=float), np.array([_D_MEAN], dtype=float))[0])
 
 
 try:  # the C function NormalDist.inv_cdf wraps: same bits, and no statistics import

@@ -67,7 +67,8 @@ def _check_admissible(order: list, span: dict, length: int, t: int, predicates: 
     if missing:
         raise UnknownPredicateError(f"formula references undefined predicates: {shortened(', '.join(missing))}")
     if not 0 <= t < length:
-        raise InsufficientHorizonError(f"time {t} outside the trace index range [0, {length - 1}]")
+        shown = t if abs(t) <= 10**60 else f"{'below -' if t < 0 else 'above '}10**60"  # str() has a digit limit
+        raise InsufficientHorizonError(f"time {shown} outside the trace index range [0, {length - 1}]")
     first, last = min(a for a, _ in span.values()), max(b for _, b in span.values())
     if last > length - 1:
         raise InsufficientHorizonError(

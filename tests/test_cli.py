@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import gc
 import hashlib
 import importlib
@@ -13,6 +14,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import stlrisk
 from stlrisk import cli, trace
@@ -484,6 +487,17 @@ class TestRiskManifest:
         assert main(args) == 0
         return json.loads((out / "manifest.json").read_text())
 
+    def test_numeric_flags_keep_their_json_types(self, workdir, capsys):
+        out = workdir / "out"
+        assert main(["risk", "--formula", "p", "--predicates", str(workdir / "preds.json"),
+                     "--ensemble", str(workdir / "ensemble"), "--time", "0", "--measure", "expected", "--beta", "0.9",
+                     "--delta", "5e-2", "--lambda", "1", "--bounds=-50,50", "--out", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        parameters = {key: manifest["parameters"][key] for key in ("time", "beta", "delta", "lambda", "bounds")}
+        assert parameters == {"time": 0, "beta": 0.9, "delta": 0.05, "lambda": 1.0, "bounds": [-50.0, 50.0]}
+        types = [type(v) for v in (*parameters.values(), *parameters["bounds"])]
+        assert types == [int, float, float, float, list, float, float]
+
     def test_directory_members_digested(self, workdir, capsys):
         manifest = self.risk_out(workdir, workdir / "ensemble", workdir / "out")
         members = sorted((workdir / "ensemble").iterdir())
@@ -683,6 +697,8 @@ CASESTUDY_CONFIG = ["casestudy", "--config", "in.json", "--out", "o"]
         pytest.param(MONITOR_TABLE, {"p": {"kind": "halfspace", "a": [1], "b": 0, "k" * LONG: 1}}, 1, id="predicate-key"),
         pytest.param(MONITOR_TABLE, {"p": {"kind": "ball", "pos": [0], "center": [0], "radius": 1, "norm": "n" * LONG}}, 1, id="norm"),
         pytest.param(MONITOR_TABLE, {"p": {"kind": "halfspace", "a": [1], "b": 0, "complement": "c" * LONG}}, 1, id="complement"),
+        pytest.param(MONITOR + ["--formula", "p", "--time", "9" * LONG], None, 3, id="monitor-time"),
+        pytest.param(RISK + ["--time", "9" * LONG], None, 3, id="risk-time"),
         pytest.param(RISK + ["--bounds=" + "x" * LONG], None, 4, id="bounds-text"),
         pytest.param(RISK + ["--bounds=" + ",".join(["1"] * (LONG // 2))], None, 4, id="bounds-count"),
         pytest.param(["casestudy", "--betas", "x" * LONG, "--out", "o"], None, 5, id="betas-flag"),
@@ -700,6 +716,131 @@ def test_long_quoted_input_is_cut_in_its_one_error_line(workdir, monkeypatch, ar
     assert main(argv) == code
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
+
+
+# Each numeric flag: its command's argv without it, how its text is read and
+# the command's exit code for malformed text.  The files do not exist, so a
+# value that was accepted would end in an error that does not name the flag.
+MONITOR_ABSENT = ["monitor", "--formula", "p", "--predicates", "absent.json", "--trace", "absent.csv"]
+RISK_ABSENT = ["risk", "--formula", "p", "--predicates", "absent.json", "--ensemble", "absent"]
+CASESTUDY_ABSENT = ["casestudy", "--config", "absent.json", "--out", "absent"]
+NUMERIC_FLAGS = [
+    pytest.param(argv, flag, kind, code, id=argv[0] + flag)
+    for argv, flag, kind, code in [
+        (MONITOR_ABSENT, "--time", int, 3),
+        (RISK_ABSENT, "--time", int, 3),
+        (RISK_ABSENT, "--beta", float, 4),
+        (RISK_ABSENT, "--delta", float, 4),
+        (RISK_ABSENT, "--lambda", float, 4),
+        (RISK_ABSENT, "--bounds", tuple, 4),
+        (CASESTUDY_ABSENT, "--seed", int, 5),
+        (CASESTUDY_ABSENT, "--n", int, 5),
+        (CASESTUDY_ABSENT, "--delta", float, 5),
+        (CASESTUDY_ABSENT, "--betas", tuple, 5),
+    ]
+]
+
+
+def refused(kind, text: str) -> bool:
+    """Whether the conversion a numeric flag of ``kind`` applies refuses ``text``."""
+    try:
+        tuple(map(float, text.split(","))) if kind is tuple else kind(text)
+    except ValueError:
+        return True
+    return False
+
+
+def flag_refusal(argv, flag, text):
+    """(exit code, stdout, stderr) of ``main`` given ``flag`` as ``text``."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([*argv, f"{flag}={text}"])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_line_naming(flag, expected_code, refusal):
+    code, out, err = refusal
+    assert (code, out) == (expected_code, ""), err
+    assert err.startswith(f"error: {flag} expects ") and err.count("\n") == 1 and len(err) <= 160, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, flag, kind, code", NUMERIC_FLAGS)
+@pytest.mark.parametrize(
+    "text",
+    ["", "x", "1.5.", "0x10", "1,", "\u00b2", "infinty", "9" * 5000 + "x"],
+    ids=["empty", "letter", "two-points", "hex", "trailing-comma", "superscript", "misspelled-inf", "long"],
+)
+def test_malformed_numeric_flag_exits_with_its_command_code(argv, flag, kind, code, text, tmp_path, monkeypatch):
+    # Refused before any file is read, in one line that names the flag and
+    # quotes the text cut short.
+    monkeypatch.chdir(tmp_path)
+    refusal = flag_refusal(argv, flag, text)
+    assert_one_line_naming(flag, code, refusal)
+    assert refusal[2].endswith(f", got {trace.shortened(repr(text))}\n")
+
+
+@needs_digit_limit
+@pytest.mark.parametrize("argv, flag, kind, code", [f for f in NUMERIC_FLAGS if f.values[2] is int])
+def test_integer_flag_past_the_digit_limit_exits_with_its_command_code(argv, flag, kind, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert_one_line_naming(flag, code, flag_refusal(argv, flag, "9" * (DIGIT_LIMIT + 1)))
+
+
+@pytest.mark.parametrize(
+    "flag, text, message",
+    [
+        ("--time", "1.5", "error: --time expects an integer, got '1.5'\n"),
+        ("--beta", "x", "error: --beta expects a number, got 'x'\n"),
+        ("--bounds", "1,x", "error: --bounds expects comma-separated numbers, got '1,x'\n"),
+    ],
+)
+def test_malformed_numeric_flag_messages(flag, text, message):
+    assert flag_refusal(RISK_ABSENT, flag, text)[2] == message
+
+
+# Valid numbers, which the strategy below damages.
+NUMBER_TEXTS = ["0", "7", "-3", "42", "0.9", "-1e-3", "1E+2", "5_000", "0.8,0.9", "-5,5", "inf", "nan", "Infinity"]
+
+
+@st.composite
+def malformed_texts(draw, kind):
+    """Text that a numeric flag of ``kind`` refuses: a valid number with a
+    character changed, inserted or cut off, a 5000-digit number, a number
+    in digits that are not decimal, or a misspelled ``nan`` or ``inf``."""
+    base = draw(st.sampled_from(NUMBER_TEXTS))
+    damage = draw(st.sampled_from(["flip", "insert", "truncate", "long", "non-decimal", "misspelled"]))
+    i = draw(st.integers(0, len(base)))
+    char = draw(st.characters(codec="utf-8") | st.sampled_from(",.+-_eE \n"))
+    if damage == "flip":
+        text = base[:i] + char + base[i + 1 :]
+    elif damage == "insert":
+        text = base[:i] + char + base[i:]
+    elif damage == "truncate":
+        text = base[:i]
+    elif damage == "long":
+        text = draw(st.sampled_from(["", "-", "0.", "1e"])) + "9" * 5000 + draw(st.sampled_from(["", char, ",", "e9", "."]))
+    elif damage == "non-decimal":
+        text = base[:i] + draw(st.characters(categories=["No", "Nl"])) + base[i:]
+    else:
+        word = draw(st.sampled_from(["nan", "inf", "infinity"]))
+        j = draw(st.integers(0, len(word) - 1))
+        text = draw(st.sampled_from([word[:j] + word[j + 1 :], word[:j] + char + word[j:], word[:j] + word[j] * 2 + word[j + 1 :]]))
+    assume(refused(kind, text))
+    return text
+
+
+@pytest.mark.parametrize("argv, flag, kind, code", NUMERIC_FLAGS)
+def test_every_malformed_numeric_flag_is_one_line_with_its_code(argv, flag, kind, code, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(malformed_texts(kind))
+    def check(text):
+        assert_one_line_naming(flag, code, flag_refusal(argv, flag, text))
+
+    check()
+    assert not any(tmp_path.iterdir())
 
 
 def sha256(data: bytes) -> str:
@@ -738,7 +879,7 @@ class TestCaseStudy:
     def test_small_run_writes_table_and_manifest(self, tmp_path, capsys):
         out = tmp_path / "out"
         code = main(
-            ["casestudy", "--seed", "5", "--n", "40", "--betas", "0.8,0.9", "--out", str(out)]
+            ["casestudy", "--seed", "5", "--n", "40", "--delta", "1e-2", "--betas", "0.8,0.9", "--out", str(out)]
         )
         assert code == 0
         stdout = capsys.readouterr().out
@@ -747,7 +888,10 @@ class TestCaseStudy:
         table = json.loads((out / "table.json").read_text())
         assert len(table["rows"]) == 12
         manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["parameters"]["seed"] == 5
+        # Each flag's value keeps its JSON type: an integer or a float.
+        parameters = {key: manifest["parameters"][key] for key in ("seed", "n", "delta", "betas")}
+        assert parameters == {"seed": 5, "n": 40, "delta": 0.01, "betas": [0.8, 0.9]}
+        assert [type(v) for v in (*parameters.values(), *parameters["betas"])] == [int, int, float, list, float, float]
         assert manifest["outputs"] == {name: sha256((out / name).read_bytes()) for name in ("table.csv", "table.json")}
 
     def test_single_sample_prints_inf(self, tmp_path, capsys):

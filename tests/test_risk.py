@@ -18,6 +18,7 @@ from stlrisk.risk import (
     MEASURES,
     RiskParams,
     RobustnessSamples,
+    _quantile_index,
     cvar_point,
     dkw_epsilon,
     expected,
@@ -89,6 +90,26 @@ class TestVarPoint:
             beta = float(rng.uniform(0.05, 0.95))
             costs = np.array([cost(v) for v in z.tolist()])
             assert var_point(RobustnessSamples(costs), beta) == cost(var_point(RobustnessSamples(z), beta))
+
+
+    @pytest.mark.parametrize("n, q, k", [(25, 0.28, 7), (3, math.nextafter(1 / 3, 1), 2)], ids=["ceil-high", "ceil-low"])
+    def test_quantile_index_corrects_a_rounded_ceil(self, n, q, k):
+        # 25 * 0.28 rounds to 7.000000000000001, whose ceil is 8, though
+        # 7/25 == 0.28; 3 * nextafter(1/3, 1) rounds to 1.0, whose ceil is 1,
+        # though 1/3 < q.
+        assert _quantile_index(n, q) == k
+        assert var_point(S(*range(n)), q) == k - 1
+
+    def test_quantile_index_is_the_smallest_k_with_k_over_n_at_least_q(self):
+        # At every k/n and both of its float neighbours, where a rounded
+        # n * q is most likely to land one off.  k/n is the float quotient,
+        # as the empirical CDF reaches it.
+        for n in range(1, 61):
+            for k in range(1, n + 1):
+                for q in (math.nextafter(k / n, 0), k / n, math.nextafter(k / n, 2)):
+                    if 0 < q <= 1:
+                        smallest = next(j for j in range(1, n + 1) if j / n >= q)
+                        assert _quantile_index(n, q) == smallest, (n, q)
 
 
 class TestVarBounds:

@@ -135,6 +135,23 @@ class TestHorizonRefusal:
             eval_robust(parse_helper(text), TR312, t, PREDS)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "t, shown",
+        [(10**60, str(10**60)), (-(10**60), str(-(10**60))), (10**3000, "above 10**60"), (10**5000, "above 10**60"), (-(10**5000), "below -10**60")],
+        ids=["10**60", "-10**60", "10**3000", "10**5000", "-10**5000"],
+    )
+    def test_time_past_60_digits_is_described_not_quoted(self, t, shown):
+        # Quoted whole, 10**3000 made a 3000-character message, and str()
+        # of 10**5000 raised ValueError past int()'s digit limit.
+        for evaluate in (
+            lambda f: eval_robust(f, TR312, t, PREDS),
+            lambda f: eval_boolean(f, TR312, t, PREDS),
+            lambda f: eval_robust_ensemble(f, Ensemble((TR312, TR312)), t, PREDS),
+        ):
+            with pytest.raises(InsufficientHorizonError) as info:
+                evaluate(parse_helper("G[0,2] p"))
+            assert str(info.value) == f"time {shown} outside the trace index range [0, 2]"
+
     def test_formula_walked_once_per_evaluation(self, monkeypatch):
         import stlrisk.formula
         import stlrisk.semantics
