@@ -4,8 +4,11 @@ A point robot moves through four waypoints (times 0..3) in the plane.  It
 must stay clear of two no-go regions, box C and disk D, over the whole
 window while reaching box A at step 1 or 2 and disk B within one step after
 that.  A and B are fixed; the centers of C and D are drawn once per
-realization from isotropic Gaussians, so each realization is the same
-geometric path scored against a perturbed map.
+realization from isotropic Gaussians about (2, 3) and (6, 4) with variance
+0.125 per coordinate, so each realization is the same geometric path scored
+against a perturbed map.  These means and the variance are part of the
+scenario: a config sets only ``CaseStudyConfig``'s fields (seed, n, betas,
+delta, trajectories).
 
 The state vector stacks [robot(2), a(2), b(2), c(2), d(2)] per step; the
 avoidance predicates read their centers from the c and d slices, which is
@@ -32,7 +35,7 @@ only at high quantiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional, Tuple
 
@@ -47,7 +50,6 @@ from .semantics import eval_robust_ensemble
 from .trace import Ensemble, Trace, shortened
 
 __all__ = [
-    "GaussianRegion",
     "CaseStudyConfig",
     "CaseStudyRow",
     "CaseStudyResult",
@@ -63,6 +65,7 @@ _A_CENTER = (4.0, 5.0)
 _B_CENTER = (7.0, 2.0)
 _C_MEAN = (2.0, 3.0)
 _D_MEAN = (6.0, 4.0)
+_REGION_VARIANCE = 0.125  # of each coordinate of the C and D centers
 _BOX_RADIUS = 0.5
 _DISK_RADIUS = 0.7
 _STEPS = 4
@@ -104,31 +107,12 @@ def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]
 
 
 @dataclass(frozen=True)
-class GaussianRegion:
-    """An uncertain region center: isotropic Gaussian in the plane, with a
-    finite mean and a finite variance > 0."""
-
-    mean: Tuple[float, float]
-    variance: float
-
-    def __post_init__(self):
-        mean = _numbers("region mean", self.mean, 2)
-        (variance,) = _numbers("region variance", [self.variance])
-        if not variance > 0.0:
-            raise ConfigError(f"region variance must be positive, got {self.variance!r}")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", variance)
-
-
-@dataclass(frozen=True)
 class CaseStudyConfig:
     seed: int = 42
     n: int = 6500
     betas: Tuple[float, ...] = DEFAULT_BETAS
     delta: float = 0.001
     trajectories: Tuple = DEFAULT_TRAJECTORIES
-    region_c: GaussianRegion = field(default_factory=lambda: GaussianRegion(_C_MEAN, 0.125))
-    region_d: GaussianRegion = field(default_factory=lambda: GaussianRegion(_D_MEAN, 0.125))
 
     def __post_init__(self):
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < 2**64:
@@ -160,12 +144,9 @@ class CaseStudyConfig:
     def from_json_dict(cls, data: dict) -> "CaseStudyConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        known = {"seed", "n", "betas", "delta", "trajectories"}
-        unknown = set(data) - known
+        unknown = set(data).difference(f.name for f in fields(cls))
         if unknown:
             raise ConfigError(f"unknown config keys: {shortened(', '.join(sorted(unknown)))}")
-        if data.get("trajectories") == "default":
-            data = {**data, "trajectories": DEFAULT_TRAJECTORIES}
         return cls(**data)
 
 
@@ -228,8 +209,8 @@ def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:
         )
     waypoints = config.trajectories[trajectory_index]
     z = _standard_normals(config.seed, trajectory_index, 4 * config.n).reshape(config.n, 4)
-    c = np.array(config.region_c.mean) + math.sqrt(config.region_c.variance) * z[:, 0:2]
-    d = np.array(config.region_d.mean) + math.sqrt(config.region_d.variance) * z[:, 2:4]
+    c = np.array(_C_MEAN) + math.sqrt(_REGION_VARIANCE) * z[:, 0:2]
+    d = np.array(_D_MEAN) + math.sqrt(_REGION_VARIANCE) * z[:, 2:4]
     return Ensemble.from_states(_states(waypoints, c, d))
 
 

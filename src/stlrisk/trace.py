@@ -80,14 +80,6 @@ class Trace:
     def __post_init__(self):
         object.__setattr__(self, "states", frozen_array(self.states, 2, "trace states"))
 
-    @property
-    def length(self) -> int:
-        return self.states.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.states.shape[1]
-
 
 @dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
@@ -107,11 +99,11 @@ class Ensemble:
         traces = tuple(traces)
         if not traces:
             raise EmptyError("an ensemble needs at least one trace")
-        dim, length = traces[0].dim, traces[0].length
+        length, dim = traces[0].states.shape
         for i, tr in enumerate(traces):
-            if tr.dim != dim or tr.length != length:
+            if tr.states.shape != (length, dim):
                 raise MismatchError(
-                    f"trace {i} has dim={tr.dim}, length={tr.length}; "
+                    f"trace {i} has dim={tr.states.shape[1]}, length={tr.states.shape[0]}; "
                     f"expected dim={dim}, length={length}"
                 )
         object.__setattr__(self, "states", frozen_array([tr.states for tr in traces], 3, "ensemble states"))
@@ -286,14 +278,16 @@ def read_json(path, error: type, what: str) -> tuple:
     Newlines are translated as text-mode ``open`` would, so syntax errors
     keep their positions.  Every decode failure raises ``error("<path>:
     <what>: ...")``: a syntax error, an integer literal past ``int()``'s
-    digit limit (a ValueError) or nesting past the recursion limit.
+    digit limit (a ValueError) or nesting past the recursion limit.  It ends
+    before a ``;``, which no syntax error has: the digit-limit error's advice
+    after one ran the line past 160 characters.
     """
     data = _read(path)
     text = _decode(path, data, error).replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text), data
     except (ValueError, RecursionError) as exc:
-        raise error(f"{path}: {what}: {exc}") from None
+        raise error(f"{path}: {what}: {str(exc).partition(';')[0]}") from None
 
 
 def _load_members(files: list) -> tuple:
@@ -330,9 +324,9 @@ def save_trace_csv(trace: Trace, path) -> None:
     path = Path(path)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(trace.dim)])
-        for t in range(trace.length):
-            writer.writerow([str(t)] + [f"{v:.17g}" for v in trace.states[t]])
+        writer.writerow(["t"] + [f"x{i + 1}" for i in range(trace.states.shape[1])])
+        for t, state in enumerate(trace.states):
+            writer.writerow([str(t)] + [f"{v:.17g}" for v in state])
 
 
 def read_ensemble(path) -> tuple:

@@ -95,7 +95,7 @@ def signed_distance_oracle(p, state) -> float:
 
 def rho_oracle(f, trace: Trace, t: int, predicates) -> float:
     """Quantitative semantics by literal expansion, no memoization."""
-    L = trace.length
+    L = len(trace.states)
 
     def rec(g, s):
         if isinstance(g, type(TRUE)):
@@ -137,7 +137,7 @@ def rho_oracle(f, trace: Trace, t: int, predicates) -> float:
 
 def beta_oracle(f, trace: Trace, t: int, predicates) -> bool:
     """Boolean semantics by literal expansion."""
-    L = trace.length
+    L = len(trace.states)
 
     def rec(g, s):
         if isinstance(g, type(TRUE)):

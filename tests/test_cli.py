@@ -1,5 +1,6 @@
 import builtins
 import contextlib
+import dataclasses
 import gc
 import hashlib
 import importlib
@@ -21,6 +22,7 @@ import stlrisk
 from stlrisk import cli, trace
 from stlrisk.cli import main
 from stlrisk.risk import RiskParams
+from stlrisk.scenario import CaseStudyConfig
 from stlrisk.trace import Trace, save_trace_csv
 
 # int()'s digit limit, or 0 where there is none.
@@ -661,6 +663,7 @@ def test_json_that_cannot_be_decoded_is_named(workdir, kind, code, content, caps
     assert main(args) == code
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    assert len(err.replace(str(bad), "")) <= 160, err
 
 
 @pytest.mark.parametrize(
@@ -843,6 +846,55 @@ def test_every_malformed_numeric_flag_is_one_line_with_its_code(argv, flag, kind
     assert not any(tmp_path.iterdir())
 
 
+# A valid case-study config naming every key, which the strategy below damages.
+CONFIG_BYTES = json.dumps(
+    {"seed": 7, "n": 3, "betas": [0.9, 0.95], "delta": 0.01, "trajectories": [[[0, 0], [1.5, 1], [2, 2], [3, 3.25]]]}
+).encode()
+CONFIG_TOKENS = [b"1e400", b"-1e400", b"NaN", b"Infinity", b"null", b"{}", b",", b'"default"']
+CONFIG_TOKENS += [b"9" * 5000, b"0." + b"9" * 5000, b'"' + b"k" * 5000 + b'"', b"\xff", b"\xc3", b"\xed\xa0\x80"]
+CONFIG_TOKENS += [b"[" * 5000, b"[" * 5000 + b"]" * 5000]
+
+
+@st.composite
+def damaged_configs(draw):
+    """The valid config with one byte changed, cut short, or with a token
+    (an out-of-range or non-finite number, a 5000-digit number, bytes that
+    are not UTF-8, deep brackets) inserted or put in place of a span."""
+    i = draw(st.integers(0, len(CONFIG_BYTES)))
+    damage = draw(st.sampled_from(["flip", "truncate", "insert", "replace"]))
+    if damage == "flip":
+        return CONFIG_BYTES[:i] + bytes([draw(st.integers(0, 255))]) + CONFIG_BYTES[i + 1 :]
+    if damage == "truncate":
+        return CONFIG_BYTES[:i]
+    token = draw(st.sampled_from(CONFIG_TOKENS))
+    j = i if damage == "insert" else draw(st.integers(i, len(CONFIG_BYTES)))
+    return CONFIG_BYTES[:i] + token + CONFIG_BYTES[j:]
+
+
+def test_every_damaged_config_runs_or_is_one_line_with_exit_5(tmp_path, monkeypatch):
+    # --n 1 overrides the file's n, so no example samples more than one
+    # realization per trajectory.
+    monkeypatch.chdir(tmp_path)
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(damaged_configs())
+    def check(data):
+        Path("in.json").write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(["casestudy", "--config", "in.json", "--n", "1", "--out", "o"])
+        err = err.getvalue()
+        if code == 0:
+            assert err == "" and out.getvalue().startswith("trajectory,beta,")
+        else:
+            assert code == 5 and out.getvalue() == "", err
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert len(err.replace("in.json", "")) <= 160, err
+
+    check()
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -941,6 +993,32 @@ class TestCaseStudy:
         cfg.write_text(text)
         assert main(["casestudy", "--config", str(cfg), *flags, "--out", str(tmp_path / "o")]) == 5
         assert capsys.readouterr().err == message
+        assert not (tmp_path / "o").exists()
+
+    def test_config_sets_every_field(self, tmp_path, capsys):
+        # Each CaseStudyConfig field is a config key: given a value other than
+        # its default, the manifest's parameters give it back.
+        data = {
+            "seed": 3,
+            "n": 5,
+            "betas": [0.5, 0.6],
+            "delta": 0.05,
+            "trajectories": [[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]],
+        }
+        default = CaseStudyConfig()
+        assert set(data) == {f.name for f in dataclasses.fields(CaseStudyConfig)}
+        assert all(json.loads(json.dumps(getattr(default, key))) != value for key, value in data.items())
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(data))
+        assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert json.loads((tmp_path / "o" / "manifest.json").read_text())["parameters"] == data
+
+    def test_default_is_not_a_trajectories_value(self, tmp_path, capsys):
+        # Omitting the key gives the bundled trajectories; "default" is text.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trajectories": "default"}')
+        assert main(["casestudy", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 5
+        assert capsys.readouterr().err == "error: trajectories: expected a non-empty list, got 'default'\n"
         assert not (tmp_path / "o").exists()
 
     def test_bad_config_exits_5(self, tmp_path, capsys):

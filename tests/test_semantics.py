@@ -208,10 +208,10 @@ class TestHorizonRefusal:
             f = random_formula(rng, preds, depth=int(rng.integers(0, 5)))
             h = horizon(f)
             trace = random_trace(rng, h.past_depth + h.future_depth + int(rng.integers(1, 4)), 2)
-            for t in (h.past_depth, trace.length - 1 - h.future_depth):
+            for t in (h.past_depth, len(trace.states) - 1 - h.future_depth):
                 assert eval_robust(f, trace, t, preds) == rho_oracle(f, trace, t, preds)
                 assert eval_boolean(f, trace, t, preds) == beta_oracle(f, trace, t, preds)
-            for t in (h.past_depth - 1, trace.length - h.future_depth):
+            for t in (h.past_depth - 1, len(trace.states) - h.future_depth):
                 with pytest.raises(InsufficientHorizonError):
                     eval_robust(f, trace, t, preds)
 
@@ -263,7 +263,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(28)
         for _ in range(200):
             f, trace, t, preds = random_admissible_case(rng, max_depth=3, max_length=8)
-            others = tuple(random_trace(rng, trace.length, trace.dim) for _ in range(int(rng.integers(1, 5))))
+            others = tuple(random_trace(rng, *trace.states.shape) for _ in range(int(rng.integers(1, 5))))
             ensemble = Ensemble((trace,) + others)
             z = eval_robust_ensemble(f, ensemble, t, preds)
             for i, member in enumerate(ensemble.traces):
@@ -284,7 +284,7 @@ class TestOracleEquivalence:
             trace = Trace(rng.normal(scale=3.0, size=(int(rng.integers(7, 10)), 1)))
             for f in formulas:
                 reach = horizon(f)
-                for t in range(reach.past_depth, trace.length - reach.future_depth):
+                for t in range(reach.past_depth, len(trace.states) - reach.future_depth):
                     assert eval_robust(f, trace, t, PREDS) == rho_oracle(f, trace, t, PREDS)
                     assert eval_boolean(f, trace, t, PREDS) == beta_oracle(f, trace, t, PREDS)
 
@@ -496,7 +496,7 @@ class TestSugarEquivalence:
         for _ in range(300):
             f, trace, t, preds = random_admissible_case(rng, max_depth=2, max_length=9)
             iv = TimeInterval(0, 2)
-            if trace.length - 1 - t < 2 + _future(f):
+            if len(trace.states) - 1 - t < 2 + _future(f):
                 continue
             lhs = EventuallyFuture(f, iv)
             rhs = UntilFuture(TRUE, f, iv)
@@ -507,7 +507,7 @@ class TestSugarEquivalence:
         for _ in range(300):
             f, trace, t, preds = random_admissible_case(rng, max_depth=2, max_length=9)
             iv = TimeInterval(0, 2)
-            if trace.length - 1 - t < 2 + _future(f):
+            if len(trace.states) - 1 - t < 2 + _future(f):
                 continue
             lhs = AlwaysFuture(f, iv)
             rhs = Not(EventuallyFuture(Not(f), iv))

@@ -26,7 +26,7 @@ def write(tmp_path, name, text):
 class TestLoadTraceCsv:
     def test_basic(self, tmp_path):
         tr = load_trace_csv(write(tmp_path, "a.csv", "t,x1\n0,3\n1,1\n2,2\n"))
-        assert tr.length == 3 and tr.dim == 1
+        assert tr.states.shape == (3, 1)
         assert np.array_equal(tr.states, [[3.0], [1.0], [2.0]])
 
     def test_gap_detected(self, tmp_path):
@@ -103,7 +103,7 @@ class TestLoadTraceCsv:
 
     def test_crlf_accepted(self, tmp_path):
         tr = load_trace_csv(write(tmp_path, "a.csv", "t,x1\r\n0,1.5\r\n1,2.5\r\n"))
-        assert tr.length == 2
+        assert len(tr.states) == 2
 
     def test_must_start_at_zero(self, tmp_path):
         with pytest.raises(GapError):
