@@ -24,7 +24,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
 from functools import cache
 from pathlib import Path
 
@@ -133,9 +132,10 @@ def cmd_casestudy(args) -> int:
         except OSError as exc:
             raise ConfigError(str(exc)) from None
     # The file's config, validated whole; each flag given then overrides its
-    # key, and ``replace`` validates the result again.
+    # key, and the merged config is validated again.
     flags = {key: getattr(args, key) for key in ("seed", "n", "delta", "betas") if getattr(args, key) is not None}
-    config = replace(CaseStudyConfig.from_json_dict(data), **flags)
+    CaseStudyConfig.from_json_dict(data)
+    config = CaseStudyConfig.from_json_dict({**data, **flags})
     result = run_case_study(config)
     csv_text = result.to_csv()
     _write_outputs(

@@ -1,8 +1,8 @@
 """Formula syntax trees for discrete-time signal temporal logic.
 
 Nodes are truth, named predicates, negation, conjunction, disjunction and
-six temporal operators on two frozen dataclass bases: ``Until(left, right,
-interval)`` for U and S, the future and past until, and ``Window(child,
+six temporal operators on two immutable ``Record`` bases: ``Until(left,
+right, interval)`` for U and S, the future and past until, and ``Window(child,
 interval)`` for F and G, eventually and always ahead, and O and H behind.
 Each operator class adds only class attributes: its letter ``symbol``,
 ``past``, and for a window ``eventually`` (the best value in the window,
@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import ClassVar, Union
 
+from ._record import Record
 from .errors import IntervalError
 
 __all__ = [
@@ -46,8 +46,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TimeInterval:
+class TimeInterval(Record):
     """Closed window [lo, hi] of integer time steps; ``hi`` may be math.inf.
 
     Unbounded windows are representable but rejected by evaluation on finite
@@ -81,37 +80,31 @@ class TimeInterval:
         return f"[{self.lo},{hi}]"
 
 
-@dataclass(frozen=True)
-class TrueFormula:
+class TrueFormula(Record):
     """The formula that every signal satisfies at every time."""
 
 
-@dataclass(frozen=True)
-class Predicate:
+class Predicate(Record):
     """Reference to a named predicate, resolved against a predicate table."""
 
     name: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(Record):
     child: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(Record):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Until:
+class Until(Record):
     """Base of U and S: a subclass sets its letter ``symbol`` and ``past``."""
 
     left: "Formula"
@@ -121,8 +114,7 @@ class Until:
     past: ClassVar[bool]
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(Record):
     """Base of F, G, O and H: a subclass sets ``symbol``, ``past`` and
     ``eventually``, true for F and O, which take the best value in the
     window; G and H take the worst."""
@@ -169,8 +161,7 @@ Formula = Union[TrueFormula, Predicate, Not, And, Or, Until, Window]
 TRUE = TrueFormula()
 
 
-@dataclass(frozen=True)
-class Horizon:
+class Horizon(Record):
     """Temporal reach of a formula, in steps from the anchor time.
 
     Evaluating a formula at time t reads some subformula at every time in

@@ -30,8 +30,8 @@ from __future__ import annotations
 import math
 import re
 import sys
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import FormulaSyntaxError, IntervalError
 from .formula import OPERATORS, TRUE, And, Formula, Not, Or, Predicate, TimeInterval, TrueFormula, Until, Window
 from .trace import shortened
@@ -42,8 +42,7 @@ _MAX_DEPTH = 100
 _BOUND_DIGITS = len(str(sys.maxsize))  # every bound TimeInterval accepts has at most these
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class SourceSpan(Record):
     """Half-open character range [start, end) into the parsed text."""
 
     start: int
@@ -63,12 +62,11 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "int", "kw", a symbol character, or "eof"
-    text: str
-    start: int
-    end: int
+class _Token:  # a plain class: a Record builds slower, and tokens are never compared
+    __slots__ = ("kind", "text", "start", "end")  # kind: "ident", "int", "kw", a symbol character, or "eof"
+
+    def __init__(self, kind: str, text: str, start: int, end: int):
+        self.kind, self.text, self.start, self.end = kind, text, start, end
 
     @property
     def span(self) -> SourceSpan:

@@ -33,13 +33,13 @@ A JSON predicate table maps names to definitions::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence, Union
 
 import numpy as np
 
+from ._record import Record
 from .errors import DimensionError, FormatError
 from .trace import read_json, shortened
 
@@ -85,18 +85,16 @@ def _indices(values, what: str) -> tuple:
     return tuple(map(int, values))
 
 
-@dataclass(frozen=True)
-class StateSlice:
+class StateSlice(Record):
     """Indices into the state vector, used as a predicate's moving center."""
 
     indices: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "indices", _indices(self.indices, "state slice"))
+        vars(self)["indices"] = _indices(self.indices, "state slice")
 
 
-@dataclass(frozen=True)
-class Halfspace:
+class Halfspace(Record):
     a: tuple
     b: float
 
@@ -107,12 +105,10 @@ class Halfspace:
         norm = math.hypot(*a)
         if not (math.isfinite(1.0 / norm) and math.isfinite(b / norm)):
             raise ValueError(f"halfspace 1/|a| and b/|a| must be finite, got |a|={norm!r}, b={b!r}")
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
+        vars(self).update(a=a, b=b)
 
 
-@dataclass(frozen=True)
-class NormBall:
+class NormBall(Record):
     pos: tuple
     center: Union[tuple, StateSlice]
     radius: float
@@ -130,13 +126,10 @@ class NormBall:
             raise ValueError(f"radius must be positive, got {self.radius!r}")
         if self.norm not in (L2, LINF):
             raise ValueError(f"norm must be {L2!r} or {LINF!r}, got {shortened(repr(self.norm))}")
-        object.__setattr__(self, "pos", pos)
-        object.__setattr__(self, "center", center)
-        object.__setattr__(self, "radius", radius)
+        vars(self).update(pos=pos, center=center, radius=radius)
 
 
-@dataclass(frozen=True)
-class Complement:
+class Complement(Record):
     inner: "PredicateDef"
 
 

@@ -20,11 +20,11 @@ order statistic, keeping everything exact and O(N log N).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import (
     BoundsError,
     InfiniteRobustnessError,
@@ -49,15 +49,14 @@ __all__ = [
     "MEASURES",
 ]
 
-@dataclass(frozen=True, eq=False)
-class RobustnessSamples:
+class RobustnessSamples(Record, eq=False):
     """A vector of N >= 1 finite cost samples, held as a read-only
     ``frozen_array`` copy of what it was built from."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", frozen_array(self.values, 1, "robustness samples"))
+        vars(self)["values"] = frozen_array(self.values, 1, "robustness samples")
 
     @property
     def n(self) -> int:
@@ -67,8 +66,7 @@ class RobustnessSamples:
         return np.sort(self.values)
 
 
-@dataclass(frozen=True)
-class RiskParams:
+class RiskParams(Record):
     """Estimator parameters: risk level, confidence budget, extras."""
 
     beta: float = 0.9
@@ -84,8 +82,7 @@ class RiskParams:
             _check_bounds(self.bounds)
 
 
-@dataclass(frozen=True)
-class VarTriple:
+class VarTriple(Record):
     """Lower bound, point estimate and upper bound for the value-at-risk."""
 
     lower: float
@@ -243,8 +240,7 @@ def json_number(v: Optional[float]):
     return v
 
 
-@dataclass(frozen=True)
-class RiskResult:
+class RiskResult(Record):
     """A risk value with the parameters that produced it.
 
     The fields other than ``measure``, ``value`` and ``n`` are None unless

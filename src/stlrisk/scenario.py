@@ -35,12 +35,12 @@ only at high quantiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import Optional, Tuple
 
 import numpy as np
 
+from ._record import Record
 from .errors import ConfigError
 from .formula import Formula
 from .parser import parse
@@ -106,8 +106,7 @@ def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]
     return numbers
 
 
-@dataclass(frozen=True)
-class CaseStudyConfig:
+class CaseStudyConfig(Record):
     seed: int = 42
     n: int = 6500
     betas: Tuple[float, ...] = DEFAULT_BETAS
@@ -136,15 +135,13 @@ class CaseStudyConfig:
             tuple(_numbers(f"trajectories[{j}][{t}]", xy, 2) for t, xy in enumerate(traj))
             for j, traj in enumerate(self.trajectories)
         )
-        object.__setattr__(self, "betas", betas)
-        object.__setattr__(self, "delta", delta)
-        object.__setattr__(self, "trajectories", trajectories)
+        vars(self).update(betas=betas, delta=delta, trajectories=trajectories)
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "CaseStudyConfig":
         if not isinstance(data, dict):
             raise ConfigError("config must be a JSON object")
-        unknown = set(data).difference(f.name for f in fields(cls))
+        unknown = set(data).difference(cls._fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {shortened(', '.join(sorted(unknown)))}")
         return cls(**data)
@@ -214,8 +211,7 @@ def sample_ensemble(config: CaseStudyConfig, trajectory_index: int) -> Ensemble:
     return Ensemble.from_states(_states(waypoints, c, d))
 
 
-@dataclass(frozen=True)
-class CaseStudyRow:
+class CaseStudyRow(Record):
     trajectory: int  # 1-based
     beta: float
     var_lower: float
@@ -223,8 +219,7 @@ class CaseStudyRow:
     var_upper: float
 
 
-@dataclass(frozen=True)
-class CaseStudyResult:
+class CaseStudyResult(Record):
     config: CaseStudyConfig
     rows: Tuple[CaseStudyRow, ...]
 
@@ -243,16 +238,7 @@ class CaseStudyResult:
             "n": self.config.n,
             "delta": self.config.delta,
             "betas": list(self.config.betas),
-            "rows": [
-                {
-                    "trajectory": row.trajectory,
-                    "beta": row.beta,
-                    "var_lower": json_number(row.var_lower),
-                    "var_point": json_number(row.var_point),
-                    "var_upper": json_number(row.var_upper),
-                }
-                for row in self.rows
-            ],
+            "rows": [{name: json_number(getattr(row, name)) for name in row._fields} for row in self.rows],
         }
 
 

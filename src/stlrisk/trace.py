@@ -30,7 +30,6 @@ import math
 import os
 import re
 import stat
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import cycle, repeat
 from pathlib import Path
@@ -38,6 +37,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._record import Record
 from .errors import EmptyError, FormatError, GapError, MismatchError
 
 __all__ = [
@@ -70,19 +70,17 @@ def shortened(text: str) -> str:
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
 
 
-@dataclass(frozen=True, eq=False)
-class Trace:
+class Trace(Record, eq=False):
     """A finite state sequence: row t of ``states``, a read-only (T, d)
     ``frozen_array`` copy of what it was built from, is the state at time t."""
 
     states: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "states", frozen_array(self.states, 2, "trace states"))
+        vars(self)["states"] = frozen_array(self.states, 2, "trace states")
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class Ensemble:
+class Ensemble(Record, eq=False):
     """N traces of equal dimension and length, in a significant order.
 
     ``states`` is one read-only (N, T, d) array: ``states[i]`` is member i's
@@ -106,7 +104,7 @@ class Ensemble:
                     f"trace {i} has dim={tr.states.shape[1]}, length={tr.states.shape[0]}; "
                     f"expected dim={dim}, length={length}"
                 )
-        object.__setattr__(self, "states", frozen_array([tr.states for tr in traces], 3, "ensemble states"))
+        vars(self)["states"] = frozen_array([tr.states for tr in traces], 3, "ensemble states")
 
     @classmethod
     def from_states(cls, states) -> "Ensemble":
@@ -115,7 +113,7 @@ class Ensemble:
         if np.ndim(states) == 3 and len(states) == 0:
             raise EmptyError("an ensemble needs at least one trace")
         ensemble = cls.__new__(cls)
-        object.__setattr__(ensemble, "states", frozen_array(states, 3, "ensemble states"))
+        vars(ensemble)["states"] = frozen_array(states, 3, "ensemble states")
         return ensemble
 
     @cached_property

@@ -1,6 +1,5 @@
 import builtins
 import contextlib
-import dataclasses
 import gc
 import hashlib
 import importlib
@@ -1006,7 +1005,7 @@ class TestCaseStudy:
             "trajectories": [[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0], [3.0, 3.0]]],
         }
         default = CaseStudyConfig()
-        assert set(data) == {f.name for f in dataclasses.fields(CaseStudyConfig)}
+        assert set(data) == set(CaseStudyConfig._fields)
         assert all(json.loads(json.dumps(getattr(default, key))) != value for key, value in data.items())
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(data))
