@@ -65,14 +65,20 @@ _EXIT_CODES = (
 )
 
 
+def _message(exc: Exception) -> str:
+    """``exc`` as one line: an OSError's file name cut short, an internal error named."""
+    if isinstance(exc, OSError) and exc.filename is not None:
+        return f"[Errno {exc.errno}] {exc.strerror}: {shortened(repr(exc.filename))}"
+    if isinstance(exc, (StlRiskError, OSError)):
+        return str(exc)
+    return f"{type(exc).__name__}: {' '.join(str(exc).splitlines())}"
+
+
 def _fail(exc: Exception) -> int:
     """Print ``exc`` as one line on stderr and return its exit code."""
-    message = str(exc)
-    if not isinstance(exc, (StlRiskError, OSError)):  # an internal error: named, still one line
-        message = f"{type(exc).__name__}: {' '.join(message.splitlines())}"
     span = getattr(exc, "span", None)
     where = f" (at offset {span.start}-{span.end})" if span is not None else ""
-    print(f"error: {message}{where}", file=sys.stderr)
+    print(f"error: {_message(exc)}{where}", file=sys.stderr)
     return next(code for types, code in _EXIT_CODES if isinstance(exc, types))
 
 
@@ -130,7 +136,7 @@ def cmd_casestudy(args) -> int:
         try:
             data, inputs[str(args.config)] = read_json(args.config, ConfigError, "invalid JSON")
         except OSError as exc:
-            raise ConfigError(str(exc)) from None
+            raise ConfigError(_message(exc)) from None
     # The file's config, validated whole; each flag given then overrides its
     # key, and the merged config is validated again.
     flags = {key: getattr(args, key) for key in ("seed", "n", "delta", "betas") if getattr(args, key) is not None}
@@ -142,13 +148,7 @@ def cmd_casestudy(args) -> int:
         Path(args.out),
         {"table.csv": csv_text, "table.json": json.dumps(result.to_json_dict(), indent=2) + "\n"},
         command="casestudy",
-        parameters={
-            "seed": config.seed,
-            "n": config.n,
-            "delta": config.delta,
-            "betas": list(config.betas),
-            "trajectories": [[list(p) for p in traj] for traj in config.trajectories],
-        },
+        parameters=dict(zip(config._fields, config._values())),  # tuples encode as arrays
         inputs=inputs,
     )
     sys.stdout.write(csv_text)

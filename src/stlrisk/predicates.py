@@ -33,6 +33,7 @@ A JSON predicate table maps names to definitions::
 from __future__ import annotations
 
 import math
+import sys
 from numbers import Integral, Real
 from pathlib import Path
 from typing import Sequence, Union
@@ -61,10 +62,12 @@ LINF = "linf"
 
 
 def real_numbers(values, what: str) -> tuple:
-    """``values`` as finite floats: a bool, a string or anything else that is
-    not a real number is refused, not coerced, with a ValueError naming
-    ``what``; so is a NaN, an infinity or an integer beyond the float range."""
-    values = tuple(values)
+    """``values``, a list or tuple, as finite floats: a bool, a string or
+    anything else that is not a real number is refused, not coerced, with a
+    ValueError naming ``what``; so is a NaN, an infinity, an integer beyond
+    the float range, or ``values`` that are not a list."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what}: expected a list of numbers, got {shortened(repr(values))}")
     if not all(isinstance(v, Real) and not isinstance(v, bool) for v in values):
         raise ValueError(f"{what}: expected real numbers, got {shortened(repr(list(values)))}")
     try:
@@ -77,11 +80,14 @@ def real_numbers(values, what: str) -> tuple:
 
 
 def _indices(values, what: str) -> tuple:
-    """``values`` as a non-empty tuple of non-negative ints; a bool, a float
-    or a string is refused, not truncated or coerced."""
-    values = tuple(values)
+    """``values``, a list or tuple, as a non-empty tuple of ints from 0 to ``sys.maxsize``
+    (no state has more components); a bool, a float or a string is refused, not coerced."""
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"{what}: expected a list of state indices, got {shortened(repr(values))}")
     if not values or not all(isinstance(i, Integral) and not isinstance(i, bool) and i >= 0 for i in values):
         raise ValueError(f"{what} must be non-negative integer state indices, got {shortened(repr(list(values)))}")
+    if max(values) > sys.maxsize:  # not quoted: str() refuses an int of over 4300 digits
+        raise ValueError(f"{what}: state indices must be at most sys.maxsize = {sys.maxsize}")
     return tuple(map(int, values))
 
 
@@ -103,8 +109,8 @@ class Halfspace(Record):
         if not a or all(v == 0.0 for v in a):
             raise ValueError("halfspace normal must be a non-zero vector")
         norm = math.hypot(*a)
-        if not (math.isfinite(1.0 / norm) and math.isfinite(b / norm)):
-            raise ValueError(f"halfspace 1/|a| and b/|a| must be finite, got |a|={norm!r}, b={b!r}")
+        if not (math.isfinite(norm) and math.isfinite(1.0 / norm) and math.isfinite(b / norm)):
+            raise ValueError(f"halfspace |a|, 1/|a| and b/|a| must be finite, got |a|={norm!r}, b={b!r}")
         vars(self).update(a=a, b=b)
 
 
@@ -116,10 +122,9 @@ class NormBall(Record):
 
     def __post_init__(self):
         pos = _indices(self.pos, "pos")
-        center = self.center
-        if not isinstance(center, StateSlice):
-            center = real_numbers(center, "center")
-        if len(center.indices if isinstance(center, StateSlice) else center) != len(pos):
+        slice_center = isinstance(self.center, StateSlice)
+        center = self.center if slice_center else real_numbers(self.center, "center")
+        if len(center.indices if slice_center else center) != len(pos):
             raise ValueError("pos and center must have equal length")
         (radius,) = real_numbers((self.radius,), "radius")
         if not radius > 0.0:
@@ -202,34 +207,36 @@ def parse_predicate_table(data: dict) -> dict:
     for name, spec in data.items():
         try:
             table[name] = _parse_one(spec)
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise FormatError(f"predicate {shortened(repr(name))}: {exc}") from None
     return table
 
 
-_KEYS = {"halfspace": {"a", "b"}, "ball": {"pos", "center", "radius", "norm"}}
+# Each kind's record class, the keys a definition of it may hold (the class's
+# fields, "kind" and "complement") and those it must (the fields without a default).
+_KINDS = {kind: (cls, {*cls._fields, "kind", "complement"}, {n for n in cls._fields if not hasattr(cls, n)})
+          for kind, cls in (("halfspace", Halfspace), ("ball", NormBall))}
 
 
-def _known(spec: dict, keys: set, what: str) -> dict:
-    """``spec``, refused if it holds a key outside ``keys``."""
-    unknown = sorted(set(spec) - keys)
-    if unknown:
-        raise ValueError(f"unknown {what} keys: {shortened(', '.join(map(repr, unknown)))}")
+def _known(spec: dict, allowed: set, required: set, what: str) -> dict:
+    """``spec``, refused if it holds a key outside ``allowed`` or lacks one of ``required``."""
+    for adjective, names in (("unknown", spec.keys() - allowed), ("missing", required - spec.keys())):
+        if names:
+            raise ValueError(f"{adjective} {what} keys: {shortened(', '.join(map(repr, sorted(names))))}")
     return spec
 
 
-def _parse_one(spec: dict) -> PredicateDef:
-    kind = spec["kind"]
-    if kind not in ("halfspace", "ball"):
-        raise ValueError(f"unknown predicate kind {shortened(repr(kind))}")
-    _known(spec, _KEYS[kind] | {"kind", "complement"}, kind)
-    if kind == "halfspace":
-        p: PredicateDef = Halfspace(tuple(spec["a"]), spec["b"])
-    else:
-        center = spec["center"]
-        if isinstance(center, dict):
-            center = StateSlice(tuple(_known(center, {"slice"}, "center")["slice"]))
-        p = NormBall(tuple(spec["pos"]), center, spec["radius"], spec.get("norm", L2))
+def _parse_one(spec) -> PredicateDef:
+    if not isinstance(spec, dict):
+        raise ValueError(f"definition must be a JSON object, got {shortened(repr(spec))}")
+    kind = spec.get("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:  # a list is no kind, and unhashable
+        raise ValueError(f"unknown predicate kind {shortened(repr(kind))}" if "kind" in spec else "missing predicate keys: 'kind'")
+    cls, allowed, required = _KINDS[kind]
+    _known(spec, allowed, required, kind)
+    if isinstance(spec.get("center"), dict):  # {"slice": [...]}: the one key that is not a field's name
+        spec = {**spec, "center": StateSlice(_known(spec["center"], {"slice"}, {"slice"}, "center")["slice"])}
+    p = cls(*[spec[n] if n in spec else getattr(cls, n) for n in cls._fields])
     complement = spec.get("complement", False)
     if not isinstance(complement, bool):
         raise ValueError(f"complement must be true or false, got {shortened(repr(complement))}")

@@ -241,7 +241,8 @@ def json_number(v: Optional[float]):
 
 
 class RiskResult(Record):
-    """A risk value with the parameters that produced it.
+    """A risk value with the parameters that produced it, its fields in the
+    key order of ``result.json`` and of ``risk``'s output line.
 
     The fields other than ``measure``, ``value`` and ``n`` are None unless
     the measure's estimator in ``MEASURES`` fills them: "var" fills all
@@ -251,24 +252,15 @@ class RiskResult(Record):
 
     measure: str
     value: float
-    n: int
     lower: Optional[float] = None
     upper: Optional[float] = None
     beta: Optional[float] = None
     delta: Optional[float] = None
+    n: int
     epsilon: Optional[float] = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "measure": self.measure,
-            "value": json_number(self.value),
-            "lower": json_number(self.lower),
-            "upper": json_number(self.upper),
-            "beta": self.beta,
-            "delta": self.delta,
-            "n": self.n,
-            "epsilon": self.epsilon,
-        }
+        return {name: json_number(value) for name, value in zip(self._fields, self._values())}
 
 
 def risk_of_formula(

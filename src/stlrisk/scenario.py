@@ -95,8 +95,6 @@ DEFAULT_TRAJECTORIES = (
 def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]:
     """``values``, a list of finite numbers, as floats; a ``ConfigError``
     naming ``key`` otherwise."""
-    if not isinstance(values, (list, tuple)):
-        raise ConfigError(f"{key}: expected a list of numbers, got {shortened(repr(values))}")
     try:
         numbers = real_numbers(values, key)
     except ValueError as exc:
@@ -224,12 +222,8 @@ class CaseStudyResult(Record):
     rows: Tuple[CaseStudyRow, ...]
 
     def to_csv(self) -> str:
-        lines = ["trajectory,beta,var_lower,var_point,var_upper"]
-        for row in self.rows:
-            lines.append(
-                f"{row.trajectory},{format_number(row.beta)},{format_number(row.var_lower)},"
-                f"{format_number(row.var_point)},{format_number(row.var_upper)}"
-            )
+        lines = [",".join(CaseStudyRow._fields)]
+        lines += [",".join(map(format_number, row._values())) for row in self.rows]
         return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
@@ -256,13 +250,5 @@ def run_case_study(config: CaseStudyConfig) -> CaseStudyResult:
         z = RobustnessSamples(eval_robust_ensemble(formula, ensemble, 0, predicates))
         for beta in config.betas:
             var = MEASURES["var"](z, RiskParams(beta=beta, delta=config.delta))
-            rows.append(
-                CaseStudyRow(
-                    trajectory=j + 1,
-                    beta=beta,
-                    var_lower=var["lower"],
-                    var_point=var["value"],
-                    var_upper=var["upper"],
-                )
-            )
+            rows.append(CaseStudyRow(j + 1, beta, var["lower"], var["value"], var["upper"]))
     return CaseStudyResult(config=config, rows=tuple(rows))

@@ -419,7 +419,7 @@ def load_ensemble_oracle(path) -> np.ndarray:
         if not isinstance(manifest, dict) or "traces" not in manifest:
             raise FormatError(f'{path}: manifest must be an object with a "traces" list')
         listed = manifest["traces"]
-        if not isinstance(listed, list) or not all(isinstance(p, str) for p in listed):
+        if not isinstance(listed, list) or not all(isinstance(p, str) and "\0" not in p for p in listed):
             raise FormatError(f'{path}: manifest "traces" must be a list of paths')
         if not listed:
             raise EmptyError(f"{path}: manifest lists no traces")

@@ -1,12 +1,15 @@
 import builtins
 import contextlib
+import functools
 import gc
 import hashlib
 import importlib
 import io
 import json
+import operator
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import warnings
@@ -20,6 +23,7 @@ from hypothesis import strategies as st
 import stlrisk
 from stlrisk import cli, trace
 from stlrisk.cli import main
+from stlrisk.predicates import Halfspace
 from stlrisk.risk import RiskParams
 from stlrisk.scenario import CaseStudyConfig
 from stlrisk.trace import Trace, save_trace_csv
@@ -204,6 +208,7 @@ class TestMonitor:
             '{"p": {"kind": "halfspace", "a": [1e400], "b": 0}}',
             '{"p": {"kind": "halfspace", "a": [1e-310], "b": 1}}',
             '{"p": {"kind": "halfspace", "a": [1e-10], "b": 1e300}}',
+            '{"p": {"kind": "halfspace", "a": [1e308, 1e308, 1e308, 1e308], "b": 0}}',
             '{"p": {"kind": "ball", "pos": [0], "center": [0], "radius": 1e400}}',
         ],
     )
@@ -219,32 +224,51 @@ class TestMonitor:
     @pytest.mark.parametrize(
         "spec, words",
         [
-            ('"kind": "ball", "pos": [0.9], "center": [0], "radius": 1', "pos must be non-negative integer"),
-            ('"kind": "ball", "pos": [true], "center": [0], "radius": 1', "pos must be non-negative integer"),
-            ('"kind": "ball", "pos": ["1"], "center": [0], "radius": 1', "pos must be non-negative integer"),
-            ('"kind": "ball", "pos": [0], "center": {"slice": [1.7]}, "radius": 1', "state slice must be non-negative integer"),
-            ('"kind": "ball", "pos": [0], "center": {"slice": [1], "size": 1}, "radius": 1', "unknown center keys: 'size'"),
-            ('"kind": "ball", "pos": [0], "center": [0], "radius": "2"', "radius: expected real numbers"),
-            ('"kind": "ball", "pos": [0], "center": [false], "radius": 2', "center: expected real numbers"),
-            ('"kind": "halfspace", "a": [true, 0], "b": 0', "a: expected real numbers"),
-            ('"kind": "halfspace", "a": [1, 0], "b": false', "b: expected real numbers"),
-            ('"kind": "halfspace", "a": [1, 0], "b": 1' + "0" * 400, "b: values must be finite"),
-            ('"kind": "ball", "pos": [0], "center": [0], "radius": 1, "complement": "no"', "complement must be true or false"),
-            ('"kind": "ball", "pos": [0], "center": [0], "radius": 1, "complment": true', "unknown ball keys: 'complment'"),
-            ('"kind": "halfspace", "a": [1, 0], "b": 0, "radius": 1, "center": [0]', "unknown halfspace keys: 'center', 'radius'"),
+            ('{"kind": "ball", "pos": [0.9], "center": [0], "radius": 1}', "pos must be non-negative integer"),
+            ('{"kind": "ball", "pos": [true], "center": [0], "radius": 1}', "pos must be non-negative integer"),
+            ('{"kind": "ball", "pos": ["1"], "center": [0], "radius": 1}', "pos must be non-negative integer"),
+            ('{"kind": "ball", "pos": [0], "center": {"slice": [1.7]}, "radius": 1}', "state slice must be non-negative integer"),
+            ('{"kind": "ball", "pos": [0], "center": {"slice": [1], "size": 1}, "radius": 1}', "unknown center keys: 'size'"),
+            ('{"kind": "ball", "pos": [0], "center": [0], "radius": "2"}', "radius: expected real numbers"),
+            ('{"kind": "ball", "pos": [0], "center": [false], "radius": 2}', "center: expected real numbers"),
+            ('{"kind": "halfspace", "a": [true, 0], "b": 0}', "a: expected real numbers"),
+            ('{"kind": "halfspace", "a": [1, 0], "b": false}', "b: expected real numbers"),
+            ('{"kind": "halfspace", "a": [1, 0], "b": 1' + "0" * 400 + "}", "b: values must be finite"),
+            ('{"kind": "ball", "pos": [0], "center": [0], "radius": 1, "complement": "no"}', "complement must be true or false"),
+            ('{"kind": "ball", "pos": [0], "center": [0], "radius": 1, "complment": true}', "unknown ball keys: 'complment'"),
+            ('{"kind": "halfspace", "a": [1, 0], "b": 0, "radius": 1, "center": [0]}', "unknown halfspace keys: 'center', 'radius'"),
+            ('{"kind": "ball", "pos": [0], "radius": 1}', "missing ball keys: 'center'"),
+            ('{"a": [1], "b": 0}', "missing predicate keys: 'kind'"),
+            ("[1, 2]", "definition must be a JSON object, got [1, 2]"),
+            ('{"kind": ["ball"], "pos": [0], "center": [0], "radius": 1}', "unknown predicate kind ['ball']"),
+            ('{"kind": "halfspace", "a": 1, "b": 0}', "a: expected a list of numbers, got 1"),
+            ('{"kind": "ball", "pos": "12", "center": [0, 0], "radius": 1}', "pos: expected a list of state indices, got '12'"),
+            ('{"kind": "ball", "pos": [0], "center": {"slice": 0}, "radius": 1}', "state slice: expected a list of state indices, got 0"),
         ],
         ids=[
             "float-pos", "bool-pos", "string-pos", "float-slice", "slice-key", "string-radius", "bool-center",
             "bool-a", "bool-b", "huge-b", "string-complement", "misspelt-key", "ball-keys-on-halfspace",
+            "missing-center", "missing-kind", "not-an-object", "list-kind", "scalar-a", "pos-as-string", "scalar-slice",
         ],
     )
     def test_predicate_values_are_refused_not_coerced(self, workdir, spec, words, capsys):
         (workdir / "two.csv").write_text("t,x1,x2\n0,1.5,0.2\n1,-0.5,0.3\n")
-        (workdir / "bad.json").write_text('{"p": {' + spec + "}}")
+        (workdir / "bad.json").write_text('{"p": ' + spec + "}")
         args = ["monitor", "--formula", "p", "--predicates", str(workdir / "bad.json"), "--trace", str(workdir / "two.csv")]
         assert main(args) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("error: predicate 'p': ") and err.count("\n") == 1 and words in err
+
+    def test_a_bug_in_a_predicate_class_is_an_internal_error(self, workdir, monkeypatch, capsys):
+        # Only a ValueError refuses a definition; any other error is a bug,
+        # and is named as one.
+        def broken(self):
+            raise TypeError("bug")
+
+        monkeypatch.setattr(Halfspace, "__post_init__", broken)
+        args = ["monitor", "--formula", "p", "--predicates", str(workdir / "preds.json"), "--trace", str(workdir / "trace.csv")]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "error: TypeError: bug\n")
 
     def test_unread_left_operand_needs_no_steps(self, workdir, capsys):
         args = ["--predicates", str(workdir / "preds.json"), "--trace", str(workdir / "trace.csv")]
@@ -685,6 +709,7 @@ MONITOR = ["monitor", "--predicates", "preds.json", "--trace", "trace.csv"]
 MONITOR_TABLE = ["monitor", "--formula", "p", "--predicates", "in.json", "--trace", "trace.csv"]
 RISK = ["risk", "--formula", "p", "--predicates", "preds.json", "--ensemble", "ensemble", "--measure", "expected"]
 CASESTUDY_CONFIG = ["casestudy", "--config", "in.json", "--out", "o"]
+RISK_MANIFEST = ["risk", "--formula", "p", "--predicates", "preds.json", "--ensemble", "in.json"]
 
 
 @pytest.mark.parametrize(
@@ -699,6 +724,9 @@ CASESTUDY_CONFIG = ["casestudy", "--config", "in.json", "--out", "o"]
         pytest.param(MONITOR_TABLE, {"p": {"kind": "halfspace", "a": [1], "b": 0, "k" * LONG: 1}}, 1, id="predicate-key"),
         pytest.param(MONITOR_TABLE, {"p": {"kind": "ball", "pos": [0], "center": [0], "radius": 1, "norm": "n" * LONG}}, 1, id="norm"),
         pytest.param(MONITOR_TABLE, {"p": {"kind": "halfspace", "a": [1], "b": 0, "complement": "c" * LONG}}, 1, id="complement"),
+        pytest.param(MONITOR_TABLE, {"p": {"kind": "ball", "pos": [int("9" * 4000)], "center": [0], "radius": 1}}, 1, id="state-index"),
+        pytest.param(RISK_MANIFEST, {"traces": ["m" * LONG]}, 1, id="manifest-path"),
+        pytest.param(["casestudy", "--config", "c" * LONG, "--out", "o"], None, 5, id="config-path"),
         pytest.param(MONITOR + ["--formula", "p", "--time", "9" * LONG], None, 3, id="monitor-time"),
         pytest.param(RISK + ["--time", "9" * LONG], None, 3, id="risk-time"),
         pytest.param(RISK + ["--bounds=" + "x" * LONG], None, 4, id="bounds-text"),
@@ -890,6 +918,96 @@ def test_every_damaged_config_runs_or_is_one_line_with_exit_5(tmp_path, monkeypa
             assert code == 5 and out.getvalue() == "", err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert len(err.replace("in.json", "")) <= 160, err
+
+    check()
+
+
+# A valid predicate table and ensemble manifest, which the strategy below
+# damages: the table's predicates read a 3-component state, the manifest
+# lists two members of the one-component trace that the sweep writes.
+SWEPT_TABLE = {
+    "h": {"kind": "halfspace", "a": [1.0, -0.5, 0], "b": 0.25},
+    "s": {"kind": "ball", "pos": [0, 1], "center": {"slice": [1, 2]}, "radius": 0.5, "norm": "linf", "complement": True},
+    "c": {"kind": "ball", "pos": [2], "center": [0.5], "radius": 2},
+}
+SWEPT_MANIFEST = {"traces": ["m0.csv", "m1.csv"], "seed": 7}
+# Each JSON type, a 4000-digit integer, a NUL in a string and a 3000-character string.
+JSON_TOKENS = [None, True, False, 0, -1, 2.5, 1e300, int("9" * 4000), "", "l2", "a\0.csv", "k" * LONG]
+JSON_TOKENS += [[], [0], [0.5, "x"], ["ball"], {}, {"slice": [0]}, {"kind": "ball"}]
+
+
+def value_paths(value, path=()):
+    """The path of ``value`` and of every value nested in it."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, item in items:
+        yield from value_paths(item, path + (key,))
+
+
+def replaced(value, path, new):
+    """A copy of ``value`` with the value at ``path`` replaced by ``new``."""
+    if not path:
+        return new
+    copy = type(value)(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@st.composite
+def damaged_json(draw, valid):
+    """``valid``, encoded, with one value (or the whole) replaced by a token,
+    a key renamed to one, one byte changed, cut short, or a token's text
+    inserted or put in place of a span."""
+    damage = draw(st.sampled_from(["value", "key", "flip", "truncate", "insert", "replace"]))
+    token = draw(st.sampled_from(JSON_TOKENS))
+    paths = list(value_paths(valid))
+    if damage == "value":
+        return json.dumps(replaced(valid, draw(st.sampled_from(paths)), token)).encode()
+    if damage == "key":
+        *parent, key = draw(st.sampled_from([p for p in paths if p and isinstance(p[-1], str)]))
+        name = token if isinstance(token, str) else json.dumps(token)
+        renamed = {(name if k == key else k): v for k, v in functools.reduce(operator.getitem, parent, valid).items()}
+        return json.dumps(replaced(valid, tuple(parent), renamed)).encode()
+    data = json.dumps(valid).encode()
+    i = draw(st.integers(0, len(data)))
+    if damage == "flip":
+        return data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]
+    if damage == "truncate":
+        return data[:i]
+    j = i if damage == "insert" else draw(st.integers(i, len(data)))
+    return data[:i] + json.dumps(token).encode() + data[j:]
+
+
+@pytest.mark.parametrize(
+    "valid, argv",
+    [
+        (SWEPT_TABLE, ["monitor", "--formula", "h & s & c", "--predicates", "in.json", "--trace", "three.csv"]),
+        (SWEPT_MANIFEST, ["risk", "--formula", "p", "--predicates", "preds.json", "--ensemble", "in.json"]),
+    ],
+    ids=["predicate-table", "ensemble-manifest"],
+)
+def test_every_damaged_input_runs_or_is_one_line_with_exit_1(valid, argv, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("three.csv").write_text("t,x1,x2,x3\n0,1.5,0.2,-1\n1,-0.5,0.3,2\n")
+    Path("preds.json").write_text(json.dumps(PREDICATES))
+    Path("m0.csv").write_text("t,x1\n0,1.5\n1,-0.5\n")
+    Path("m1.csv").write_text("t,x1\n0,-2\n1,3\n")
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(damaged_json(valid))
+    def check(data):
+        Path("in.json").write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        err = err.getvalue()
+        if code == 0:
+            assert err == "" and out.getvalue() != ""
+        else:
+            assert code == 1 and out.getvalue() == "", err
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
+            assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
 
     check()
 

@@ -67,7 +67,7 @@ EXAMPLES = FORMULAS + [
     RobustnessSamples([0.5, -1.0]),
     RiskParams(),
     VarTriple(0.0, 1.0, 2.0, 0.1),
-    RiskResult("worst", 1.0, 2),
+    RiskResult("worst", 1.0, n=2),
     CaseStudyConfig(),
     CaseStudyRow(1, 0.9, 0.0, 0.5, 1.0),
     CaseStudyResult(CaseStudyConfig(), ()),
