@@ -4,7 +4,8 @@ Nodes are truth, named predicates, negation, conjunction, disjunction and
 six temporal operators on two immutable ``Record`` bases: ``Until(left,
 right, interval)`` for U and S, the future and past until, and ``Window(child,
 interval)`` for F and G, eventually and always ahead, and O and H behind.
-Each operator class adds only class attributes: its letter ``symbol``,
+Each node base states its own operand reads (``reach``); an operator class
+inherits them and adds only class attributes: its letter ``symbol``,
 ``past``, and for a window ``eventually`` (the best value in the window,
 else the worst).  ``OPERATORS`` maps each letter to its class, and parsing,
 printing, ``reach`` and evaluation read these attributes.  Formula values
@@ -83,25 +84,36 @@ class TimeInterval(Record):
 class TrueFormula(Record):
     """The formula that every signal satisfies at every time."""
 
+    def _reads(self) -> tuple:
+        return ()
+
 
 class Predicate(Record):
     """Reference to a named predicate, resolved against a predicate table."""
 
     name: str
+    _reads = TrueFormula._reads
 
 
 class Not(Record):
     child: "Formula"
+
+    def _reads(self) -> tuple:
+        return ((self.child, 0, 0),)
 
 
 class And(Record):
     left: "Formula"
     right: "Formula"
 
+    def _reads(self) -> tuple:
+        return ((self.left, 0, 0), (self.right, 0, 0))
+
 
 class Or(Record):
     left: "Formula"
     right: "Formula"
+    _reads = And._reads
 
 
 class Until(Record):
@@ -112,6 +124,12 @@ class Until(Record):
     interval: TimeInterval
     symbol: ClassVar[str]
     past: ClassVar[bool]
+
+    def _reads(self) -> tuple:
+        lo, hi = self.interval.lo, self.interval.hi
+        if self.past:
+            return ((self.left, 1 - hi, -1), (self.right, -hi, -lo))
+        return ((self.left, 1, hi - 1), (self.right, lo, hi))
 
 
 class Window(Record):
@@ -124,6 +142,10 @@ class Window(Record):
     symbol: ClassVar[str]
     past: ClassVar[bool]
     eventually: ClassVar[bool]
+
+    def _reads(self) -> tuple:
+        lo, hi = self.interval.lo, self.interval.hi
+        return ((self.child, -hi, -lo),) if self.past else ((self.child, lo, hi),)
 
 
 class UntilFuture(Until):
@@ -175,33 +197,20 @@ class Horizon(Record):
 
 
 def reach(f: Formula) -> tuple:
-    """(operand, lo, hi) for each direct subformula of f, left to right: f at
-    anchors a..b reads the operand at a+lo..b+hi, and at no step when
-    lo > hi.  An until reads its left operand at 1..hi-1 (past: 1-hi..-1),
-    the steps before its last candidate: none under U[0,0] or U[0,1]."""
-    match f:
-        case TrueFormula() | Predicate():
-            return ()
-        case Not(child):
-            return ((child, 0, 0),)
-        case And(left, right) | Or(left, right):
-            return ((left, 0, 0), (right, 0, 0))
-        case Window(child, iv):
-            return (_steps(f, child, iv.lo, iv.hi),)
-        case Until(left, right, iv):
-            return (_steps(f, left, 1, iv.hi - 1), _steps(f, right, iv.lo, iv.hi))
-    raise TypeError(f"not a formula node: {f!r}")
-
-
-def _steps(f: Formula, g: Formula, lo, hi) -> tuple:
-    """(g, first, last) for the steps lo..hi away from the anchor in the
-    direction of f: offsets ascending, so mirrored for a past operator."""
-    return (g, -hi, -lo) if f.past else (g, lo, hi)
+    """(operand, lo, hi) for each direct subformula of f, left to right, as f's
+    base states them: f at anchors a..b reads the operand at a+lo..b+hi, and
+    at no step when lo > hi.  An until reads its left operand at 1..hi-1 (past:
+    1-hi..-1), the steps before its last candidate: none under U[0,0] or U[0,1]."""
+    try:
+        reads = f._reads
+    except AttributeError:
+        raise TypeError(f"not a formula node: {f!r}") from None
+    return reads()
 
 
 def plan(f: Formula, t: int) -> tuple:
     """(order, span) for evaluating f at t, from one walk that calls
-    ``reach`` once per node.
+    ``reach`` once per node and looks each node's span up once.
 
     ``order`` lists each distinct node object of f once, after all of its
     operands, as a pair (node, reach(node)).  ``span`` is {id(node): (first,
@@ -226,12 +235,13 @@ def plan(f: Formula, t: int) -> tuple:
                 stack.append((child, None))
     span = {id(f): (t, t)}
     for node, reads in reversed(order):  # every parent before its operands
-        if id(node) in span:
-            a, b = span[id(node)]
+        if reads and (ab := span.get(id(node))):
+            a, b = ab
             for child, lo, hi in reads:
                 if lo <= hi:
-                    first, last = span.get(id(child), (a + lo, b + hi))
-                    span[id(child)] = (min(first, a + lo), max(last, b + hi))
+                    lo, hi, old = a + lo, b + hi, span.get(id(child))
+                    if old is None or lo < old[0] or hi > old[1]:
+                        span[id(child)] = (lo, hi) if old is None else (min(lo, old[0]), max(hi, old[1]))
     return order, span
 
 

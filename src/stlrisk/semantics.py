@@ -69,7 +69,8 @@ def _check_admissible(order: list, span: dict, length: int, t: int, predicates: 
     if not 0 <= t < length:
         shown = t if abs(t) <= 10**60 else f"{'below -' if t < 0 else 'above '}10**60"  # str() has a digit limit
         raise InsufficientHorizonError(f"time {shown} outside the trace index range [0, {length - 1}]")
-    first, last = min(a for a, _ in span.values()), max(b for _, b in span.values())
+    firsts, lasts = zip(*span.values())
+    first, last = min(firsts), max(lasts)
     if last > length - 1:
         raise InsufficientHorizonError(
             f"formula looks {last - t} steps ahead but only {length - 1 - t} remain after t={t}"
@@ -162,13 +163,12 @@ def _evaluate(
         return values[id(g)][:, lo - start : hi - start + 1]
 
     for node, reads in order:
-        if id(node) not in span:
+        if (ab := span.get(id(node))) is None:
             continue
-        a, b = span[id(node)]
-        shape = (states.shape[0], b - a + 1)
+        a, b = ab
         match node:
             case TrueFormula():
-                value = np.full(shape, top)
+                value = np.full((states.shape[0], b - a + 1), top)
             case Predicate(name):
                 value = leaf(margins(predicates[name], states[:, a : b + 1]))
             case Not(child):

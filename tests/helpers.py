@@ -213,14 +213,14 @@ def desugar(f):
     raise TypeError(f"not a formula node: {f!r}")
 
 
-def anchors_oracle(f) -> tuple:
-    """(future, past) extent of the anchors that a literal expansion of the
-    semantics of f at anchor 0 visits, as ``rho_oracle`` expands it: until
+def anchors_by_node(f, t: int = 0) -> dict:
+    """{id(g): anchors} for each node g that a literal expansion of the
+    semantics of f at anchor t visits, as ``rho_oracle`` expands it: until
     candidate k visits the right operand at k and the left operand at the
-    steps 1..k-1 between, and G/F/H/O visit every step of their window.
-    Bounded windows only."""
-    seen = {(id(f), 0)}
-    stack = [(f, 0)]
+    steps 1..k-1 between, and G/F/H/O visit every step of their window.  A
+    node that no expansion visits has no entry.  Bounded windows only."""
+    anchors = {id(f): {t}}
+    stack = [(f, t)]
     while stack:
         g, s = stack.pop()
         reads = []
@@ -238,12 +238,43 @@ def anchors_oracle(f) -> tuple:
                 for k in range(iv.lo, iv.hi + 1):
                     reads.append((right, s + sign * k))
                     reads.extend((left, s + sign * j) for j in range(1, k))
-        for read in reads:
-            if (id(read[0]), read[1]) not in seen:
-                seen.add((id(read[0]), read[1]))
-                stack.append(read)
-    anchors = [s for _, s in seen]
+        for node, anchor in reads:
+            seen = anchors.setdefault(id(node), set())
+            if anchor not in seen:
+                seen.add(anchor)
+                stack.append((node, anchor))
+    return anchors
+
+
+def anchors_oracle(f) -> tuple:
+    """(future, past) extent of the anchors that a literal expansion of the
+    semantics of f at anchor 0 visits (``anchors_by_node``)."""
+    anchors = set().union(*anchors_by_node(f).values())
     return (max(anchors), -min(anchors))
+
+
+def random_shared_formula(rng: np.random.Generator, names, size: int, max_window: int = 3):
+    """A random formula built bottom-up from a pool of nodes: each new node
+    takes its operands from the pool, so one subformula object often sits
+    under several parents.  Every operator class may appear, with windows
+    such as U[0,0] and U[0,1] among them."""
+    pool = [TRUE] + [Predicate(name) for name in names]
+    ops = [Not, And, Or, UntilFuture, UntilPast, EventuallyFuture, AlwaysFuture, EventuallyPast, AlwaysPast]
+    for _ in range(size):
+        op = ops[int(rng.integers(len(ops)))]
+        # Favour recent nodes, so that the formula nests deeply.
+        operands = [pool[-min(int(rng.geometric(0.4)), len(pool))] for _ in range(2)]
+        lo = int(rng.integers(0, max_window + 1))
+        iv = TimeInterval(lo, int(rng.integers(lo, max_window + 1)))
+        if op is Not:
+            pool.append(Not(operands[0]))
+        elif op in (And, Or):
+            pool.append(op(*operands))
+        elif op in (UntilFuture, UntilPast):
+            pool.append(op(*operands, iv))
+        else:
+            pool.append(op(operands[0], iv))
+    return pool[-1]
 
 
 def horizon_oracle(f) -> tuple:

@@ -1012,6 +1012,72 @@ def test_every_damaged_input_runs_or_is_one_line_with_exit_1(valid, argv, tmp_pa
     check()
 
 
+# Valid formula texts, which the strategy below damages: every operator
+# letter, a past and an unbounded window, and nesting.  The sweep evaluates
+# them at t = 3 on a 9-step trace, where each of them fits.
+SWEPT_FORMULAS = [
+    "G[0,2] F[0,1] p & (q U[0,2] r) & H[0,1] O[0,1] p",
+    "!(p | !q) S[1,3] (r & true)",
+    "F[1,4] (p U[0,1] q) | H[0,3] r",
+]
+# Bounds past sys.maxsize and past int()'s digit limit, digits of other
+# scripts, and nesting far past the parser's depth cap.
+FORMULA_TOKENS = ["1" + "0" * 30, "9" * 5000, "-1", "inf", "\u0663", "\uff11\uff10", "\U0001d7d7", "\u00b2"]
+FORMULA_TOKENS += ["(" * 5000, "!" * 5000, "(" * 5000 + "p" + ")" * 5000, "!" * 5000 + "p", "[", "]", ","]
+
+
+@st.composite
+def damaged_formulas(draw):
+    """A valid formula text with one byte changed (as a command line passes
+    bytes that are not UTF-8: escaped to surrogates), cut short, one bound
+    replaced by a token, or a token inserted or put in place of a span."""
+    text = draw(st.sampled_from(SWEPT_FORMULAS))
+    damage = draw(st.sampled_from(["flip", "truncate", "bound", "insert", "replace"]))
+    if damage == "flip":
+        data = text.encode()
+        i = draw(st.integers(0, len(data) - 1))
+        return (data[:i] + bytes([draw(st.integers(0, 255))]) + data[i + 1 :]).decode("utf-8", "surrogateescape")
+    if damage == "truncate":
+        return text[: draw(st.integers(0, len(text)))]
+    token = draw(st.sampled_from(FORMULA_TOKENS))
+    if damage == "bound":
+        bound = draw(st.sampled_from(list(re.finditer(r"\d+|inf", text))))
+        return text[: bound.start()] + token + text[bound.end() :]
+    i = draw(st.integers(0, len(text)))
+    j = i if damage == "insert" else draw(st.integers(i, len(text)))
+    return text[:i] + token + text[j:]
+
+
+def test_every_damaged_formula_runs_or_is_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("preds.json").write_text(json.dumps({
+        "p": {"kind": "halfspace", "a": [1.0, 0.0], "b": 0.0},
+        "q": {"kind": "halfspace", "a": [0.0, 1.0], "b": 0.5},
+        "r": {"kind": "halfspace", "a": [1.0, 1.0], "b": -1.0},
+    }))
+    save_trace_csv(Trace(np.random.default_rng(27).normal(size=(9, 2))), Path("walk.csv"))
+    for text in SWEPT_FORMULAS:
+        assert main(["monitor", "--formula", text, "--predicates", "preds.json", "--trace", "walk.csv", "--time", "3"]) == 0
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(damaged_formulas())
+    def check(text):
+        argv = ["monitor", "--formula", text, "--predicates", "preds.json", "--trace", "walk.csv", "--time", "3"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(argv)
+        err = err.getvalue()
+        if code == 0:
+            assert err == "" and out.getvalue() != ""
+        else:
+            assert code in (1, 2, 3) and out.getvalue() == "", err
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
+            assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
+
+    check()
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

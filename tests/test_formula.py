@@ -21,6 +21,7 @@ from stlrisk.formula import (
     Until,
     UntilFuture,
     UntilPast,
+    Window,
     horizon,
     plan,
     predicate_names,
@@ -29,7 +30,15 @@ from stlrisk.formula import (
 from stlrisk.parser import format_formula, parse
 from stlrisk.semantics import eval_boolean, eval_robust
 
-from .helpers import anchors_oracle, desugar, horizon_oracle, random_admissible_case, random_formula
+from .helpers import (
+    anchors_by_node,
+    anchors_oracle,
+    desugar,
+    horizon_oracle,
+    random_admissible_case,
+    random_formula,
+    random_shared_formula,
+)
 
 P, Q = Predicate("p"), Predicate("q")
 
@@ -193,6 +202,86 @@ class TestReach:
             for node, window in ((UntilFuture(P, Q, TimeInterval(0, hi)), (0, hi)), (UntilPast(P, Q, TimeInterval(0, hi)), (-hi, 0))):
                 [(left, lo, lhi), (right, rlo, rhi)] = reach(node)
                 assert (left, right) == (P, Q) and lo > lhi and (rlo, rhi) == window
+
+    @pytest.mark.parametrize("value", [None, object(), "p", TimeInterval(0, 1), (P, 0, 0)])
+    def test_refuses_what_is_not_a_formula_node(self, value):
+        with pytest.raises(TypeError, match="not a formula node"):
+            reach(value)
+
+
+def operands(g) -> list:
+    """g's direct subformulas, read from its fields, not through ``reach``."""
+    return [getattr(g, name) for name in ("left", "right", "child") if hasattr(g, name)]
+
+
+class TestPlan:
+    def test_spans_and_order_match_the_literal_expansion(self):
+        rng = np.random.default_rng(406)
+        windows, shared, unread = set(), 0, 0
+        for i in range(800):
+            if i % 2:
+                f = random_shared_formula(rng, ["p", "q"], size=int(rng.integers(0, 10)))
+            else:
+                f = random_formula(rng, ["p", "q"], depth=int(rng.integers(0, 5)))
+            t = int(rng.integers(0, 6))
+            order, span = plan(f, t)
+            # Each node read at some anchor spans exactly the anchors the
+            # expansion visits it at; a node never visited has no span.
+            assert span == {key: (min(anchors), max(anchors)) for key, anchors in anchors_by_node(f, t).items()}
+            nodes, stack = {}, [f]
+            while stack:
+                g = stack.pop()
+                if id(g) not in nodes:
+                    nodes[id(g)] = g
+                    stack.extend(operands(g))
+            position = {id(g): k for k, (g, _) in enumerate(order)}
+            assert len(order) == len(nodes) and position.keys() == nodes.keys()
+            for g, reads in order:
+                assert reads == reach(g)
+                assert all(position[id(child)] < position[id(g)] for child in operands(g))
+            parents = [id(child) for g in nodes.values() for child in operands(g)]
+            shared += len(parents) > len(set(parents))
+            unread += len(span) < len(order)
+            for g in nodes.values():
+                if hasattr(g, "interval"):
+                    lo, hi = g.interval.lo, g.interval.hi
+                    windows.add((type(g).__name__, "lo>0" if lo > 0 else f"[0,{min(hi, 2)}]"))
+        for name in ("UntilFuture", "UntilPast"):
+            assert {(name, "lo>0"), (name, "[0,0]"), (name, "[0,1]"), (name, "[0,2]")} <= windows
+        assert {(name, "lo>0") for name in ("EventuallyPast", "AlwaysPast", "EventuallyFuture", "AlwaysFuture")} <= windows
+        assert shared > 100 and unread > 20
+
+
+# Operators that this module declares with letters of its own: each sets
+# only the class attributes, so its reads come from its base.
+class UntilAgain(Until):
+    symbol, past = "W", False
+
+
+class SinceAgain(Until):
+    symbol, past = "Z", True
+
+
+class EventuallyAhead(Window):
+    symbol, past, eventually = "E", False, True
+
+
+class AlwaysBehind(Window):
+    symbol, past, eventually = "A", True, False
+
+
+BUILT_IN_TWIN = {UntilAgain: UntilFuture, SinceAgain: UntilPast, EventuallyAhead: EventuallyFuture, AlwaysBehind: AlwaysPast}
+
+
+@pytest.mark.parametrize("op", BUILT_IN_TWIN, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (1, 3), (2, 7), (0, math.inf)])
+def test_operator_declared_elsewhere_reads_as_its_built_in_twin(op, lo, hi):
+    assert op.symbol not in OPERATORS
+    iv = TimeInterval(lo, hi)
+    node, twin = operator_node(op, iv=iv), operator_node(BUILT_IN_TWIN[op], iv=iv)
+    assert reach(node) == reach(twin)
+    spans = [{key: value for key, value in plan(g, 9)[1].items() if key != id(g)} for g in (node, twin)]
+    assert spans[0] == spans[1]
 
 
 # Each past operator's future twin, written out apart from the classes.
