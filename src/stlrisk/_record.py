@@ -5,8 +5,9 @@ class Record:
     """Fields set once, positionally or by keyword: a subclass's fields are
     its annotations that are not ``ClassVar``, after those it inherits, and a
     class attribute is a field's default.  ``__post_init__`` may check them
-    and replace values in ``vars(self)``.  Records of one type with equal
-    fields are equal, unless the class statement says ``eq=False``."""
+    and replace values in ``vars(self)``, or add values there that are not
+    fields, which ``==``, ``hash`` and ``repr`` ignore.  Records of one type
+    with equal fields are equal, unless the class statement says ``eq=False``."""
 
     _fields = __match_args__ = ()
 

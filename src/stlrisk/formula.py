@@ -227,8 +227,8 @@ def plan(f: Formula, t: int) -> tuple:
         node, reads = stack.pop()
         if reads is not None:
             order.append((node, reads))
-        elif id(node) not in seen:
-            seen.add(id(node))
+        elif (key := id(node)) not in seen:
+            seen.add(key)
             reads = reach(node)
             stack.append((node, reads))
             for child, _, _ in reversed(reads):
@@ -239,9 +239,12 @@ def plan(f: Formula, t: int) -> tuple:
             a, b = ab
             for child, lo, hi in reads:
                 if lo <= hi:
-                    lo, hi, old = a + lo, b + hi, span.get(id(child))
-                    if old is None or lo < old[0] or hi > old[1]:
-                        span[id(child)] = (lo, hi) if old is None else (min(lo, old[0]), max(hi, old[1]))
+                    key, lo, hi = id(child), a + lo, b + hi
+                    old = span.get(key)
+                    if old is None:
+                        span[key] = lo, hi
+                    elif lo < old[0] or hi > old[1]:
+                        span[key] = min(lo, old[0]), max(hi, old[1])
     return order, span
 
 

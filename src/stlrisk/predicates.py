@@ -101,6 +101,11 @@ class StateSlice(Record):
 
 
 class Halfspace(Record):
+    """{x : a.x + b >= 0}.  Besides its fields it keeps, for ``margins``,
+    ``_terms``, the (j, a_j) with a_j != 0, ``_offset`` = b + 0.0 and
+    ``_norm`` = |a|: none of them is a field, so they take no part in
+    ``==``, ``hash`` or ``repr``."""
+
     a: tuple
     b: float
 
@@ -111,7 +116,8 @@ class Halfspace(Record):
         norm = math.hypot(*a)
         if not (math.isfinite(norm) and math.isfinite(1.0 / norm) and math.isfinite(b / norm)):
             raise ValueError(f"halfspace |a|, 1/|a| and b/|a| must be finite, got |a|={norm!r}, b={b!r}")
-        vars(self).update(a=a, b=b)
+        terms = tuple((j, aj) for j, aj in enumerate(a) if aj != 0.0)
+        vars(self).update(a=a, b=b, _terms=terms, _offset=b + 0.0, _norm=norm)
 
 
 class NormBall(Record):
@@ -168,13 +174,11 @@ def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
         # From the first term, the sum is -0.0 where every term is; adding
         # b + 0.0, never -0.0, makes that +0.0 as a sum from 0 has it.
         dot = None
-        for j, aj in enumerate(p.a):
-            if aj != 0.0:
-                term = states[..., j] if aj == 1.0 else aj * states[..., j]
-                dot = term if dot is None else dot + term
-        dot = dot + (p.b + 0.0)
-        norm = math.hypot(*p.a)
-        return dot if norm == 1.0 else dot / norm
+        for j, aj in p._terms:
+            term = states[..., j] if aj == 1.0 else aj * states[..., j]
+            dot = term if dot is None else dot + term
+        dot = dot + p._offset
+        return dot if p._norm == 1.0 else dot / p._norm
     if isinstance(p, NormBall):
         slice_center = isinstance(p.center, StateSlice)
         for i in p.pos + (p.center.indices if slice_center else ()):

@@ -26,15 +26,19 @@ engine over (N, T, d) member states: an ensemble's ``states``, or a trace
 as N = 1.  One ``formula.plan`` walk per call gives the nodes in postorder,
 each node's operand reads and the anchors at which each node is read (which
 also decide admissibility, so a subtree read at no anchor is neither charged
-nor computed); the engine then computes each node bottom-up
-as an (N, times) array: the array kernels ``predicates.margins`` for the
-leaves, minimum and maximum for the connectives, for a ``formula.Window``
-(F, G, O, H) the window maximum if it is an ``eventually`` and else the
-window minimum (``_window``), and for a ``formula.Until`` (U, S) window
-maxima over running minima of the left operand (see ``_until``).  A past
-operator reads the mirror image of its future twin's window
-(``formula.reach``).  A node read at one anchor, as every root is, reduces
-its window in one pass: O(N x width).
+nor computed); the engine then computes each node bottom-up as an
+(N, times) array with the kernel of its class, looked up by ``type(node)``
+in one table (``_KERNELS``) of the node bases and ``formula.OPERATORS``: the
+array kernel ``predicates.margins`` for the leaves, minimum and maximum for
+the connectives, for a ``formula.Window`` (F, G, O, H) the window maximum if
+it is an ``eventually`` and else the window minimum (``_window``), and for a
+``formula.Until`` (U, S) window maxima over running minima of the left
+operand (see ``_until``).  An operator class declared elsewhere takes the
+kernel of its base.  Each node's values are kept with the first anchor they
+start at, so an operand read is one lookup and one slice.  A past operator
+reads the mirror image of its future twin's window (``formula.reach``).  A
+node read at one anchor, as every root is, reduces its window in one pass:
+O(N x width).
 A node read at several anchors takes its windows from a doubling table
 (Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013):
 O(N x (anchors + width) x log width), log squared for the until.  The two
@@ -53,7 +57,7 @@ from typing import Mapping
 import numpy as np
 
 from .errors import InsufficientHorizonError, UnknownPredicateError
-from .formula import And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, plan
+from .formula import OPERATORS, And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, plan
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace, shortened
 
@@ -63,14 +67,19 @@ __all__ = ["eval_boolean", "eval_robust", "eval_robust_ensemble"]
 def _check_admissible(order: list, span: dict, length: int, t: int, predicates: Mapping[str, PredicateDef]) -> None:
     """Refuse a formula, given as its ``plan`` at t, that names an undefined
     predicate or reads a subformula outside the trace."""
-    missing = sorted({node.name for node, _ in order if isinstance(node, Predicate)} - set(predicates))
-    if missing:
-        raise UnknownPredicateError(f"formula references undefined predicates: {shortened(', '.join(missing))}")
+    for node, _ in order:
+        if isinstance(node, Predicate) and node.name not in predicates:
+            missing = sorted({node.name for node, _ in order if isinstance(node, Predicate)} - set(predicates))
+            raise UnknownPredicateError(f"formula references undefined predicates: {shortened(', '.join(missing))}")
     if not 0 <= t < length:
         shown = t if abs(t) <= 10**60 else f"{'below -' if t < 0 else 'above '}10**60"  # str() has a digit limit
         raise InsufficientHorizonError(f"time {shown} outside the trace index range [0, {length - 1}]")
-    firsts, lasts = zip(*span.values())
-    first, last = min(firsts), max(lasts)
+    first = last = t
+    for lo, hi in span.values():
+        if lo < first:
+            first = lo
+        if hi > last:
+            last = hi
     if last > length - 1:
         raise InsufficientHorizonError(
             f"formula looks {last - t} steps ahead but only {length - 1 - t} remain after t={t}"
@@ -103,7 +112,7 @@ def _window(values: np.ndarray, count: int, n: int, pick) -> np.ndarray:
     return pick(table[:, :n], table[:, count - w : count - w + n])
 
 
-def _until(node, reads: tuple, a: int, b: int, at) -> np.ndarray:
+def _until(node, reads: tuple, a: int, b: int, values: dict, env) -> np.ndarray:
     """Until at anchors a..b, given its operand reads ``reach(node)``.
 
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
@@ -121,19 +130,28 @@ def _until(node, reads: tuple, a: int, b: int, at) -> np.ndarray:
     """
     lo, hi = node.interval.lo, node.interval.hi
     n = b - a + 1
-    step = -1 if node.past else 1
     # right[:, i + k - lo] and left[:, i + j - 1] sit k and j steps from anchor i.
     (left, llo, lhi), (right, rlo, rhi) = reads
-    right = at(right, a + rlo, b + rhi)[:, ::step]
-    left = at(left, a + llo, b + lhi)[:, ::step] if llo <= lhi else None  # hi <= 1: no steps between
+    first, value = values[id(right)]
+    right = value[:, a + rlo - first : b + rhi - first + 1]
+    if llo <= lhi:
+        first, value = values[id(left)]
+        left = value[:, a + llo - first : b + lhi - first + 1]
+    else:
+        left = None  # hi <= 1: no steps between
+    if node.past:
+        right = right[:, ::-1]
+        left = None if left is None else left[:, ::-1]
 
     if n == 1:
-        value = right  # candidates k <= 1 take right alone
         if left is not None:
-            k1 = max(lo, 2)  # candidate k >= 2: column k - 2 of left's running minimum
-            tails = np.minimum(np.minimum.accumulate(left, axis=1)[:, k1 - 2 :], right[:, k1 - lo :])
-            value = np.concatenate((right[:, : k1 - lo], tails), axis=1)
-        return _window(value, hi - lo + 1, 1, np.maximum)
+            # Candidates k <= 1 take right alone, k >= 2 also column k - 2 of
+            # left's running minimum.
+            k1 = max(lo, 2)
+            right = right.copy()
+            tails = right[:, k1 - lo :]
+            np.minimum(np.minimum.accumulate(left, axis=1)[:, k1 - 2 :], tails, out=tails)
+        return _window(right, hi - lo + 1, 1, np.maximum)
 
     value = _window(right, min(hi, 1) - lo + 1, n, np.maximum) if lo <= 1 else None
     for w, table in _levels(left, hi - 1, np.minimum):  # table[:, x]: min of left[:, x : x + w]
@@ -143,7 +161,69 @@ def _until(node, reads: tuple, a: int, b: int, at) -> np.ndarray:
             tails = np.minimum(table[:, k1 - 1 - w :], right[:, k1 - lo :])
             part = np.minimum(table[:, :n], _window(tails, k2 - k1 + 1, n, np.maximum))
             value = part if value is None else np.maximum(value, part, out=value)
-    return value[:, ::step]
+    return value[:, ::-1] if node.past else value
+
+
+# The kernels, ``_until`` above among them: each maps a node read at anchors
+# a..b to its (N, b - a + 1) values.  ``values`` holds each computed node's
+# (first anchor, values) by id, so an operand read is one lookup and one
+# slice; ``env`` is (states, predicates, leaf, top, neg) as ``_evaluate``
+# describes them.
+
+
+def _true(node, reads, a, b, values, env):
+    states, _, _, top, _ = env
+    return np.full((states.shape[0], b - a + 1), top)
+
+
+def _predicate(node, reads, a, b, values, env):
+    states, predicates, leaf, _, _ = env
+    return leaf(margins(predicates[node.name], states[:, a : b + 1]))
+
+
+def _not(node, reads, a, b, values, env):
+    _, _, _, _, neg = env
+    first, value = values[id(node.child)]
+    return neg(value[:, a - first : b - first + 1])
+
+
+def _connective(pick):
+    """The kernel of a binary connective: pick of its operands."""
+
+    def kernel(node, reads, a, b, values, env):
+        first, left = values[id(node.left)]
+        left = left[:, a - first : b - first + 1]
+        first, right = values[id(node.right)]
+        return pick(left, right[:, a - first : b - first + 1])
+
+    return kernel
+
+
+def _windowed(node, reads, a, b, values, env):
+    [(child, lo, hi)] = reads
+    first, value = values[id(child)]
+    pick = np.maximum if node.eventually else np.minimum
+    return _window(value[:, a + lo - first : b + hi - first + 1], hi - lo + 1, b - a + 1, pick)
+
+
+# The kernel of each node class, by class: the node bases and each operator
+# of ``formula.OPERATORS``.  Another subclass of a base, such as an operator
+# declared elsewhere, is added on its first evaluation (``_kernel``); a
+# class's kernel never changes, so every caller may share the table.
+_KERNELS = {
+    TrueFormula: _true, Predicate: _predicate, Not: _not, And: _connective(np.minimum),
+    Or: _connective(np.maximum), Window: _windowed, Until: _until,
+}
+_KERNELS.update({op: _KERNELS[op.__base__] for op in OPERATORS.values()})
+
+
+def _kernel(cls):
+    """The kernel of cls's nearest base in ``_KERNELS``, stored under cls."""
+    for base in cls.__mro__:
+        if base in _KERNELS:
+            _KERNELS[cls] = _KERNELS[base]
+            return _KERNELS[base]
+    raise TypeError(f"not a formula node class: {cls.__qualname__}")
 
 
 def _evaluate(
@@ -156,35 +236,18 @@ def _evaluate(
     """
     order, span = plan(f, t)
     _check_admissible(order, span, states.shape[1], t, predicates)
+    env = (states, predicates, leaf, top, neg)
     values: dict = {}
-
-    def at(g: Formula, lo: int, hi: int) -> np.ndarray:
-        start = span[id(g)][0]
-        return values[id(g)][:, lo - start : hi - start + 1]
-
     for node, reads in order:
-        if (ab := span.get(id(node))) is None:
-            continue
-        a, b = ab
-        match node:
-            case TrueFormula():
-                value = np.full((states.shape[0], b - a + 1), top)
-            case Predicate(name):
-                value = leaf(margins(predicates[name], states[:, a : b + 1]))
-            case Not(child):
-                value = neg(at(child, a, b))
-            case And(left, right):
-                value = np.minimum(at(left, a, b), at(right, a, b))
-            case Or(left, right):
-                value = np.maximum(at(left, a, b), at(right, a, b))
-            case Window():
-                [(child, lo, hi)] = reads
-                pick = np.maximum if node.eventually else np.minimum
-                value = _window(at(child, a + lo, b + hi), hi - lo + 1, b - a + 1, pick)
-            case Until():
-                value = _until(node, reads, a, b, at)
-        values[id(node)] = value
-    return values[id(f)][:, 0]
+        key = id(node)
+        if key in span:
+            a, b = span[key]
+            try:
+                kernel = _KERNELS[type(node)]
+            except KeyError:
+                kernel = _kernel(type(node))
+            values[key] = a, kernel(node, reads, a, b, values, env)
+    return values[id(f)][1][:, 0]
 
 
 _ROBUST = (lambda margin: margin, math.inf, np.negative)

@@ -6,6 +6,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import operator
 import os
 import pkgutil
@@ -780,12 +781,19 @@ def refused(kind, text: str) -> bool:
     return False
 
 
+def run_main(argv) -> tuple:
+    """(exit code, stdout, stderr) of ``main(argv)``, with a RuntimeWarning
+    raised as an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def flag_refusal(argv, flag, text):
     """(exit code, stdout, stderr) of ``main`` given ``flag`` as ``text``."""
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([*argv, f"{flag}={text}"])
-    return code, out.getvalue(), err.getvalue()
+    return run_main([*argv, f"{flag}={text}"])
 
 
 def assert_one_line_naming(flag, expected_code, refusal):
@@ -907,15 +915,11 @@ def test_every_damaged_config_runs_or_is_one_line_with_exit_5(tmp_path, monkeypa
     @given(damaged_configs())
     def check(data):
         Path("in.json").write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(["casestudy", "--config", "in.json", "--n", "1", "--out", "o"])
-        err = err.getvalue()
+        code, out, err = run_main(["casestudy", "--config", "in.json", "--n", "1", "--out", "o"])
         if code == 0:
-            assert err == "" and out.getvalue().startswith("trajectory,beta,")
+            assert err == "" and out.startswith("trajectory,beta,")
         else:
-            assert code == 5 and out.getvalue() == "", err
+            assert code == 5 and out == "", err
             assert err.startswith("error: ") and err.count("\n") == 1, err
             assert len(err.replace("in.json", "")) <= 160, err
 
@@ -997,15 +1001,11 @@ def test_every_damaged_input_runs_or_is_one_line_with_exit_1(valid, argv, tmp_pa
     @given(damaged_json(valid))
     def check(data):
         Path("in.json").write_bytes(data)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        err = err.getvalue()
+        code, out, err = run_main(argv)
         if code == 0:
-            assert err == "" and out.getvalue() != ""
+            assert err == "" and out != ""
         else:
-            assert code == 1 and out.getvalue() == "", err
+            assert code == 1 and out == "", err
             assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
             assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
 
@@ -1063,15 +1063,69 @@ def test_every_damaged_formula_runs_or_is_one_line(tmp_path, monkeypatch):
     @given(damaged_formulas())
     def check(text):
         argv = ["monitor", "--formula", text, "--predicates", "preds.json", "--trace", "walk.csv", "--time", "3"]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
-            warnings.simplefilter("error", RuntimeWarning)
-            code = main(argv)
-        err = err.getvalue()
+        code, out, err = run_main(argv)
         if code == 0:
-            assert err == "" and out.getvalue() != ""
+            assert err == "" and out != ""
         else:
-            assert code in (1, 2, 3) and out.getvalue() == "", err
+            assert code in (1, 2, 3) and out == "", err
+            assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
+            assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
+
+    check()
+
+
+# A valid trace, which the strategy below damages.  The sweep monitors
+# "O[0,1] p & F[0,2] q" at t = 1 over it, so it needs rows 0 to 3 of its 6.
+# p and q are x1 and x2 themselves: unit normals with b = 0 add and divide
+# nothing, so each margin is a cell's value.
+TRACE_BYTES = b"t,x1,x2\n0,1.5,0.25\n1,-0.5,3\n2,2.0,-1e3\n3,0.125,4\n4,-3,0.5\n5,7,-2\n"
+# Non-finite and out-of-range numbers, 5000-digit numbers, digits of other
+# scripts, line breaks (a lone CR among them), quotes, separators, and bytes
+# that are not UTF-8.
+TRACE_TOKENS = [b"nan", b"NaN", b"inf", b"-Infinity", b"1e400", b"-1e400", b"1e308", b"-1.7976931348623157e308", b"4.9e-324"]
+TRACE_TOKENS += [b"9" * 5000, b"0." + b"9" * 5000, b"-" + b"1" * 5000, b"1_000", b"0x10", b" 2 ", b"+1", b"-0"]
+TRACE_TOKENS += [s.encode() for s in ("\u0663", "\uff11\uff10", "\U0001d7d7", "\u00b2", "\u0661.\u0665", "\u2212" + "1")]
+TRACE_TOKENS += [b"\r", b"\r\n", b"\n", b"\n\n", b'"', b'"1"', b",", b",,", b"", b"\xff", b"\xc3", b"\x00", b"\xef\xbb\xbf"]
+
+
+@st.composite
+def damaged_traces(draw):
+    """The valid trace with one byte changed, cut short (to nothing at
+    all, too), or with a token inserted or put in place of a span."""
+    i = draw(st.integers(0, len(TRACE_BYTES)))
+    damage = draw(st.sampled_from(["flip", "truncate", "insert", "replace"]))
+    if damage == "flip":
+        return TRACE_BYTES[:i] + bytes([draw(st.integers(0, 255))]) + TRACE_BYTES[i + 1 :]
+    if damage == "truncate":
+        return TRACE_BYTES[:i]
+    token = draw(st.sampled_from(TRACE_TOKENS))
+    j = i if damage == "insert" else draw(st.integers(i, len(TRACE_BYTES)))
+    return TRACE_BYTES[:i] + token + TRACE_BYTES[j:]
+
+
+def test_every_damaged_trace_runs_or_is_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("preds.json").write_text(json.dumps({
+        "p": {"kind": "halfspace", "a": [1, 0], "b": 0},
+        "q": {"kind": "halfspace", "a": [0, 1], "b": 0},
+    }))
+    argv = ["monitor", "--formula", "O[0,1] p & F[0,2] q", "--predicates", "preds.json", "--trace", "in.csv", "--time", "1"]
+    Path("in.csv").write_bytes(TRACE_BYTES)
+    assert main(argv) == 0
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(damaged_traces())
+    def check(data):
+        Path("in.csv").write_bytes(data)
+        code, out, err = run_main(argv)
+        if code == 0:
+            assert err == "" and math.isfinite(float(out)), out
+            assert np.isfinite(trace.load_trace_csv(Path("in.csv")).states).all()
+        else:
+            # Too few rows left for t = 1 or for the formula is a horizon
+            # refusal; any other refusal of the file exits 1.
+            horizon = "outside the trace index range" in err or "formula looks" in err
+            assert code == (3 if horizon else 1) and out == "", err
             assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
             assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
 

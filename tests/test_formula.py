@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from stlrisk.errors import FormulaSyntaxError, IntervalError
+from stlrisk.errors import FormulaSyntaxError, InsufficientHorizonError, IntervalError
 from stlrisk.formula import (
     OPERATORS,
     TRUE,
@@ -28,6 +28,7 @@ from stlrisk.formula import (
     reach,
 )
 from stlrisk.parser import format_formula, parse
+from stlrisk.predicates import Halfspace
 from stlrisk.semantics import eval_boolean, eval_robust
 
 from .helpers import (
@@ -38,6 +39,7 @@ from .helpers import (
     random_admissible_case,
     random_formula,
     random_shared_formula,
+    random_trace,
 )
 
 P, Q = Predicate("p"), Predicate("q")
@@ -282,6 +284,33 @@ def test_operator_declared_elsewhere_reads_as_its_built_in_twin(op, lo, hi):
     assert reach(node) == reach(twin)
     spans = [{key: value for key, value in plan(g, 9)[1].items() if key != id(g)} for g in (node, twin)]
     assert spans[0] == spans[1]
+
+
+@pytest.mark.parametrize("op", BUILT_IN_TWIN, ids=lambda op: op.__name__)
+@pytest.mark.parametrize("lo, hi", [(0, 0), (0, 1), (1, 3), (2, 7), (0, math.inf)])
+def test_operator_declared_elsewhere_evaluates_as_its_built_in_twin(op, lo, hi):
+    # The engine finds such a class's kernel through its base.  Alone, the
+    # node is read at one anchor; under F[0,3] at four, past or future.
+    preds = {"p": Halfspace((1.0, 0.0), 0.0), "q": Halfspace((0.0, 2.0), -1.0)}
+    trace = random_trace(np.random.default_rng(lo + 10 * (hi if hi != math.inf else 9)), 24, 2)
+    iv = TimeInterval(lo, hi)
+    shapes = (
+        lambda cls: operator_node(cls, iv=iv),
+        lambda cls: EventuallyFuture(And(operator_node(cls, Not(Q), Or(P, Q), iv), Q), TimeInterval(0, 3)),
+    )
+    for shape in shapes:
+        node, twin = shape(op), shape(BUILT_IN_TWIN[op])
+        if hi == math.inf:
+            for f in (node, twin):
+                with pytest.raises(InsufficientHorizonError):
+                    eval_robust(f, trace, 12, preds)
+            continue
+        h = horizon(twin)
+        anchors = range(h.past_depth, len(trace.states) - h.future_depth)
+        assert len(anchors) >= 5
+        for t in anchors:
+            assert eval_robust(node, trace, t, preds).hex() == eval_robust(twin, trace, t, preds).hex(), t
+            assert eval_boolean(node, trace, t, preds) is eval_boolean(twin, trace, t, preds), t
 
 
 # Each past operator's future twin, written out apart from the classes.

@@ -215,6 +215,32 @@ class TestArrayMargins:
         assert_margins_bit_equal(p, states)
         assert not np.signbit(margins(p, states)[0, 0])
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [((1.0, 0.0), -0.0), ((0.0, 1.0), 0.5), ((0.0, -1.0, 1.0), -0.0), ((2.5, 0.0, -3.0), 1.25), ((0.5,), 0.0)],
+        ids=["unit-negzero-b", "unit", "unit-and-minus-unit", "non-unit", "one-non-unit"],
+    )
+    def test_halfspace_terms_are_kept_apart_from_its_fields(self, a, b):
+        # The terms, offset and norm kept for margins are not fields: a
+        # halfspace compares, hashes, prints and parses on a and b alone, and
+        # every way of building it gives the same margin bits.
+        positional = Halfspace(a, b)
+        keyword = Halfspace(b=b, a=list(a))
+        spec = {"kind": "halfspace", "a": [int(v) if v.is_integer() else v for v in a], "b": b}
+        parsed = parse_predicate_table(json.loads(json.dumps({"p": spec})))["p"]
+        assert Halfspace._fields == ("a", "b")
+        assert positional._terms == tuple((j, v) for j, v in enumerate(a) if v != 0.0)
+        assert positional._norm == math.hypot(*a) and not np.signbit(positional._offset)
+        assert repr(positional) == f"Halfspace(a={tuple(a)!r}, b={b!r})"
+        for p in (keyword, parsed):
+            assert p == positional and hash(p) == hash(positional) and repr(p) == repr(positional)
+        states = np.random.default_rng(17).normal(size=(2, 6, len(a)))
+        states[:, :2] = 0.0
+        states[:, 2] = -0.0
+        assert_margins_bit_equal(positional, states)
+        for p in (keyword, parsed):
+            assert margins(p, states).tobytes() == margins(positional, states).tobytes()
+
     def test_balls_constant_and_slice_centers(self):
         rng = np.random.default_rng(15)
         for _ in range(200):

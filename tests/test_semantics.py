@@ -457,18 +457,16 @@ class TestWindowKernel:
                 n = int(rng.integers(2, 7))
                 a = hi  # the past until looks hi steps back from its first anchor
                 length = a + n + hi
+                # Each operand's values from anchor 0, as the engine keeps them.
                 if dtype is bool:
-                    operands = {id(P): rng.random((2, length)) < 0.7, id(Q): rng.random((2, length)) < 0.2}
+                    values = {id(P): (0, rng.random((2, length)) < 0.7), id(Q): (0, rng.random((2, length)) < 0.2)}
                 else:
-                    operands = {id(P): rng.choice(pool, size=(2, length)), id(Q): rng.choice(pool, size=(2, length))}
+                    values = {id(P): (0, rng.choice(pool, size=(2, length))), id(Q): (0, rng.choice(pool, size=(2, length)))}
 
-                def at(g, first, last):
-                    return operands[id(g)][:, first : last + 1]
-
-                many = semantics._until(node, reach(node), a, a + n - 1, at)
+                many = semantics._until(node, reach(node), a, a + n - 1, values, None)
                 assert many.shape == (2, n) and many.dtype == dtype
                 for j in range(n):
-                    one = semantics._until(node, reach(node), a + j, a + j, at)
+                    one = semantics._until(node, reach(node), a + j, a + j, values, None)
                     assert one.shape == (2, 1) and one.dtype == dtype
                     assert (one == many[:, j : j + 1]).all(), (lo, hi, j)
 
