@@ -56,7 +56,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import InsufficientHorizonError, UnknownPredicateError
+from .errors import InfiniteRobustnessError, InsufficientHorizonError, UnknownPredicateError
 from .formula import OPERATORS, And, Formula, Not, Or, Predicate, TrueFormula, Until, Window, plan
 from .predicates import PredicateDef, margins
 from .trace import Ensemble, Trace, shortened
@@ -178,7 +178,10 @@ def _true(node, reads, a, b, values, env):
 
 def _predicate(node, reads, a, b, values, env):
     states, predicates, leaf, _, _ = env
-    return leaf(margins(predicates[node.name], states[:, a : b + 1]))
+    try:
+        return leaf(margins(predicates[node.name], states[:, a : b + 1]))
+    except FloatingPointError:  # raised by _evaluate's errstate
+        raise InfiniteRobustnessError(f"predicate {shortened(repr(node.name))}: margin overflows the float range") from None
 
 
 def _not(node, reads, a, b, values, env):
@@ -226,6 +229,7 @@ def _kernel(cls):
     raise TypeError(f"not a formula node class: {cls.__qualname__}")
 
 
+@np.errstate(over="raise")  # only margins do arithmetic; min, max and negation cannot overflow
 def _evaluate(
     f: Formula, states: np.ndarray, t: int, predicates: Mapping[str, PredicateDef], leaf, top, neg
 ) -> np.ndarray:

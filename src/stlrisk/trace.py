@@ -1,19 +1,15 @@
 """Finite discrete-time traces and i.i.d. ensembles, with CSV/JSON ingestion.
 
-Trace CSV wire format: header ``t,x1,...,xn``, one row per step with
-consecutive integer times starting at 0, UTF-8, LF or CRLF line endings.
-An ensemble is either a directory of such CSVs (members ordered by file
-name) or a JSON manifest ``{"traces": [paths...]}`` with paths resolved
-relative to the manifest; its other keys, such as ``"seed"``, are not read.
-In memory it is one read-only (N, T, d) array, and a single trace is loaded
-as a one-member ensemble.  Every array a trace, an ensemble or a sample
-vector holds is a copy that one validator, ``frozen_array``, made and
-checked: none is an uncopied view.  Members of
-the plain layout ``save_trace_csv`` writes are checked and converted as one
-batch: one decode of their joined bytes, whole-list layout checks over all
-members, and, when cell texts repeat, one ``float`` call per distinct text.
-Any other member sends the whole ensemble through the strict per-file reader
-(``csv.reader``, cell by cell), which decides acceptance and errors.
+Trace CSV grammar: UTF-8, LF or CRLF line ends (the last may be missing),
+the header exactly ``t,x1,...,xd``, and row i ``str(i)`` then d cells, each
+ASCII with no whitespace or ``_``, that ``float`` reads as finite numbers;
+``_batch_states`` alone decides it, for all members as one batch.  An
+ensemble is a directory of such CSVs (ordered by file name) or a JSON
+manifest ``{"traces": [paths...]}`` with paths relative to it (its other
+keys, such as ``"seed"``, are not read).  In memory it is one read-only
+(N, T, d) array, and a single trace is loaded as a one-member ensemble.
+Every array a trace, an ensemble or a sample vector holds is a copy that
+one validator, ``frozen_array``, made and checked: none is an uncopied view.
 
 Every input file of the package, CSV or JSON, is read once by ``_read`` and
 decoded by ``_decode``, which names a byte that is not UTF-8 by file and
@@ -22,9 +18,7 @@ offset; ``read_json`` also returns the bytes, for digests of what was parsed.
 
 from __future__ import annotations
 
-import csv
 import errno
-import io
 import json
 import math
 import os
@@ -97,13 +91,7 @@ class Ensemble(Record, eq=False):
         traces = tuple(traces)
         if not traces:
             raise EmptyError("an ensemble needs at least one trace")
-        length, dim = traces[0].states.shape
-        for i, tr in enumerate(traces):
-            if tr.states.shape != (length, dim):
-                raise MismatchError(
-                    f"trace {i} has dim={tr.states.shape[1]}, length={tr.states.shape[0]}; "
-                    f"expected dim={dim}, length={length}"
-                )
+        _check_shapes([tr.states.shape for tr in traces])
         vars(self)["states"] = frozen_array([tr.states for tr in traces], 3, "ensemble states")
 
     @classmethod
@@ -123,71 +111,32 @@ class Ensemble(Record, eq=False):
         return tuple(map(Trace, self.states))
 
 
+def _check_shapes(shapes: list) -> None:
+    """A MismatchError naming the first (T, d) member shape unlike the first's."""
+    length, dim = shapes[0]
+    for i, (t, d) in enumerate(shapes):
+        if (t, d) != (length, dim):
+            raise MismatchError(f"trace {i} has dim={d}, length={t}; expected dim={dim}, length={length}")
+
+
 _INT_RE = re.compile(r"^[+-]?\d+$")
 _BLOCK = 1024  # cells that _values splits at a time
-
-
-def _parse_cell(path: Path, row_no: int, name: str, cell: str) -> float:
-    try:
-        value = float(cell)
-    except ValueError:
-        raise FormatError(f"{path}: row {row_no}: non-numeric {name} cell {shortened(repr(cell))}") from None
-    if not math.isfinite(value):
-        raise FormatError(f"{path}: row {row_no}: non-finite {name} value {shortened(repr(cell))}")
-    return value
-
-
-def _parse_trace(path: Path, data: bytes) -> Trace:
-    """One trace from the bytes of a CSV file, validating the schema strictly."""
-    # Split into lines as a file opened with newline="" is.
-    rows = list(csv.reader(io.StringIO(_decode(path, data, FormatError), newline="")))
-    if not rows:
-        raise EmptyError(f"{path}: empty file")
-    header = rows[0]
-    if len(header) < 2 or header[0].strip() != "t":
-        raise FormatError(f"{path}: header must be t,x1,...,xn, got {shortened(repr(header))}")
-    dim = len(header) - 1
-    for i, name in enumerate(header[1:], start=1):
-        if name.strip() != f"x{i}":
-            raise FormatError(f"{path}: header must be t,x1,...,xn, got {shortened(repr(header))}")
-    data = rows[1:]
-    if not data:
-        raise EmptyError(f"{path}: no data rows")
-    states = np.empty((len(data), dim), dtype=float)
-    for idx, row in enumerate(data):
-        if len(row) != dim + 1:
-            raise FormatError(f"{path}: row {idx}: expected {dim + 1} cells, got {len(row)}")
-        t_cell = row[0].strip()
-        if not _INT_RE.match(t_cell):
-            raise FormatError(f"{path}: row {idx}: time cell {shortened(repr(t_cell))} is not an integer")
-        # float() reads digits of any script with no digit limit, where int() would refuse a
-        # long cell even if its digits are mostly zeros; it is exact for every row index.
-        if float(t_cell) != idx:
-            raise GapError(f"{path}: expected t={idx}, got t={shortened(t_cell)} (times must be consecutive from 0)")
-        for j, cell in enumerate(row[1:]):
-            states[idx, j] = _parse_cell(path, idx, f"x{j + 1}", cell.strip())
-    return Trace(states)
+# What float() reads but the grammar refuses: "_" and the ASCII whitespace it skips.
+_REFUSED = ("_", " ", "\t", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _batch_states(contents: list) -> Optional[np.ndarray]:
-    """The (N, T, d) states of N member CSVs in the plain layout, or None.
-
-    Plain: UTF-8 without quotes or lone CRs, every file ending with a line
-    break, a header exactly ``t,x1,...,xd`` and the same number of rows in
-    every file, and rows ``i,v1,...,vd`` with the time i written as
-    ``str(i)`` and finite float cells.  All members are checked together,
-    by whole-list operations over the lines of their joined text, and a cell
-    text that repeats goes through ``float`` once.  Anything else, valid or
-    not, gives None, and the caller reads each file with the strict per-file
-    parser, which accepts the same files with the same bits and raises the
-    same errors.
-    """
+    """The (N, T, d) states of N member CSVs, or None if any breaks the
+    grammar or their shapes differ: whole-list checks over the lines of
+    their joined text, and one ``float`` call per distinct repeated text."""
     n = len(contents)
     # With every member ending in a line break, no character, CRLF or line
     # of the joined text spans two members, and member k is lines
     # k * (T + 1) to (k + 1) * (T + 1) - 1.
     if not all(map(bytes.endswith, contents, repeat(b"\n"))):
-        return None
+        if any(map(bytes.endswith, contents, repeat(b"\r"))):
+            return None  # a final lone CR, which a line break after it would make a CRLF
+        contents = [data if data.endswith(b"\n") else data + b"\n" for data in contents]
     breaks = set(map(bytes.count, contents, repeat(b"\n")))
     if len(breaks) != 1:
         return None
@@ -198,14 +147,10 @@ def _batch_states(contents: list) -> Optional[np.ndarray]:
         text = b"".join(contents).decode("utf-8")
     except UnicodeDecodeError:
         return None
-    # Without quotes and lone CRs, csv.reader splits at exactly the commas
-    # and line breaks.
-    if '"' in text:
-        return None
     if "\r" in text:
         text = text.replace("\r\n", "\n")
-        if "\r" in text:
-            return None
+    if not text.isascii() or any(map(text.__contains__, _REFUSED)):
+        return None
     rows = text.split("\n")
     rows.pop()  # after the line break that ends the last row
     header = rows[0]
@@ -224,6 +169,54 @@ def _batch_states(contents: list) -> Optional[np.ndarray]:
     except ValueError:
         return None
     return flat.reshape(n, length, dim) if np.isfinite(flat).all() else None
+
+
+def _diagnose(path, data: bytes) -> tuple:
+    """(shape, fault) of a member CSV: its (T, d) and, if ``_batch_states``
+    refuses it, its first fault of spelling alone (whitespace, ``_`` or
+    non-ASCII in an entry, a time of the right value not written ``str(i)``).
+    Its first fault of content is raised instead, so that spelling is
+    reported only after every member's content and shape."""
+    states = _batch_states([data])
+    if states is not None:
+        return states.shape[1:], None
+    text = _decode(path, data, FormatError)
+    if not text:
+        raise EmptyError(f"{path}: empty file")
+    lines = text.replace("\r\n", "\n").removesuffix("\n").split("\n")
+    rows = [line.split(",") if line else [] for line in lines]  # a blank line has no cells
+    header, fault = rows[0], None
+    names = ["t"] + [f"x{j}" for j in range(1, len(header))]
+    if len(header) < 2 or header != names:
+        fault = FormatError(f"{path}: header must be t,x1,...,xn, got {shortened(repr(header))}")
+        if len(header) < 2 or [name.strip() for name in header] != names:
+            raise fault
+    dim = len(header) - 1
+    if len(rows) == 1:
+        raise EmptyError(f"{path}: no data rows")
+    for i, cells in enumerate(rows[1:]):
+        if len(cells) != dim + 1:
+            raise FormatError(f"{path}: row {i}: expected {dim + 1} cells, got {len(cells)}")
+        if cells[0] != str(i):
+            time = cells[0].strip()
+            if not _INT_RE.match(time):
+                raise FormatError(f"{path}: row {i}: time cell {shortened(repr(time))} is not an integer")
+            # float() reads digits of any script with no digit limit, where int() would
+            # refuse a long cell even if mostly zeros; it is exact for every row index.
+            if float(time) != i:
+                raise GapError(f"{path}: expected t={i}, got t={shortened(time)} (times must be consecutive from 0)")
+            fault = fault or GapError(f"{path}: expected t={i}, got t={shortened(repr(cells[0]))} (times are written 0, 1, ...)")
+        for j, cell in enumerate(cells[1:], start=1):
+            number = cell.strip()
+            try:
+                value = float(number)
+            except ValueError:
+                raise FormatError(f"{path}: row {i}: non-numeric x{j} cell {shortened(repr(number))}") from None
+            if not math.isfinite(value):
+                raise FormatError(f"{path}: row {i}: non-finite x{j} value {shortened(repr(number))}")
+            if number != cell or "_" in number or not number.isascii():
+                fault = fault or FormatError(f"{path}: row {i}: x{j} cell {shortened(repr(cell))} holds whitespace, '_' or non-ASCII")
+    return (len(rows) - 1, dim), fault
 
 
 def _values(rows: list, dim: int) -> np.ndarray:
@@ -298,18 +291,18 @@ def _load_members(files: list) -> tuple:
         except OSError:
             break  # raised again below, after the members before it are checked
     states = _batch_states(contents) if len(contents) == len(files) else None
-    if states is not None:
-        ensemble = Ensemble.from_states(states)
-    else:
+    if states is None:
         # Member by member, as files are read: the first bad member raises
         # its own error, before a later member or the mismatch check does.
-        traces = []
+        diagnosed = []
         for i, p in enumerate(files):
             if i == len(contents):
                 contents.append(_read(p))
-            traces.append(_parse_trace(p, contents[i]))
-        ensemble = Ensemble(traces)
-    return ensemble, dict(zip(map(str, files), contents))
+            diagnosed.append(_diagnose(p, contents[i]))
+        shapes, faults = zip(*diagnosed)
+        _check_shapes(shapes)
+        raise next(filter(None, faults), FormatError(f"{files[0]}: ensemble refused by the trace grammar"))
+    return Ensemble.from_states(states), dict(zip(map(str, files), contents))
 
 
 def load_trace_csv(path) -> Trace:
@@ -319,12 +312,9 @@ def load_trace_csv(path) -> Trace:
 
 def save_trace_csv(trace: Trace, path) -> None:
     """Write a trace back to CSV; values survive a reload bit-exactly."""
-    path = Path(path)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t"] + [f"x{i + 1}" for i in range(trace.states.shape[1])])
-        for t, state in enumerate(trace.states):
-            writer.writerow([str(t)] + [f"{v:.17g}" for v in state])
+    lines = [",".join(["t"] + [f"x{j}" for j in range(1, trace.states.shape[1] + 1)])]
+    lines += [",".join([str(t)] + [f"{v:.17g}" for v in state]) for t, state in enumerate(trace.states.tolist())]
+    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_ensemble(path) -> tuple:

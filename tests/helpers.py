@@ -7,13 +7,13 @@ evaluators they check.  Their predicate leaves come from
 ``signed_distance_oracle``, scalar code per predicate family that shares
 nothing with the array kernel ``predicates.margins``.  Likewise the quantile
 oracles scan the empirical CDF literally instead of indexing order
-statistics, and the ingest oracle reads trace CSVs one cell at a time
-through ``csv.reader``.
+statistics, and the ingest oracle reads trace CSVs line by line and cell
+by cell, matching each cell against the written grammar with its own
+patterns.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -361,9 +361,16 @@ def cvar_exact(values, beta: float) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Trace CSV ingest oracle: the strict csv.reader loader, one file at a time
+# Trace CSV ingest oracle: the grammar README states, one file at a time
 
-_INT_RE = re.compile(r"^[+-]?\d+$")
+_TIME_NUMBER = re.compile(r"[+-]?\d+")  # an integer of any script, sign and padding
+_TIME_AS_WRITTEN = re.compile(r"0|[1-9][0-9]*")
+_PLAIN_CELL = re.compile(r"[!-^`-~]+")  # printable ASCII but space and "_"
+
+
+def _quoted(text: str) -> str:
+    """Input text as error messages quote it: cut to 60 characters and its length."""
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} chars)"
 
 
 def _first_invalid_utf8(data: bytes) -> int:
@@ -390,50 +397,70 @@ def _not_utf8(path: Path) -> FormatError:
     return FormatError(f"{path}: not UTF-8: byte 0x{data[start]:02x} at offset {start}")
 
 
-def load_trace_csv_oracle(path) -> np.ndarray:
-    """The (T, d) states of one trace CSV, read cell by cell."""
+def _read_trace_oracle(path) -> tuple:
+    """The (T, d) states of one trace CSV and its first fault of spelling
+    alone (or None); a fault of content is raised, the first in reading
+    order."""
     path = Path(path)
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        text = path.read_bytes().decode("utf-8")
     except UnicodeDecodeError:
         raise _not_utf8(path) from None
-    if not rows:
+    if text == "":
         raise EmptyError(f"{path}: empty file")
-    header = rows[0]
-    if len(header) < 2 or header[0].strip() != "t":
-        raise FormatError(f"{path}: header must be t,x1,...,xn, got {header!r}")
+    # Each line but the last ends in LF, after which a CR before it belongs
+    # to the line end; an empty last line is the end of the file.
+    *ended, last = text.split("\n")
+    lines = [line[:-1] if line.endswith("\r") else line for line in ended] + ([last] if last else [])
+    table = [line.split(",") if line else [] for line in lines]
+    header, spelling = table[0], []
+    names = ["t"] + [f"x{j}" for j in range(1, len(header))]
+    header_fault = FormatError(f"{path}: header must be t,x1,...,xn, got {_quoted(repr(header))}")
+    if len(header) < 2 or [name.strip() for name in header] != names:
+        raise header_fault
+    if header != names:
+        spelling.append(header_fault)
     dim = len(header) - 1
-    for i, name in enumerate(header[1:], start=1):
-        if name.strip() != f"x{i}":
-            raise FormatError(f"{path}: header must be t,x1,...,xn, got {header!r}")
-    data = rows[1:]
-    if not data:
+    if len(table) == 1:
         raise EmptyError(f"{path}: no data rows")
-    states = np.empty((len(data), dim), dtype=float)
-    for idx, row in enumerate(data):
+    states = np.empty((len(table) - 1, dim))
+    for i, row in enumerate(table[1:]):
         if len(row) != dim + 1:
-            raise FormatError(f"{path}: row {idx}: expected {dim + 1} cells, got {len(row)}")
-        t_cell = row[0].strip()
-        if not _INT_RE.match(t_cell):
-            raise FormatError(f"{path}: row {idx}: time cell {t_cell!r} is not an integer")
-        if int(t_cell) != idx:
-            raise GapError(f"{path}: expected t={idx}, got t={t_cell} (times must be consecutive from 0)")
-        for j, cell in enumerate(row[1:]):
-            name, cell = f"x{j + 1}", cell.strip()
+            raise FormatError(f"{path}: row {i}: expected {dim + 1} cells, got {len(row)}")
+        time = row[0].strip()
+        if not _TIME_NUMBER.fullmatch(time):
+            raise FormatError(f"{path}: row {i}: time cell {_quoted(repr(time))} is not an integer")
+        if float(time) != i:
+            raise GapError(f"{path}: expected t={i}, got t={_quoted(time)} (times must be consecutive from 0)")
+        if not _TIME_AS_WRITTEN.fullmatch(row[0]):
+            spelling.append(GapError(f"{path}: expected t={i}, got t={_quoted(repr(row[0]))} (times are written 0, 1, ...)"))
+        for j, cell in enumerate(row[1:], start=1):
+            number = cell.strip()
             try:
-                value = float(cell)
+                value = float(number)
             except ValueError:
-                raise FormatError(f"{path}: row {idx}: non-numeric {name} cell {cell!r}") from None
+                raise FormatError(f"{path}: row {i}: non-numeric x{j} cell {_quoted(repr(number))}") from None
             if not math.isfinite(value):
-                raise FormatError(f"{path}: row {idx}: non-finite {name} value {cell!r}")
-            states[idx, j] = value
+                raise FormatError(f"{path}: row {i}: non-finite x{j} value {_quoted(repr(number))}")
+            if not _PLAIN_CELL.fullmatch(cell):
+                spelling.append(FormatError(f"{path}: row {i}: x{j} cell {_quoted(repr(cell))} holds whitespace, '_' or non-ASCII"))
+            states[i, j - 1] = value
+    return states, (spelling or [None])[0]
+
+
+def load_trace_csv_oracle(path) -> np.ndarray:
+    """The (T, d) states of one trace CSV, read cell by cell: its first fault
+    of content, else of spelling, is raised."""
+    states, fault = _read_trace_oracle(path)
+    if fault is not None:
+        raise fault
     return states
 
 
 def load_ensemble_oracle(path) -> np.ndarray:
     """The (N, T, d) states of an ensemble directory or manifest, each
-    member read on its own, in order, before the shapes are compared."""
+    member read on its own, in order, before the shapes are compared and
+    then the members' first fault of spelling is raised."""
     path = Path(path)
     if path.is_dir():
         files = sorted((p for p in path.iterdir() if p.suffix == ".csv"), key=lambda p: p.name)
@@ -455,7 +482,7 @@ def load_ensemble_oracle(path) -> np.ndarray:
         if not listed:
             raise EmptyError(f"{path}: manifest lists no traces")
         files = [path.parent / p for p in listed]
-    members = [load_trace_csv_oracle(p) for p in files]
+    members, faults = zip(*map(_read_trace_oracle, files))
     length, dim = members[0].shape
     for i, m in enumerate(members):
         if m.shape != (length, dim):
@@ -463,6 +490,9 @@ def load_ensemble_oracle(path) -> np.ndarray:
                 f"trace {i} has dim={m.shape[1]}, length={m.shape[0]}; "
                 f"expected dim={dim}, length={length}"
             )
+    for fault in faults:
+        if fault is not None:
+            raise fault
     return np.stack(members)
 
 

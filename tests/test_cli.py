@@ -221,6 +221,27 @@ class TestMonitor:
             out, err = capsys.readouterr()
             assert out == "" and err.startswith("error: predicate 'p': ") and "finite" in err
 
+    @pytest.mark.parametrize(
+        "definition, state",
+        [
+            ({"kind": "halfspace", "a": [1e308, 1e308], "b": 0}, "1,1"),
+            ({"kind": "halfspace", "a": [0.5, 0.5], "b": 0}, "1.7e308,1.7e308"),
+            ({"kind": "ball", "pos": [0], "center": [-1e308], "radius": 1}, "1e308,0"),
+        ],
+        ids=["dot-product", "division-by-norm", "ball-difference"],
+    )
+    def test_margin_that_overflows_exits_4_naming_the_predicate(self, tmp_path, monkeypatch, definition, state):
+        # Finite definitions and states whose margin overflows: refused in
+        # one line in both modes, not printed as inf after a RuntimeWarning.
+        monkeypatch.chdir(tmp_path)
+        Path("p.json").write_text(json.dumps({"p": definition}))
+        Path("ens").mkdir()
+        Path("ens/m0.csv").write_text(f"t,x1,x2\n0,{state}\n")
+        refusal = (4, "", "error: predicate 'p': margin overflows the float range\n")
+        for mode in ("robust", "boolean"):
+            assert run_main(["monitor", "--formula", "p", "--predicates", "p.json", "--trace", "ens/m0.csv", "--mode", mode]) == refusal
+        assert run_main(["risk", "--formula", "p", "--predicates", "p.json", "--ensemble", "ens"]) == refusal
+
 
     @pytest.mark.parametrize(
         "spec, words",
@@ -1075,9 +1096,10 @@ def test_every_damaged_formula_runs_or_is_one_line(tmp_path, monkeypatch):
 
 
 # A valid trace, which the strategy below damages.  The sweep monitors
-# "O[0,1] p & F[0,2] q" at t = 1 over it, so it needs rows 0 to 3 of its 6.
-# p and q are x1 and x2 themselves: unit normals with b = 0 add and divide
-# nothing, so each margin is a cell's value.
+# "O[0,1] p & F[0,2] q & G[0,2] r" at t = 1 over it, so it needs rows 0 to
+# 3 of its 6.  p and q are x1 and x2 themselves: unit normals with b = 0 add
+# and divide nothing, so each margin is a cell's value.  r's normal is
+# neither a unit one nor small: an x2 past about 1e8 overflows its margin.
 TRACE_BYTES = b"t,x1,x2\n0,1.5,0.25\n1,-0.5,3\n2,2.0,-1e3\n3,0.125,4\n4,-3,0.5\n5,7,-2\n"
 # Non-finite and out-of-range numbers, 5000-digit numbers, digits of other
 # scripts, line breaks (a lone CR among them), quotes, separators, and bytes
@@ -1108,8 +1130,10 @@ def test_every_damaged_trace_runs_or_is_one_line(tmp_path, monkeypatch):
     Path("preds.json").write_text(json.dumps({
         "p": {"kind": "halfspace", "a": [1, 0], "b": 0},
         "q": {"kind": "halfspace", "a": [0, 1], "b": 0},
+        "r": {"kind": "halfspace", "a": [-3, 1e300], "b": 100},
     }))
-    argv = ["monitor", "--formula", "O[0,1] p & F[0,2] q", "--predicates", "preds.json", "--trace", "in.csv", "--time", "1"]
+    formula = "O[0,1] p & F[0,2] q & G[0,2] r"
+    argv = ["monitor", "--formula", formula, "--predicates", "preds.json", "--trace", "in.csv", "--time", "1"]
     Path("in.csv").write_bytes(TRACE_BYTES)
     assert main(argv) == 0
 
@@ -1123,10 +1147,66 @@ def test_every_damaged_trace_runs_or_is_one_line(tmp_path, monkeypatch):
             assert np.isfinite(trace.load_trace_csv(Path("in.csv")).states).all()
         else:
             # Too few rows left for t = 1 or for the formula is a horizon
-            # refusal; any other refusal of the file exits 1.
+            # refusal, and a margin that overflows a non-finite one; any
+            # other refusal of the file exits 1.
             horizon = "outside the trace index range" in err or "formula looks" in err
-            assert code == (3 if horizon else 1) and out == "", err
+            assert code == (3 if horizon else 4 if "margin overflows" in err else 1) and out == "", err
             assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
+            assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
+
+    check()
+
+
+# Entries of the ensemble-directory sweep, by kind.  "good" members are
+# 2-step, 1-D traces; "shape" members obey the trace grammar at another
+# (T, d); "damaged" ones break it, each in one way; "dir" is a subdirectory.
+DIRECTORY_ENTRIES = [("good", b"t,x1\n0,1.5\n1,-0.5\n", None), ("good", b"t,x1\r\n0,-2\r\n1,3", None)]
+DIRECTORY_ENTRIES += [("good", b"t,x1\n0,.25\n1,1e-3\n", None), ("dir", None, None)]
+DIRECTORY_ENTRIES += [("shape", b"t,x1\n0,1\n", (1, 1)), ("shape", b"t,x1\n0,1\n1,2\n2,3\n", (3, 1))]
+DIRECTORY_ENTRIES += [("shape", b"t,x1,x2\n0,1,2\n1,3,4\n", (2, 2))]
+DIRECTORY_ENTRIES += [("damaged", data, None) for data in [
+    b"", b"\n", b"t,x1\n", b"t,x2\n0,1\n1,2\n", b"t, x1\n0,1\n1,2\n", b"t,x1\n0,1_000\n1,2\n", b"t,x1\n0, 1\n1,2\n",
+    b"t,x1\n0,1\n01,2\n", b"t,x1\n0,1\n+1,2\n", b't,x1\n0,"1"\n1,2\n', b"t,x1\n0,1\r1,2\n", b"t,x1\n0,1\n1,2\r",
+    b"t,x1\n0,nan\n1,2\n", b"t,x1\n0,1e400\n1,2\n", b"t,x1\n0,\xff\n1,2\n", b"t,x1\n1,1\n2,2\n", b"t,x1\n0,1\n1,2\n\n",
+    b"t,x1\n0,1,2\n1,2\n", b"t,x1\n0,\xc2\xa01\n1,2\n", b"\xef\xbb\xbft,x1\n0,1\n1,2\n", b"t,x1\n0,1\n\xd9\xa1,2\n",
+]]
+# Names of members and of entries that are not (".csv", "b.CSV", "c.csv.").
+DIRECTORY_NAMES = ["a.csv", "x.csv", "..csv", "-.csv", "m 1.csv", "\u00e9.csv", "z" * 40 + ".csv", ".csv", "b.CSV", "c.csv."]
+
+
+def expected_directory_exit(entries) -> int:
+    """The exit code of `risk --formula "F[0,1] p"` over a directory of
+    ``entries`` (name, kind, bytes, shape), from the documented rules."""
+    members = [(kind, shape) for name, kind, _, shape in entries if Path(name).suffix == ".csv"]
+    if not members or any(kind in ("damaged", "dir") for kind, _ in members):
+        return 1  # no members, a member refused by the grammar, or one that cannot be read
+    shapes = {(2, 1) if kind == "good" else shape for kind, shape in members}
+    if len(shapes) > 1:
+        return 1  # members of unequal shapes
+    ((length, dim),) = shapes
+    return 1 if dim != 1 else 3 if length < 2 else 0  # p reads x1; F[0,1] needs 2 steps
+
+
+def test_every_damaged_directory_runs_or_is_one_line(tmp_path, monkeypatch):
+    # Files unreadable to the user cannot be made when tests run as root,
+    # so a subdirectory named like a member stands for an unreadable one.
+    monkeypatch.chdir(tmp_path)
+    Path("p.json").write_text(json.dumps(PREDICATES))
+    made = iter(range(10**6))
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.sampled_from(DIRECTORY_NAMES), st.sampled_from(DIRECTORY_ENTRIES)), max_size=5, unique_by=lambda e: e[0]))
+    def check(drawn):
+        d = Path(f"d{next(made)}")
+        d.mkdir()
+        for name, (kind, data, _) in drawn:
+            (d / name).mkdir() if kind == "dir" else (d / name).write_bytes(data)
+        code, out, err = run_main(["risk", "--formula", "F[0,1] p", "--predicates", "p.json", "--ensemble", str(d)])
+        assert code == expected_directory_exit([(name, *entry) for name, entry in drawn]), (drawn, err)
+        if code == 0:
+            assert err == "" and out != ""
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 160, err
             assert not re.match(r"error: \w+Error: ", err), err  # _fail's form of an internal error
 
     check()

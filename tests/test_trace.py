@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -40,15 +42,20 @@ class TestLoadTraceCsv:
         with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={re.escape(trace.shortened(t_cell))} "):
             load_trace_csv(path)
 
-    def test_zero_padded_time_cells_past_the_digit_limit_keep_their_value(self, tmp_path):
+    def test_zero_padded_time_cells_past_the_digit_limit_are_a_gap(self, tmp_path):
+        # Of the right value, but not written str(i): quoted as written.
         zeros = "0" * 5000
-        tr = load_trace_csv(write(tmp_path, "a.csv", f"t,x1\n-{zeros},3\n+{zeros}1,1\n"))
-        assert np.array_equal(tr.states, [[3.0], [1.0]])
+        path = write(tmp_path, "a.csv", f"t,x1\n-{zeros},3\n+{zeros}1,1\n")
+        quoted = re.escape(trace.shortened(repr(f"-{zeros}")))
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=0, got t={quoted} "):
+            load_trace_csv(path)
 
-    def test_time_cells_padded_with_zeros_of_another_script_keep_their_value(self, tmp_path):
+    def test_time_cells_padded_with_zeros_of_another_script_are_a_gap(self, tmp_path):
         zeros = "\u0660" * 5000
-        tr = load_trace_csv(write(tmp_path, "a.csv", f"t,x1\n{zeros},3\n{zeros}\u0661,1\n"))
-        assert np.array_equal(tr.states, [[3.0], [1.0]])
+        path = write(tmp_path, "a.csv", f"t,x1\n0,3\n{zeros}\u0661,1\n")
+        quoted = re.escape(trace.shortened(repr(f"{zeros}\u0661")))
+        with pytest.raises(GapError, match=f"^{re.escape(str(path))}: expected t=1, got t={quoted} "):
+            load_trace_csv(path)
 
     @pytest.mark.parametrize("t_cell", ["-1", "-01", "10", "+2", "0" * 5000 + "2"])
     def test_time_cell_with_another_value_is_a_gap(self, tmp_path, t_cell):
@@ -105,6 +112,16 @@ class TestLoadTraceCsv:
         tr = load_trace_csv(write(tmp_path, "a.csv", "t,x1\r\n0,1.5\r\n1,2.5\r\n"))
         assert len(tr.states) == 2
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
+    def test_missing_final_line_break_accepted(self, tmp_path, line_end):
+        tr = load_trace_csv(write(tmp_path, "a.csv", f"t,x1{line_end}0,1.5{line_end}1,2.5"))
+        assert tr.states.tolist() == [[1.5], [2.5]]
+
+    def test_underscore_in_a_value_is_refused(self, tmp_path):
+        path = write(tmp_path, "a.csv", "t,x1\n0,1_000\n")
+        with pytest.raises(FormatError, match=f"^{re.escape(str(path))}: row 0: x1 cell '1_000' holds whitespace, '_' or non-ASCII$"):
+            load_trace_csv(path)
+
     def test_must_start_at_zero(self, tmp_path):
         with pytest.raises(GapError):
             load_trace_csv(write(tmp_path, "a.csv", "t,x1\n1,1\n2,2\n"))
@@ -124,6 +141,23 @@ class TestRoundTrip:
         assert again.states.shape == tr.states.shape and again.states.tobytes() == tr.states.tobytes()
         save_trace_csv(again, tmp_path / "rt2.csv")
         assert (tmp_path / "rt2.csv").read_bytes() == path.read_bytes()
+
+    def test_bytes_are_a_csv_writers(self, tmp_path):
+        # The bytes csv.writer wrote for the same rows (no cell of this
+        # layout needs quoting), on edge values and on a random trace.
+        rng = np.random.default_rng(12)
+        edges = [[-0.0, 5e-324, -1e-310, 1.7976931348623157e308]]
+        for values in (edges, rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-300, 300, size=(7, 3))):
+            tr = Trace(values)
+            path = tmp_path / "w.csv"
+            save_trace_csv(tr, path)
+            written = io.StringIO()
+            writer = csv.writer(written, lineterminator="\n")
+            writer.writerow(["t"] + [f"x{i + 1}" for i in range(tr.states.shape[1])])
+            for t, state in enumerate(tr.states):
+                writer.writerow([str(t)] + [f"{v:.17g}" for v in state])
+            assert path.read_bytes() == written.getvalue().encode("utf-8")
+            assert load_trace_csv(path).states.tobytes() == tr.states.tobytes()
 
     def test_random_round_trips(self, tmp_path):
         rng = np.random.default_rng(8)
@@ -323,6 +357,11 @@ INGEST_CASES = {
     "utf8_cut_across_members": [PLAIN.encode() + b"\xe2\x82", b"\xac" + PLAIN.encode()],
     # Joined, these would read as two plain members.
     "member_split_inside_a_line": ["t,x1,x2\n0,1,2\nt,", "x1,x2\n0,3,4\n"],
+    "crlf_no_final_line_break": [PLAIN.replace("\n", "\r\n").rstrip("\r\n")] * 2,
+    "some_final_line_breaks_missing": [PLAIN, PLAIN.rstrip("\n"), PLAIN],
+    # A fault of spelling alone, then one of content or of shape.
+    "spelling_then_content": [PLAIN.replace("0.5", "0.5 "), PLAIN.replace("2.25", "abc")],
+    "spelling_then_mismatch": [PLAIN.replace("\n1,", "\n01,"), PLAIN + "3,1,1\n"],
 }
 
 
@@ -370,8 +409,17 @@ class TestIngestMatchesOracle:
         d = write_members(tmp_path / "ens", INGEST_CASES["length_mismatch_then_bad_member"])
         with pytest.raises(FormatError, match="non-numeric x1 cell 'abc'"):
             load_ensemble(d)
-        e = load_ensemble(write_members(tmp_path / "quoted", INGEST_CASES["quoted_cells"]))
-        assert e.states.tolist() == [[[0.5, -1.0], [2.25, 1e-3], [-0.0, 7.0]]] * 2
+        # No cell is unquoted: a quote is part of the cell that float() reads.
+        d = write_members(tmp_path / "quoted", INGEST_CASES["quoted_cells"])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(d / 'm01.csv'))}: row 0: non-numeric x1 cell '\"0.5\"'$"):
+            load_ensemble(d)
+        # A content fault in a later member is reported before a spelling
+        # fault in an earlier one, and so is a shape mismatch.
+        d = write_members(tmp_path / "later", INGEST_CASES["spelling_then_content"])
+        with pytest.raises(FormatError, match=f"^{re.escape(str(d / 'm01.csv'))}: row 1: non-numeric x1 cell 'abc'$"):
+            load_ensemble(d)
+        with pytest.raises(MismatchError):
+            load_ensemble(write_members(tmp_path / "mismatch", INGEST_CASES["spelling_then_mismatch"]))
 
     @pytest.mark.parametrize(
         "manifest",
@@ -437,14 +485,7 @@ class TestIngestMatchesOracle:
         if not subdirectory:
             assert load_ensemble(d).states[:, 0, 0].tolist() == [0.125, 0.5, 0.75]
 
-    def test_plain_members_skip_the_cell_parser(self, tmp_path, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("csv.reader used on plain members")
-
-        monkeypatch.setattr("stlrisk.trace.csv.reader", refuse)
-        d = write_members(tmp_path / "ens", INGEST_CASES["crlf_and_lf"])
-        assert load_ensemble(d).states.shape == (2, 3, 2)
-        assert load_trace_csv(d / "m01.csv").states.shape == (3, 2)
+    def test_repeated_cell_texts_are_converted_once(self, tmp_path, monkeypatch):
         # Fifty members with repeated cells: each distinct text is
         # converted once.
         members = [f"t,x1,x2\n0,{i % 5},0.5\n1,{i % 7}.25,-1\n" for i in range(50)]
@@ -471,7 +512,7 @@ class TestReadEnsemble:
             assert list(sources) == [str(Path(path) / f"m0{i}.csv") for i in range(2)]
 
     def test_manifest_sources_include_the_listing(self, tmp_path):
-        d = write_members(tmp_path / "ens", INGEST_CASES["quoted_cells"])
+        d = write_members(tmp_path / "ens", INGEST_CASES["some_final_line_breaks_missing"])
         listing = write(tmp_path, "ens.json", json.dumps({"traces": ["ens/m01.csv", "ens/m00.csv"]}))
         e, sources = read_ensemble(listing)
         assert sources == {
