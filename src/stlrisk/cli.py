@@ -195,6 +195,17 @@ def _add_number(p, flag: str, kind: type, error: type, **options) -> None:
     p.add_argument(flag, type=read, **options)
 
 
+def _add_choice(p, flag: str, choices, **options) -> None:
+    """Add ``flag`` to ``p``, one of ``choices``; other text is a usage error that quotes it cut short."""
+
+    def read(text: str) -> str:
+        if text not in choices:
+            raise argparse.ArgumentTypeError(f"invalid choice: {shortened(repr(text))}")
+        return text
+
+    p.add_argument(flag, type=read, choices=choices, **options)
+
+
 @cache  # one tree per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="stlrisk", description=__doc__)
@@ -210,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicates", required=True, help="predicate table JSON")
     p.add_argument("--trace", required=True, help="trace CSV")
     _add_number(p, "--time", int, InsufficientHorizonError, default=0)
-    p.add_argument("--mode", choices=("boolean", "robust"), default="robust")
+    _add_choice(p, "--mode", ("boolean", "robust"), default="robust")
     p.set_defaults(func=cmd_monitor)
 
     p = sub.add_parser("risk", help="estimate a risk measure over an ensemble")
@@ -218,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predicates", required=True)
     p.add_argument("--ensemble", required=True, help="directory of CSVs or JSON manifest")
     _add_number(p, "--time", int, InsufficientHorizonError, default=0)
-    p.add_argument("--measure", choices=MEASURES, default="var")
+    _add_choice(p, "--measure", MEASURES, default="var")
     _add_number(p, "--beta", float, ParamError, default=RiskParams.beta)
     _add_number(p, "--delta", float, ParamError, default=RiskParams.delta)
     _add_number(p, "--lambda", float, ParamError, dest="lam", default=RiskParams.lam)
@@ -241,6 +252,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
+        if [] in vars(args).values():  # argparse before Python 3.13 drops the "--" of --flag=--
+            _build_parser().error("an option given as --flag=-- has no value")
         return args.func(args)
     except Exception as exc:
         return _fail(exc)

@@ -4,12 +4,13 @@ Nodes are truth, named predicates, negation, conjunction, disjunction and
 six temporal operators on two immutable ``Record`` bases: ``Until(left,
 right, interval)`` for U and S, the future and past until, and ``Window(child,
 interval)`` for F and G, eventually and always ahead, and O and H behind.
-Each node base states its own operand reads (``reach``); an operator class
-inherits them and adds only class attributes: its letter ``symbol``,
-``past``, and for a window ``eventually`` (the best value in the window,
-else the worst).  ``OPERATORS`` maps each letter to its class, and parsing,
-printing, ``reach`` and evaluation read these attributes.  Formula values
-are immutable and safe to share across threads.
+Each node base states its own operand reads (``reach``) and its precedence
+``level``, from 1 for ``|`` to 5 for an atom; ``!``, ``&`` and ``|`` state
+their ``symbol``.  An operator class inherits these and adds only its letter
+``symbol``, ``past``, and for a window ``eventually`` (the best value in the
+window, else the worst).  ``OPERATORS`` maps each letter to its class, and
+parsing, printing, ``reach`` and evaluation read these class attributes, none
+of them a field.  Formula values are immutable and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -84,6 +85,8 @@ class TimeInterval(Record):
 class TrueFormula(Record):
     """The formula that every signal satisfies at every time."""
 
+    level = 5
+
     def _reads(self) -> tuple:
         return ()
 
@@ -92,11 +95,13 @@ class Predicate(Record):
     """Reference to a named predicate, resolved against a predicate table."""
 
     name: str
+    level = 5
     _reads = TrueFormula._reads
 
 
 class Not(Record):
     child: "Formula"
+    symbol, level = "!", 4
 
     def _reads(self) -> tuple:
         return ((self.child, 0, 0),)
@@ -105,6 +110,7 @@ class Not(Record):
 class And(Record):
     left: "Formula"
     right: "Formula"
+    symbol, level = "&", 2
 
     def _reads(self) -> tuple:
         return ((self.left, 0, 0), (self.right, 0, 0))
@@ -113,6 +119,7 @@ class And(Record):
 class Or(Record):
     left: "Formula"
     right: "Formula"
+    symbol, level = "|", 1
     _reads = And._reads
 
 
@@ -124,6 +131,7 @@ class Until(Record):
     interval: TimeInterval
     symbol: ClassVar[str]
     past: ClassVar[bool]
+    level = 3
 
     def _reads(self) -> tuple:
         lo, hi = self.interval.lo, self.interval.hi
@@ -142,6 +150,7 @@ class Window(Record):
     symbol: ClassVar[str]
     past: ClassVar[bool]
     eventually: ClassVar[bool]
+    level = 4
 
     def _reads(self) -> tuple:
         lo, hi = self.interval.lo, self.interval.hi

@@ -50,6 +50,7 @@ class SourceSpan(Record):
 
 
 _RESERVED = {"true", *OPERATORS}
+_SYMBOLS = {op.symbol: op for op in (Not, And, Or, *OPERATORS.values())}  # each operator class by its symbol
 
 _TOKEN_RE = re.compile(
     r"""
@@ -134,56 +135,42 @@ class _Parser:
         return self.take()
 
     def parse(self) -> Formula:
-        f = self.disj()
+        f = self.binary()
         tok = self.peek()
         if tok.kind != "eof":
             raise FormulaSyntaxError(f"unexpected trailing input {tok.quoted}", tok.span)
         return f
 
-    def disj(self) -> Formula:
-        f = self.conj()
-        while self.peek().kind == "|":
+    def binary(self, level: int = Or.level) -> Formula:
+        """Unaries joined by binary operators of ``level`` or more, by precedence
+        climbing: a right operand binds one level tighter, so ``&`` and ``|`` associate left."""
+        f = self.unary()
+        while (op := self.operator(And, Or, Until)) is not None and op.level >= level:
             self.take()
-            f = Or(f, self.conj())
+            if issubclass(op, Until):
+                interval = self.interval()
+                f = op(f, self.unary(), interval)
+                if self.operator(Until) is not None:
+                    raise FormulaSyntaxError("until is non-associative; parenthesize the chain", self.peek().span)
+            else:
+                f = op(f, self.binary(op.level + 1))
         return f
 
-    def conj(self) -> Formula:
-        f = self.until()
-        while self.peek().kind == "&":
-            self.take()
-            f = And(f, self.until())
-        return f
-
-    def operator(self, base: type):
-        """The class whose letter is the next token, if it derives from base
-        (``Until`` or ``Window``), else None."""
-        tok = self.peek()
-        op = OPERATORS.get(tok.text) if tok.kind == "kw" else None
-        return op if op is not None and issubclass(op, base) else None
-
-    def until(self) -> Formula:
-        left = self.unary()
-        op = self.operator(Until)
-        if op is None:
-            return left
-        self.take()
-        interval = self.interval()
-        right = self.unary()
-        if self.operator(Until) is not None:
-            raise FormulaSyntaxError("until is non-associative; parenthesize the chain", self.peek().span)
-        return op(left, right, interval)
+    def operator(self, *bases: type):
+        """The class whose symbol is the next token, if it derives from one of bases, else None."""
+        op = _SYMBOLS.get(self.peek().text)  # no identifier: the letters are reserved
+        return op if op is not None and issubclass(op, bases) else None
 
     def unary(self) -> Formula:
         tok = self.peek()
-        if tok.kind == "!":
-            self.take()
+        op = self.operator(Not, Window)
+        if op is None:
+            return self.atom()
+        self.take()
+        if op is Not:
             return Not(self.nest(tok, self.unary))
-        op = self.operator(Window)
-        if op is not None:
-            self.take()
-            interval = self.interval()
-            return op(self.nest(tok, self.unary), interval)
-        return self.atom()
+        interval = self.interval()
+        return op(self.nest(tok, self.unary), interval)
 
     def atom(self) -> Formula:
         tok = self.peek()
@@ -195,7 +182,7 @@ class _Parser:
             return Predicate(tok.text)
         if tok.kind == "(":
             self.take()
-            f = self.nest(tok, self.disj)
+            f = self.nest(tok, self.binary)
             self.expect(")", "')'")
             return f
         raise FormulaSyntaxError(f"expected a formula, found {tok.quoted}", tok.span)
@@ -234,41 +221,27 @@ def parse(text: str) -> Formula:
     return _Parser(text).parse()
 
 
-# Precedence levels used for minimal parenthesization.
-_LVL_OR, _LVL_AND, _LVL_UNTIL, _LVL_UNARY, _LVL_ATOM = 1, 2, 3, 4, 5
-
-
-def _level(f: Formula) -> int:
-    match f:
-        case Or():
-            return _LVL_OR
-        case And():
-            return _LVL_AND
-        case Until():
-            return _LVL_UNTIL
-        case Not() | Window():
-            return _LVL_UNARY
-        case _:
-            return _LVL_ATOM
-
-
 def format_formula(f: Formula) -> str:
     """Canonical text with minimal parentheses; parse(format_formula(f)) == f.
 
     The walk keeps an explicit stack of pending text and (node, minimum
     precedence level) pairs, so any nesting depth and chain length is fine;
-    a node below the level its position needs is parenthesized.
+    a node whose ``level`` is below what its position needs (its parent's for
+    a prefix or left ``&``/``|`` operand, else one more) is parenthesized.
     """
-    out, stack = [], [(f, _LVL_OR)]
+    out, stack = [], [(f, Or.level)]
     while stack:
         item = stack.pop()
         if isinstance(item, str):
             out.append(item)
             continue
         node, min_level = item
-        if _level(node) < min_level:
+        if not isinstance(node, Formula):
+            raise TypeError(f"not a formula node: {node!r}")
+        level = node.level
+        if level < min_level:
             out.append("(")
-            stack += [")", (node, _LVL_OR)]
+            stack += [")", (node, Or.level)]
             continue
         match node:
             case TrueFormula():
@@ -276,19 +249,15 @@ def format_formula(f: Formula) -> str:
             case Predicate(name):
                 out.append(name)
             case Not(child):
-                out.append("!")
-                stack.append((child, _LVL_UNARY))
-            case And(left, right):
-                stack += [(right, _LVL_UNTIL), " & ", (left, _LVL_AND)]
-            case Or(left, right):
-                stack += [(right, _LVL_AND), " | ", (left, _LVL_OR)]
+                out.append(node.symbol)
+                stack.append((child, level))
+            case And(left, right) | Or(left, right):
+                stack += [(right, level + 1), f" {node.symbol} ", (left, level)]
             case Until(left, right, interval):
-                stack += [(right, _LVL_UNARY), f" {node.symbol}{interval} ", (left, _LVL_UNARY)]
+                stack += [(right, level + 1), f" {node.symbol}{interval} ", (left, level + 1)]
             case Window(child, interval):
-                # No space before an operand that gets parentheses.
-                sep = "" if _level(child) < _LVL_UNARY else " "
+                # No space before an operand that gets parentheses; a non-node raises when popped.
+                sep = "" if getattr(child, "level", level) < level else " "
                 out.append(f"{node.symbol}{interval}{sep}")
-                stack.append((child, _LVL_UNARY))
-            case _:
-                raise TypeError(f"not a formula node: {node!r}")
+                stack.append((child, level))
     return "".join(out)

@@ -148,9 +148,12 @@ PredicateDef = Union[Halfspace, NormBall, Complement]
 
 
 def _hypot(x: np.ndarray) -> np.ndarray:
-    """math.hypot over the last axis of x."""
+    """math.hypot over the last axis of x; it sets no numpy error flag, so an infinite norm of finite x raises here."""
     columns = [c.ravel().tolist() for c in np.moveaxis(x, -1, 0)]
-    return np.fromiter(map(math.hypot, *columns), float, x.size // x.shape[-1]).reshape(x.shape[:-1])
+    norms = np.fromiter(map(math.hypot, *columns), float, x.size // x.shape[-1]).reshape(x.shape[:-1])
+    if np.isinf(norms).any() and np.isfinite(x).all():
+        raise FloatingPointError("overflow encountered in math.hypot")
+    return norms
 
 
 def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
@@ -163,7 +166,8 @@ def margins(p: PredicateDef, states: np.ndarray) -> np.ndarray:
     ``math.hypot`` (``np.hypot`` rounds some pairs differently).  A
     halfspace makes no array pass that cannot change a bit: it skips terms
     with coefficient 0, takes a column whose coefficient is 1 as it is, and
-    divides only by a norm other than 1.
+    divides only by a norm other than 1.  A Euclidean norm that overflows
+    on finite states raises FloatingPointError.
     """
     states = np.asarray(states, dtype=float)
     dim = states.shape[-1]

@@ -296,7 +296,7 @@ def risk_of_formula(
 @np.errstate(over="ignore", invalid="ignore")  # risk_of_formula refuses what overflows
 def _estimate(z: RobustnessSamples, params: RiskParams, measure: str) -> RiskResult:
     if measure not in MEASURES:
-        raise ParamError(f"unknown measure {measure!r}; expected one of {', '.join(MEASURES)}")
+        raise ParamError(f"unknown measure {shortened(repr(measure))}; expected one of {', '.join(MEASURES)}")
     return RiskResult(measure=measure, n=z.n, **MEASURES[measure](z, params))
 
 

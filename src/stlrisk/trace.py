@@ -281,6 +281,12 @@ def read_json(path, error: type, what: str) -> tuple:
         raise error(f"{path}: {what}: {str(exc).partition(';')[0]}") from None
 
 
+def _member(path) -> str:
+    """A member's path as trace errors name it, its file name cut short."""
+    head, name = os.path.split(path)
+    return os.path.join(head, shortened(name))
+
+
 def _load_members(files: list) -> tuple:
     """The ensemble of the member CSVs ``files``, each read once, and the
     bytes read, by path text."""
@@ -298,10 +304,10 @@ def _load_members(files: list) -> tuple:
         for i, p in enumerate(files):
             if i == len(contents):
                 contents.append(_read(p))
-            diagnosed.append(_diagnose(p, contents[i]))
+            diagnosed.append(_diagnose(_member(p), contents[i]))
         shapes, faults = zip(*diagnosed)
         _check_shapes(shapes)
-        raise next(filter(None, faults), FormatError(f"{files[0]}: ensemble refused by the trace grammar"))
+        raise next(filter(None, faults), FormatError(f"{_member(files[0])}: ensemble refused by the trace grammar"))
     return Ensemble.from_states(states), dict(zip(map(str, files), contents))
 
 
@@ -327,9 +333,7 @@ def read_ensemble(path) -> tuple:
         # The entries whose Path.suffix is ".csv", by name, each as the text
         # of ``path / name``.
         prefix = str(path / "_")[:-1]
-        with os.scandir(path) as entries:
-            names = sorted(e.name for e in entries if len(e.name) > 4 and e.name.endswith(".csv"))
-        files = [prefix + name for name in names]
+        files = [prefix + name for name in sorted(os.listdir(path)) if len(name) > 4 and name.endswith(".csv")]
         if not files:
             raise EmptyError(f"{path}: no trace CSVs in directory")
     else:

@@ -1,3 +1,4 @@
+import argparse
 import builtins
 import contextlib
 import functools
@@ -25,7 +26,7 @@ import stlrisk
 from stlrisk import cli, trace
 from stlrisk.cli import main
 from stlrisk.predicates import Halfspace
-from stlrisk.risk import RiskParams
+from stlrisk.risk import MEASURES, RiskParams
 from stlrisk.scenario import CaseStudyConfig
 from stlrisk.trace import Trace, save_trace_csv
 
@@ -227,8 +228,12 @@ class TestMonitor:
             ({"kind": "halfspace", "a": [1e308, 1e308], "b": 0}, "1,1"),
             ({"kind": "halfspace", "a": [0.5, 0.5], "b": 0}, "1.7e308,1.7e308"),
             ({"kind": "ball", "pos": [0], "center": [-1e308], "radius": 1}, "1e308,0"),
+            # math.hypot overflows with no numpy floating-point error.
+            ({"kind": "ball", "pos": [0, 1], "center": [0, 0], "radius": 1}, "1.5e308,1.5e308"),
+            ({"kind": "ball", "pos": [0, 1], "center": [0, 0], "radius": 1, "norm": "linf"}, "1.5e308,1.5e308"),
+            ({"kind": "ball", "pos": [0, 1], "center": [0, 0], "radius": 1, "complement": True}, "1.5e308,1.5e308"),
         ],
-        ids=["dot-product", "division-by-norm", "ball-difference"],
+        ids=["dot-product", "division-by-norm", "ball-difference", "l2-norm", "linf-norm", "complement-norm"],
     )
     def test_margin_that_overflows_exits_4_naming_the_predicate(self, tmp_path, monkeypatch, definition, state):
         # Finite definitions and states whose margin overflows: refused in
@@ -242,6 +247,13 @@ class TestMonitor:
             assert run_main(["monitor", "--formula", "p", "--predicates", "p.json", "--trace", "ens/m0.csv", "--mode", mode]) == refusal
         assert run_main(["risk", "--formula", "p", "--predicates", "p.json", "--ensemble", "ens"]) == refusal
 
+    @pytest.mark.parametrize("norm", ["l2", "linf"])
+    def test_ball_norm_just_inside_the_float_range_is_printed(self, tmp_path, monkeypatch, norm):
+        monkeypatch.chdir(tmp_path)
+        Path("p.json").write_text(json.dumps({"p": {"kind": "ball", "pos": [0, 1], "center": [0, 0], "radius": 1, "norm": norm}}))
+        Path("m0.csv").write_text("t,x1,x2\n0,1.2e308,1.2e308\n")
+        code, out, err = run_main(["monitor", "--formula", "p", "--predicates", "p.json", "--trace", "m0.csv"])
+        assert (code, err) == (0, "") and float(out) == pytest.approx(-math.hypot(1.2e308, 1.2e308), rel=1e-11)
 
     @pytest.mark.parametrize(
         "spec, words",
@@ -804,12 +816,52 @@ def refused(kind, text: str) -> bool:
 
 def run_main(argv) -> tuple:
     """(exit code, stdout, stderr) of ``main(argv)``, with a RuntimeWarning
-    raised as an error."""
+    raised as an error; the code of a SystemExit, which argparse's usage
+    errors raise, is the exit code."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return code, out.getvalue(), err.getvalue()
+
+
+def dashes_dropped() -> bool:
+    """Whether argparse drops the "--" of --flag=-- (before Python 3.13),
+    giving the flag no value, which ``main`` refuses as a usage error."""
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--flag")
+    return parser.parse_args(["--flag=--"]).flag == []
+
+
+DASHES_DROPPED = dashes_dropped()
+DASHES_REFUSAL = "stlrisk: error: an option given as --flag=-- has no value"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--formula=--"],
+        [*MONITOR_ABSENT, "--time=--"],
+        [*MONITOR_ABSENT, "--mode=--"],
+        ["risk", "--formula", "p", "--predicates=--", "--ensemble", "absent"],
+        [*RISK_ABSENT, "--measure=--"],
+        [*RISK_ABSENT, "--lambda=--"],
+        [*CASESTUDY_ABSENT, "--n=--"],
+    ],
+    ids=lambda argv: next(arg for arg in argv if arg.endswith("=--")),
+)
+def test_flag_given_dashes_is_refused_not_used(argv, tmp_path, monkeypatch):
+    # Before Python 3.13 argparse gave such a flag the value [], which reached
+    # the commands: --mode=-- ran in robust mode, --measure=-- was an internal
+    # TypeError.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_main(argv)
+    assert code != 0 and out == "" and not re.search(r"error: \w+Error: ", err), err
+    if DASHES_DROPPED:
+        assert code == 2 and err.startswith("usage: stlrisk ") and err.endswith(f"\n{DASHES_REFUSAL}\n"), err
 
 
 def flag_refusal(argv, flag, text):
@@ -900,6 +952,65 @@ def test_every_malformed_numeric_flag_is_one_line_with_its_code(argv, flag, kind
 
     check()
     assert not any(tmp_path.iterdir())
+
+
+# risk's non-numeric arguments: --measure text (each measure, near misses,
+# any text, a 3000-character value), then --bounds text, if any, that is a
+# valid pair, a pair of any floats, or text that float() may refuse.  The
+# ensemble's samples are -1.5 and 1.5.
+MEASURE_TEXTS = st.sampled_from([*MEASURES, "VaR", " var", "var ", "cvar,var", "", "-", "--", "x" * 3000])
+MEASURE_TEXTS |= st.text(max_size=12) | st.builds(operator.mul, st.sampled_from(list(MEASURES)), st.integers(2, 600))
+BOUNDS_TEXTS = st.sampled_from(["-5,5", "-1.5,1.5", "-1,1", "1,-1", "0,0", "-inf,5", "nan,1", "-5,5,6", "5", "", ",", "-1e400,1", "9" * 5000 + ",1"])
+BOUNDS_TEXTS |= st.text(alphabet="-0123456789.,einfa _", max_size=16) | st.builds("{},{}".format, st.floats(), st.floats())
+
+
+def expected_risk_argument_exit(measure: str, bounds) -> int:
+    """The documented exit code of `risk` given these texts, in argv order:
+    2 (usage) for a measure that is not one or a flag that argparse gives no
+    value, then 4 for bounds that are not two finite numbers A < B or, with
+    expected, do not hold the samples."""
+    if measure not in MEASURES or DASHES_DROPPED and bounds == "--":
+        return 2
+    if bounds is None:
+        return 0
+    try:
+        a, b = map(float, bounds.split(","))
+    except ValueError:  # not numbers, or not two of them
+        return 4
+    if not -math.inf < a < b < math.inf:
+        return 4
+    return 4 if measure == "expected" and not a <= -1.5 <= 1.5 <= b else 0
+
+
+def test_every_risk_argument_text_runs_or_is_refused_in_one_line(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("p.json").write_text(json.dumps(PREDICATES))
+    Path("ens").mkdir()
+    Path("ens/m0.csv").write_text("t,x1\n0,-1.5\n")
+    Path("ens/m1.csv").write_text("t,x1\n0,1.5\n")
+    argv = ["risk", "--formula", "p", "--predicates", "p.json", "--ensemble", "ens"]
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(MEASURE_TEXTS, st.none() | BOUNDS_TEXTS)
+    def check(measure, bounds):
+        given_bounds = [] if bounds is None else [f"--bounds={bounds}"]
+        code, out, err = run_main([*argv, f"--measure={measure}", *given_bounds])
+        assert code == expected_risk_argument_exit(measure, bounds), err
+        if code == 0:
+            assert err == "" and strict_json(out)["measure"] == measure
+            return
+        assert out == "" and err.endswith("\n")
+        lines = err[:-1].split("\n")
+        errors = [line for line in lines if "error: " in line]
+        assert len(errors) == 1 and len(errors[0]) <= 160, err
+        assert not re.search(r"error: \w+Error: ", err), err  # _fail's form of an internal error
+        if code == 2:  # argparse's usage, then its one line
+            assert lines[0].startswith("usage: stlrisk ") and errors == lines[-1:], err
+            assert errors[0].startswith("stlrisk risk: error: argument --measure: invalid choice: ") or errors[0] == DASHES_REFUSAL, err
+        else:
+            assert lines == errors and err.startswith("error: "), err
+
+    check()
 
 
 # A valid case-study config naming every key, which the strategy below damages.
@@ -1170,8 +1281,10 @@ DIRECTORY_ENTRIES += [("damaged", data, None) for data in [
     b"t,x1\n0,nan\n1,2\n", b"t,x1\n0,1e400\n1,2\n", b"t,x1\n0,\xff\n1,2\n", b"t,x1\n1,1\n2,2\n", b"t,x1\n0,1\n1,2\n\n",
     b"t,x1\n0,1,2\n1,2\n", b"t,x1\n0,\xc2\xa01\n1,2\n", b"\xef\xbb\xbft,x1\n0,1\n1,2\n", b"t,x1\n0,1\n\xd9\xa1,2\n",
 ]]
-# Names of members and of entries that are not (".csv", "b.CSV", "c.csv.").
-DIRECTORY_NAMES = ["a.csv", "x.csv", "..csv", "-.csv", "m 1.csv", "\u00e9.csv", "z" * 40 + ".csv", ".csv", "b.CSV", "c.csv."]
+# Names of members, one of 200 characters, and of entries that are not
+# (".csv", "b.CSV", "c.csv.").
+DIRECTORY_NAMES = ["a.csv", "x.csv", "..csv", "-.csv", "m 1.csv", "\u00e9.csv", "z" * 40 + ".csv", "m" * 196 + ".csv"]
+DIRECTORY_NAMES += [".csv", "b.CSV", "c.csv."]
 
 
 def expected_directory_exit(entries) -> int:

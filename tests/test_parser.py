@@ -1,5 +1,6 @@
 import math
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,10 @@ from stlrisk.errors import FormulaSyntaxError, IntervalError
 from stlrisk.formula import (
     TRUE,
     AlwaysFuture,
+    AlwaysPast,
     And,
     EventuallyFuture,
+    EventuallyPast,
     Not,
     Or,
     Predicate,
@@ -167,6 +170,80 @@ class TestFormat:
         for _ in range(1000):
             f = random_formula(rng, names, depth=int(rng.integers(0, 5)))
             assert parse(format_formula(f)) == f
+
+
+IV = TimeInterval(1, 2)
+C, D = Predicate("c"), Predicate("d")
+WINDOWS = {"F": EventuallyFuture, "G": AlwaysFuture, "O": EventuallyPast, "H": AlwaysPast}
+# Each child kind and its precedence level, stated here apart from the node
+# classes: | 1, & 2, U and S 3, ! and the windows 4, atoms 5.
+CHILD_LEVELS = [(TRUE, 5), (C, 5), (Not(C), 4), (And(C, D), 2), (Or(C, D), 1), (UntilFuture(C, D, IV), 3), (UntilPast(C, D, IV), 3)]
+CHILD_LEVELS += [(op(C, IV), 4) for op in WINDOWS.values()]
+# Each parent kind and operand slot: the lowest child level printed there
+# without parentheses, the parent around a child x, and its text around the
+# child's text s.  & and | associate left; until is non-associative.
+SLOTS = [
+    pytest.param(1, lambda x: Or(x, P), lambda s: f"{s} | p", id="|-left"),
+    pytest.param(2, lambda x: Or(P, x), lambda s: f"p | {s}", id="|-right"),
+    pytest.param(2, lambda x: And(x, P), lambda s: f"{s} & p", id="&-left"),
+    pytest.param(3, lambda x: And(P, x), lambda s: f"p & {s}", id="&-right"),
+    pytest.param(4, lambda x: UntilFuture(x, P, IV), lambda s: f"{s} U[1,2] p", id="U-left"),
+    pytest.param(4, lambda x: UntilFuture(P, x, IV), lambda s: f"p U[1,2] {s}", id="U-right"),
+    pytest.param(4, lambda x: UntilPast(x, P, IV), lambda s: f"{s} S[1,2] p", id="S-left"),
+    pytest.param(4, lambda x: UntilPast(P, x, IV), lambda s: f"p S[1,2] {s}", id="S-right"),
+    pytest.param(4, Not, lambda s: f"!{s}", id="!"),
+]
+# A window puts no space before an operand in parentheses.
+SLOTS += [pytest.param(4, lambda x, op=op: op(x, IV), lambda s, k=k: f"{k}[1,2]{s if s[0] == '(' else ' ' + s}", id=k) for k, op in WINDOWS.items()]
+
+
+@pytest.mark.parametrize("needs, parent, around", SLOTS)
+def test_parentheses_exactly_where_the_child_binds_looser_than_its_slot(needs, parent, around):
+    for child, level in CHILD_LEVELS:
+        assert child.level == level
+        text = format_formula(child)
+        expected = around(f"({text})" if level < needs else text)
+        assert format_formula(parent(child)) == expected
+        assert parse(expected) == parent(child)
+
+
+# Each node class, a node of it, its fields and its repr: precedence levels
+# and symbols are class attributes, so none of them shows in a field, in ==,
+# in hash or in repr.
+NODE_CASES = [
+    (TRUE, (), "TrueFormula()"),
+    (P, ("name",), "Predicate(name='p')"),
+    (Not(P), ("child",), "Not(child=Predicate(name='p'))"),
+    (And(P, Q), ("left", "right"), "And(left=Predicate(name='p'), right=Predicate(name='q'))"),
+    (Or(P, Q), ("left", "right"), "Or(left=Predicate(name='p'), right=Predicate(name='q'))"),
+]
+NODE_CASES += [
+    (op(P, Q, IV), ("left", "right", "interval"), f"{op.__name__}(left=Predicate(name='p'), right=Predicate(name='q'), interval=TimeInterval(lo=1, hi=2))")
+    for op in (UntilFuture, UntilPast)
+]
+NODE_CASES += [
+    (op(P, IV), ("child", "interval"), f"{op.__name__}(child=Predicate(name='p'), interval=TimeInterval(lo=1, hi=2))")
+    for op in WINDOWS.values()
+]
+
+
+@pytest.mark.parametrize("node, fields, text", NODE_CASES, ids=[type(node).__name__ for node, _, _ in NODE_CASES])
+def test_level_and_symbol_are_not_fields(node, fields, text):
+    cls = type(node)
+    assert cls._fields == cls.__match_args__ == fields and repr(node) == text
+    values = tuple(getattr(node, name) for name in fields)
+    assert node == cls(*values) and hash(node) == hash(cls(*values)) == hash(values)
+    assert "level" not in vars(node) and "symbol" not in vars(node) and isinstance(cls.level, int)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [3, "p", None, SimpleNamespace(level=0), And(P, 3), Not(object()), EventuallyFuture([], IV), UntilFuture(P, SimpleNamespace(level=5), IV)],
+    ids=["int", "str", "None", "level-attribute", "and-operand", "not-operand", "window-operand", "until-operand"],
+)
+def test_format_refuses_what_is_not_a_node(value):
+    with pytest.raises(TypeError, match="^not a formula node: "):
+        format_formula(value)
 
 
 @settings(max_examples=300, deadline=None)
