@@ -12,7 +12,7 @@ non-finite robustness or non-finite estimate, 5 bad case-study config, 1
 anything else, including internal errors.  A malformed numeric flag exits
 with its command's code (``--time`` 3, other ``risk`` numbers 4, ``casestudy``
 numbers 5); only argparse's usage errors (unknown or missing flags) exit 2
-with usage.  Any other failure is one line on stderr; an input file (JSON or
+with usage and one line of at most 160 characters.  Any other failure is one line on stderr; an input file (JSON or
 CSV) that is not UTF-8 is named with the offset of its first bad byte.  The
 ``manifest.json`` of ``risk --out`` and ``casestudy`` digests the input
 bytes that were parsed and the output bytes that were written.
@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from functools import cache
 from pathlib import Path
@@ -206,9 +207,23 @@ def _add_choice(p, flag: str, choices, **options) -> None:
     p.add_argument(flag, type=read, choices=choices, **options)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, whose usage error is one line of at most 160
+    characters: any other is put on one line, and the command line it quotes
+    after argparse's head (such as ``unrecognized arguments:``) is cut short."""
+
+    def error(self, message):
+        lines = message.splitlines()
+        if lines != [message] or len(f"{self.prog}: error: {message}") > 160:
+            heads = r"(.*?(?:invalid choice: |unrecognized arguments: |ambiguous option: |explicit argument )|)(.*)"
+            head, quoted = re.match(heads, " ".join(lines)).groups()
+            message = head + shortened(quoted)
+        super().error(message)
+
+
 @cache  # one tree per process: parse_args leaves it as it was
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="stlrisk", description=__doc__)
+    top = _Parser(prog="stlrisk", description=__doc__)
     top.add_argument("--version", action="version", version=f"stlrisk {__version__}")
     sub = top.add_subparsers(dest="command", required=True)
 
@@ -255,6 +270,8 @@ def main(argv=None) -> int:
         if [] in vars(args).values():  # argparse before Python 3.13 drops the "--" of --flag=--
             _build_parser().error("an option given as --flag=-- has no value")
         return args.func(args)
+    except SystemExit as exc:  # argparse's: 2 for a usage error, 0 after --help or --version
+        return exc.code
     except Exception as exc:
         return _fail(exc)
 

@@ -35,15 +35,15 @@ it is an ``eventually`` and else the window minimum (``_window``), and for a
 ``formula.Until`` (U, S) window maxima over running minima of the left
 operand (see ``_until``).  An operator class declared elsewhere takes the
 kernel of its base.  Each node's values are kept with the first anchor they
-start at, so an operand read is one lookup and one slice.  A past operator
-reads the mirror image of its future twin's window (``formula.reach``).  A
-node read at one anchor, as every root is, reduces its window in one pass:
-O(N x width).
-A node read at several anchors takes its windows from a doubling table
-(Donze, Ferrere & Maler, "Efficient Robust Monitoring for STL", CAV 2013):
-O(N x (anchors + width) x log width), log squared for the until.  The two
-semantics differ only in the leaf map (margin or margin >= 0), the value
-of truth and the negation.
+start at; ``_evaluate`` alone slices each operand, once per read, at the
+steps ``formula.reach`` states, and a kernel maps operand arrays to values.
+A past operator reads the mirror image of its future twin's window.  A node
+read at one anchor, as every root is, reduces its window in one pass:
+O(N x width).  A node read at several anchors takes its windows from a
+doubling table (Donze, Ferrere & Maler, "Efficient Robust Monitoring for
+STL", CAV 2013): O(N x (anchors + width) x log width), log squared for the
+until.  The two semantics differ only in the leaf map (margin or margin >=
+0), the value of truth and the negation.
 
 A robustness or cost of zero, on the boundary of the formula's set, is
 returned as +0.0, whichever zero the min/max ties inside the engine kept.
@@ -88,10 +88,10 @@ def _check_admissible(order: list, span: dict, length: int, t: int, predicates: 
         raise InsufficientHorizonError(f"formula looks {t - first} steps back but only {t} precede t={t}")
 
 
-def _levels(values: np.ndarray, count: int, pick):
+def _levels(array: np.ndarray, count: int, pick):
     """(w, table) for w = 1, 2, 4, ... <= count, where table[:, x] is pick
-    over values[:, x : x + w]; each table is two slices of the one before."""
-    table, w = values, 1
+    over array[:, x : x + w]; each table is two slices of the one before."""
+    table, w = array, 1
     while w <= count:
         yield w, table
         if 2 * w <= count:
@@ -99,27 +99,26 @@ def _levels(values: np.ndarray, count: int, pick):
         w *= 2
 
 
-def _window(values: np.ndarray, count: int, n: int, pick) -> np.ndarray:
-    """pick (np.maximum or np.minimum) over values[:, i : i + count] for each
+def _window(array: np.ndarray, count: int, n: int, pick) -> np.ndarray:
+    """pick (np.maximum or np.minimum) over array[:, i : i + count] for each
     of the first n columns i: one reduction when n = 1, else two overlapping
     blocks of the largest w."""
     if n == 1:
         # Over a time-major copy, each step is one pass over the members;
         # numpy reduces a row-major window row by row, slowly for many rows.
-        return pick.reduce(np.ascontiguousarray(values[:, :count].T), axis=0)[:, None]
-    for w, table in _levels(values, count, pick):
+        return pick.reduce(np.ascontiguousarray(array[:, :count].T), axis=0)[:, None]
+    for w, table in _levels(array, count, pick):
         pass
     return pick(table[:, :n], table[:, count - w : count - w + n])
 
 
-def _until(node, reads: tuple, a: int, b: int, values: dict, env) -> np.ndarray:
-    """Until at anchors a..b, given its operand reads ``reach(node)``.
+def _until(node, operands, a, b, env) -> np.ndarray:
+    """Until at anchors a..b, given its operands as ``reach(node)`` reads them.
 
     Candidate k = lo..hi, k steps from the anchor, is the minimum of right
-    there and of left at the k - 1 steps between (the windows of ``reads``);
-    the value is the best candidate.  The past, reversed in time, is the
-    future.  At one anchor, the running minimum of left gives every
-    candidate in one pass: O(N x hi).
+    there and of left at the k - 1 steps between; the value is the best
+    candidate.  The past, reversed in time, is the future.  At one anchor,
+    the running minimum of left gives every candidate in one pass: O(N x hi).
 
     Over several anchors, minima of left over w = 1, 2, 4, ... steps come
     from ``_levels``.  The k - 1 steps before candidate k, for k - 1 in
@@ -130,15 +129,8 @@ def _until(node, reads: tuple, a: int, b: int, values: dict, env) -> np.ndarray:
     """
     lo, hi = node.interval.lo, node.interval.hi
     n = b - a + 1
+    left, right = operands  # left is None when hi <= 1: no steps between
     # right[:, i + k - lo] and left[:, i + j - 1] sit k and j steps from anchor i.
-    (left, llo, lhi), (right, rlo, rhi) = reads
-    first, value = values[id(right)]
-    right = value[:, a + rlo - first : b + rhi - first + 1]
-    if llo <= lhi:
-        first, value = values[id(left)]
-        left = value[:, a + llo - first : b + lhi - first + 1]
-    else:
-        left = None  # hi <= 1: no steps between
     if node.past:
         right = right[:, ::-1]
         left = None if left is None else left[:, ::-1]
@@ -165,18 +157,18 @@ def _until(node, reads: tuple, a: int, b: int, values: dict, env) -> np.ndarray:
 
 
 # The kernels, ``_until`` above among them: each maps a node read at anchors
-# a..b to its (N, b - a + 1) values.  ``values`` holds each computed node's
-# (first anchor, values) by id, so an operand read is one lookup and one
-# slice; ``env`` is (states, predicates, leaf, top, neg) as ``_evaluate``
+# a..b and its operands, each an (N, columns) array as ``reach(node)``
+# reads it (None for a read of no step), to the node's (N, b - a + 1)
+# values; ``env`` is (states, predicates, leaf, top, neg) as ``_evaluate``
 # describes them.
 
 
-def _true(node, reads, a, b, values, env):
+def _true(node, operands, a, b, env):
     states, _, _, top, _ = env
     return np.full((states.shape[0], b - a + 1), top)
 
 
-def _predicate(node, reads, a, b, values, env):
+def _predicate(node, operands, a, b, env):
     states, predicates, leaf, _, _ = env
     try:
         return leaf(margins(predicates[node.name], states[:, a : b + 1]))
@@ -184,29 +176,9 @@ def _predicate(node, reads, a, b, values, env):
         raise InfiniteRobustnessError(f"predicate {shortened(repr(node.name))}: margin overflows the float range") from None
 
 
-def _not(node, reads, a, b, values, env):
-    _, _, _, _, neg = env
-    first, value = values[id(node.child)]
-    return neg(value[:, a - first : b - first + 1])
-
-
-def _connective(pick):
-    """The kernel of a binary connective: pick of its operands."""
-
-    def kernel(node, reads, a, b, values, env):
-        first, left = values[id(node.left)]
-        left = left[:, a - first : b - first + 1]
-        first, right = values[id(node.right)]
-        return pick(left, right[:, a - first : b - first + 1])
-
-    return kernel
-
-
-def _windowed(node, reads, a, b, values, env):
-    [(child, lo, hi)] = reads
-    first, value = values[id(child)]
+def _windowed(node, operands, a, b, env):
     pick = np.maximum if node.eventually else np.minimum
-    return _window(value[:, a + lo - first : b + hi - first + 1], hi - lo + 1, b - a + 1, pick)
+    return _window(operands[0], node.interval.hi - node.interval.lo + 1, b - a + 1, pick)
 
 
 # The kernel of each node class, by class: the node bases and each operator
@@ -214,8 +186,10 @@ def _windowed(node, reads, a, b, values, env):
 # declared elsewhere, is added on its first evaluation (``_kernel``); a
 # class's kernel never changes, so every caller may share the table.
 _KERNELS = {
-    TrueFormula: _true, Predicate: _predicate, Not: _not, And: _connective(np.minimum),
-    Or: _connective(np.maximum), Window: _windowed, Until: _until,
+    TrueFormula: _true, Predicate: _predicate, Window: _windowed, Until: _until,
+    Not: lambda node, operands, a, b, env: env[4](*operands),  # env[4]: neg
+    And: lambda node, operands, a, b, env: np.minimum(*operands),
+    Or: lambda node, operands, a, b, env: np.maximum(*operands),
 }
 _KERNELS.update({op: _KERNELS[op.__base__] for op in OPERATORS.values()})
 
@@ -241,16 +215,23 @@ def _evaluate(
     order, span = plan(f, t)
     _check_admissible(order, span, states.shape[1], t, predicates)
     env = (states, predicates, leaf, top, neg)
-    values: dict = {}
+    values: dict = {}  # each computed node's (first anchor, values), by id
     for node, reads in order:
         key = id(node)
         if key in span:
             a, b = span[key]
+            operands = []
+            for child, lo, hi in reads:  # the operand at a+lo..b+hi, none if lo > hi
+                if lo <= hi:
+                    first, value = values[id(child)]
+                    operands.append(value[:, a + lo - first : b + hi - first + 1])
+                else:
+                    operands.append(None)
             try:
                 kernel = _KERNELS[type(node)]
             except KeyError:
                 kernel = _kernel(type(node))
-            values[key] = a, kernel(node, reads, a, b, values, env)
+            values[key] = a, kernel(node, operands, a, b, env)
     return values[id(f)][1][:, 0]
 
 

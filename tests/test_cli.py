@@ -639,10 +639,7 @@ class TestRepeatedMain:
     @staticmethod
     def outcome(argv, out, capsys):
         argv = [str(out) if a == "OUT" else a for a in argv]
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = f"SystemExit({exc.code})"
+        code = main(argv)
         files = {p.name: p.read_bytes() for p in sorted(out.iterdir())} if out.exists() else {}
         return (code, *capsys.readouterr(), files)
 
@@ -654,7 +651,7 @@ class TestRepeatedMain:
             (risk + ["--out", "OUT"], 0),
             (["check", "--formula", "G[0,3] p"], 0),
             (["check", "--formula", "p &"], 2),
-            (["--version"], "SystemExit(0)"),
+            (["--version"], 0),
             (risk + ["--out", "OUT"], 0),
         ]
         assert cli._build_parser() is cli._build_parser()
@@ -816,15 +813,12 @@ def refused(kind, text: str) -> bool:
 
 def run_main(argv) -> tuple:
     """(exit code, stdout, stderr) of ``main(argv)``, with a RuntimeWarning
-    raised as an error; the code of a SystemExit, which argparse's usage
-    errors raise, is the exit code."""
+    raised as an error; ``main`` returns argparse's exit codes too, so a
+    SystemExit fails the test."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -862,6 +856,114 @@ def test_flag_given_dashes_is_refused_not_used(argv, tmp_path, monkeypatch):
     assert code != 0 and out == "" and not re.search(r"error: \w+Error: ", err), err
     if DASHES_DROPPED:
         assert code == 2 and err.startswith("usage: stlrisk ") and err.endswith(f"\n{DASHES_REFUSAL}\n"), err
+
+
+@pytest.mark.parametrize("argv, code", [(["--bogus"], 2), (["check"], 2), (["--version"], 0), (["--help"], 0), (["risk", "--help"], 0)])
+def test_main_returns_argparse_exit_code(argv, code):
+    # argparse exits by raising SystemExit; main returns its code instead,
+    # with the same output: usage and one error line, or help or the version.
+    got, out, err = run_main(argv)
+    assert got == code
+    if code == 2:
+        assert out == "" and err.startswith("usage: stlrisk ") and err.count(": error: ") == 1, err
+    else:
+        assert err == "" and out.startswith("usage: stlrisk " if "--help" in argv else f"stlrisk {stlrisk.__version__}\n")
+
+
+def plain_argparse(monkeypatch, argv) -> tuple:
+    """``run_main(argv)`` with argparse's own ``error``, which quotes the
+    command line whole."""
+    with monkeypatch.context() as m:
+        m.setattr(cli._Parser, "error", argparse.ArgumentParser.error)
+        return run_main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv, start",
+    [
+        (["x" * 300], "stlrisk: error: argument command: invalid choice: 'xxxx"),
+        (["check", "--formula", "p", *["x"] * 150], "stlrisk: error: unrecognized arguments: x x x x"),
+        ([*RISK_ABSENT, "--b=" + "x" * 300], "stlrisk risk: error: ambiguous option: --b=xxxx"),
+        (["check", "--help=" + "x" * 300], "stlrisk check: error: argument -h/--help: ignored explicit argument 'xxxx"),
+    ],
+    ids=["subcommand", "positionals", "ambiguous-flag", "flag-value"],
+)
+def test_long_usage_error_quotes_the_command_line_cut_short(argv, start, monkeypatch):
+    # Quoted whole, as argparse prints them, these lines ran to 339-406 characters.
+    code, out, err = run_main(argv)
+    plain_code, plain_out, plain_err = plain_argparse(monkeypatch, argv)
+    assert code == plain_code == 2 and out == plain_out == ""
+    *usage, line, _ = err.split("\n")
+    *plain_usage, plain_line, _ = plain_err.split("\n")
+    assert usage == plain_usage and len(plain_line) > 300
+    assert line.startswith(start) and line.endswith(" chars)") and len(line) <= 160, line
+
+
+@pytest.mark.parametrize("argv", [["y" * 50], ["check", "--formula", "p", *["x"] * 40], [*RISK_ABSENT, "--b=" + "x" * 40]])
+def test_usage_error_that_fits_is_argparse_own(argv, monkeypatch):
+    code, _, err = run_main(argv)
+    assert code == 2 and err == plain_argparse(monkeypatch, argv)[2]
+    assert max(map(len, err.split("\n"))) <= 160
+
+
+# The valid argv of each subcommand; its files are never read, as argparse
+# refuses the argument vector first.
+VALID_ARGV = {"check": ["check", "--formula", "p"], "monitor": MONITOR_ABSENT, "risk": RISK_ABSENT, "casestudy": CASESTUDY_ABSENT}
+# Any text of up to 300 characters.
+ARGV_TEXTS = st.text(max_size=12) | st.builds(operator.mul, st.text(min_size=1, max_size=3), st.integers(1, 100))
+
+
+def option_strings(command: str) -> list:
+    """The option strings of the top parser and of ``command``'s."""
+    top = cli._build_parser()
+    sub = next(action for action in top._actions if isinstance(action, argparse._SubParsersAction)).choices[command]
+    return [*top._option_string_actions, *sub._option_string_actions]
+
+
+@st.composite
+def stray_argv(draw, command: str) -> list:
+    """``command``'s valid argv under an unknown subcommand, or with an
+    unknown flag or stray positionals appended."""
+    argv = VALID_ARGV[command]
+    kind = draw(st.sampled_from(["subcommand", "flag", "positionals"]))
+    if kind == "subcommand":
+        text = draw(ARGV_TEXTS)
+        assume(text not in VALID_ARGV and not text.startswith("-"))
+        return [text, *argv[1:]]
+    if kind == "flag":
+        flag = draw(st.sampled_from(["-", "--"])) + draw(ARGV_TEXTS)
+        name = flag.split("=", 1)[0]
+        assume(not any(option.startswith(name) for option in option_strings(command)))  # no option's name or prefix
+        return [*argv, flag]
+    return [*argv, *draw(st.lists(ARGV_TEXTS.filter(lambda text: not text.startswith("-")), min_size=1, max_size=3))]
+
+
+@pytest.mark.parametrize("command", VALID_ARGV)
+def test_every_stray_argument_is_one_usage_error_line(command, tmp_path, monkeypatch):
+    # The last reader of hostile input, the argument vector: exit 2, returned
+    # by main, with usage and one error line of at most 160 characters; a
+    # line that fits is argparse's own, byte for byte.
+    monkeypatch.chdir(tmp_path)
+    fits = []
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(stray_argv(command))
+    def check(argv):
+        code, out, err = run_main(argv)
+        assert code == 2 and out == "" and err.endswith("\n"), err
+        lines = err[:-1].split("\n")
+        errors = [line for line in lines if ": error: " in line]
+        assert lines[0].startswith("usage: stlrisk ") and errors == lines[-1:] and len(errors[0]) <= 160, err
+        assert not re.search(r"error: \w+Error: ", err), err  # _fail's form of an internal error
+        plain = plain_argparse(monkeypatch, argv)[2]
+        plain_lines = plain[:-1].split("\n")
+        fits.append(len(plain_lines) == len(lines) and all(len(line) <= 160 and line.splitlines() == [line] for line in plain_lines))
+        if fits[-1]:
+            assert err == plain
+
+    check()
+    assert not any(tmp_path.iterdir())
+    assert 0 < sum(fits) < len(fits)  # lines cut short, and lines left as argparse's
 
 
 def flag_refusal(argv, flag, text):

@@ -29,6 +29,7 @@ from .helpers import (
     random_admissible_case,
     random_formula,
     random_predicates,
+    random_shared_formula,
     random_trace,
     rho_oracle,
 )
@@ -360,6 +361,47 @@ class TestEngineCoverage:
             zeros += int((z == 0).sum())
         assert zeros > 100
 
+    def test_each_kernel_gets_one_operand_per_read_as_reach_states_it(self, monkeypatch):
+        # Every kernel is wrapped by a spy: a node read at anchors a..b gets, for each
+        # (operand, lo, hi) of reach(node), None if lo > hi (an until's left
+        # operand under [0,0] or [0,1]) and else the (N, b + hi - a - lo + 1)
+        # slice, whichever semantics and entry point evaluate it.  Trees and
+        # formulas that share subformulas alternate: a shared operand's values
+        # span the hull of its parents' reads, so a slice too wide shows.
+        calls = []
+
+        def spy(kernel):
+            def wrapped(node, operands, a, b, env):
+                calls.append((node, [None if x is None else x.shape for x in operands], a, b, env[0].shape[0]))
+                return kernel(node, operands, a, b, env)
+
+            return wrapped
+
+        monkeypatch.setattr(semantics, "_KERNELS", {cls: spy(kernel) for cls, kernel in semantics._KERNELS.items()})
+        rng = np.random.default_rng(33)
+        unread = 0
+        for i in range(300):
+            if i % 2:
+                f, trace, t, preds = random_admissible_case(rng)
+            else:
+                f, preds = random_shared_formula(rng, ["p", "q"], size=int(rng.integers(0, 10))), PREDS
+                h = horizon(f)
+                t = h.past_depth
+                trace = random_trace(rng, t + h.future_depth + int(rng.integers(1, 4)), 1)
+            members = Ensemble((trace, random_trace(rng, *trace.states.shape)))
+            calls.clear()
+            eval_robust(f, trace, t, preds)
+            eval_boolean(f, trace, t, preds)
+            eval_robust_ensemble(f, members, t, preds)
+            assert calls and calls[-1][0] is f
+            for node, shapes, a, b, n in calls:
+                reads = reach(node)
+                assert len(shapes) == len(reads), node
+                for shape, (_, lo, hi) in zip(shapes, reads):
+                    assert shape == (None if lo > hi else (n, b + hi - a - lo + 1)), (node, lo, hi)
+                    unread += lo > hi
+        assert unread > 0
+
 
 class TestWindowKernel:
     WIDTHS = range(1, 71)  # every power of two up to 64, and 2^k - 1, 2^k + 1
@@ -451,6 +493,10 @@ class TestWindowKernel:
         # -0.0 may pick either zero inside; the root adds 0.0 to its value.
         rng = np.random.default_rng(43)
         pool = np.array([-math.inf, math.inf, 0.0, -0.0, -1.5, 2.0, 3.25])
+
+        def operands(node, values, a, b):  # as _evaluate slices them, per reach(node)
+            return [None if lo > hi else values[id(g)][1][:, a + lo : b + hi + 1] for g, lo, hi in reach(node)]
+
         for hi in range(0, 71):
             for lo in range(0, min(hi, 3) + 1):
                 node = kind(P, Q, TimeInterval(lo, hi))
@@ -463,10 +509,10 @@ class TestWindowKernel:
                 else:
                     values = {id(P): (0, rng.choice(pool, size=(2, length))), id(Q): (0, rng.choice(pool, size=(2, length)))}
 
-                many = semantics._until(node, reach(node), a, a + n - 1, values, None)
+                many = semantics._until(node, operands(node, values, a, a + n - 1), a, a + n - 1, None)
                 assert many.shape == (2, n) and many.dtype == dtype
                 for j in range(n):
-                    one = semantics._until(node, reach(node), a + j, a + j, values, None)
+                    one = semantics._until(node, operands(node, values, a + j, a + j), a + j, a + j, None)
                     assert one.shape == (2, 1) and one.dtype == dtype
                     assert (one == many[:, j : j + 1]).all(), (lo, hi, j)
 
