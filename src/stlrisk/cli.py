@@ -225,7 +225,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> argparse.ArgumentParser:
     top = _Parser(prog="stlrisk", description=__doc__)
     top.add_argument("--version", action="version", version=f"stlrisk {__version__}")
-    sub = top.add_subparsers(dest="command", required=True)
+    sub = top.add_subparsers(dest="command")
 
     p = sub.add_parser("check", help="parse a formula and report its canonical form")
     p.add_argument("--formula", required=True)
@@ -269,6 +269,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if [] in vars(args).values():  # argparse before Python 3.13 drops the "--" of --flag=--
             _build_parser().error("an option given as --flag=-- has no value")
+        if args.command is None:  # checked here, after argparse has named any unknown flag
+            _build_parser().error("the following arguments are required: command")
         return args.func(args)
     except SystemExit as exc:  # argparse's: 2 for a usage error, 0 after --help or --version
         return exc.code

@@ -1,10 +1,12 @@
 """Sample-based risk measures over robustness samples.
 
-Estimators operate on a vector Z of finite cost samples (negated robustness
-values from an ensemble).  The value-at-risk point is the empirical quantile
-inf{a : F(a) >= beta} of the empirical CDF F.  ``var_bounds`` widens the
-quantile into a distribution-free confidence triple by shifting the
-empirical CDF up and down by the Dvoretzky-Kiefer-Wolfowitz band half-width
+Each entry of ``MEASURES`` is an estimator: it maps a vector Z of finite
+cost samples (negated robustness values from an ensemble) and a
+``RiskParams``, the one checker of their parameters, to ``RiskResult``
+fields.  The value-at-risk point is the empirical quantile inf{a : F(a) >=
+beta} of the empirical CDF F.  ``var_bounds`` widens the quantile into a
+distribution-free confidence triple by shifting the empirical CDF up and
+down by the Dvoretzky-Kiefer-Wolfowitz band half-width
 
     epsilon = sqrt(ln(2/delta) / (2 N)),
 
@@ -20,7 +22,7 @@ order statistic, keeping everything exact and O(N log N).
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -41,10 +43,6 @@ __all__ = [
     "RiskResult",
     "dkw_epsilon",
     "var_bounds",
-    "cvar_point",
-    "expected",
-    "mean_variance",
-    "worst_case",
     "risk_of_formula",
     "MEASURES",
 ]
@@ -67,7 +65,8 @@ class RobustnessSamples(Record, eq=False):
 
 
 class RiskParams(Record):
-    """Estimator parameters: risk level, confidence budget, extras."""
+    """Estimator parameters: risk level, confidence budget, extras, each
+    checked here once for every estimator in ``MEASURES``."""
 
     beta: float = 0.9
     delta: float = 0.05
@@ -77,9 +76,11 @@ class RiskParams(Record):
     def __post_init__(self):
         _check_level(self.beta)
         _check_level(self.delta, "delta")
-        _check_lambda(self.lam)
-        if self.bounds is not None:
-            _check_bounds(self.bounds)
+        if not 0.0 <= self.lam < math.inf:
+            raise ParamError(f"lambda must be finite and >= 0, got {self.lam}")
+        bounds = self.bounds
+        if bounds is not None and (len(bounds) != 2 or not -math.inf < bounds[0] < bounds[1] < math.inf):
+            raise ParamError(f"bounds must be two finite numbers a < b, got {shortened(repr(list(bounds)))}")
 
 
 class VarTriple(Record):
@@ -98,16 +99,6 @@ class VarTriple(Record):
 def _check_level(beta: float, name: str = "beta") -> None:
     if not 0.0 < beta < 1.0:
         raise ParamError(f"{name} must lie in (0, 1), got {beta}")
-
-
-def _check_lambda(lam: float) -> None:
-    if not 0.0 <= lam < math.inf:
-        raise ParamError(f"lambda must be finite and >= 0, got {lam}")
-
-
-def _check_bounds(bounds: Sequence[float]) -> None:
-    if len(bounds) != 2 or not -math.inf < bounds[0] < bounds[1] < math.inf:
-        raise ParamError(f"bounds must be two finite numbers a < b, got {shortened(repr(list(bounds)))}")
 
 
 def dkw_epsilon(n: int, delta: float) -> float:
@@ -163,69 +154,6 @@ def var_bounds(z: RobustnessSamples, beta: float, delta: float) -> VarTriple:
     return VarTriple(_quantile(srt, beta - eps), _quantile(srt, beta), _quantile(srt, beta + eps), eps)
 
 
-def cvar_point(z: RobustnessSamples, beta: float) -> float:
-    """Plug-in conditional value-at-risk.
-
-    Minimizes g(a) = a + mean(max(Z - a, 0)) / (1 - beta); the minimum of
-    this piecewise-linear convex function is attained at a sample point, so
-    g is evaluated at every sample value.
-    """
-    _check_level(beta)
-    srt = z.sorted()
-    n = z.n
-    # Relative to the median, so that a large common offset does not cancel
-    # in tail - above * srt and cost precision.
-    pivot = srt[n // 2]
-    srt = srt - pivot
-    # Sum of (s_j - s_i) over j > i via suffix sums.
-    tail = np.concatenate((np.cumsum(srt[::-1])[::-1][1:], [0.0]))
-    above = n - 1 - np.arange(n)
-    g = srt + (tail - above * srt) / ((1.0 - beta) * n)
-    return float(g.min() + pivot)
-
-
-def expected(z: RobustnessSamples) -> float:
-    """Sample mean, summed in sorted order so reordering samples can never
-    change the result by even an ulp."""
-    return float(z.sorted().mean())
-
-
-def _hoeffding(z: RobustnessSamples, delta: float, bounds: Tuple[float, float]) -> dict:
-    """Two-sided mean confidence interval for samples supported on [a, b],
-    as ``RiskResult`` fields, with the mean and the epsilon it is built from.
-
-    Half-width (b - a) * sqrt(ln(2/delta) / (2 N)), that is (b - a) times
-    ``dkw_epsilon``, valid at level 1 - delta by Hoeffding's inequality.
-    """
-    _check_bounds(bounds)
-    a, b = bounds
-    eps = dkw_epsilon(z.n, delta)
-    if bool((z.values < a).any() or (z.values > b).any()):
-        raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")
-    half = (b - a) * eps
-    mean = expected(z)
-    return dict(value=mean, lower=mean - half, upper=mean + half, delta=delta, epsilon=eps)
-
-
-def mean_variance(z: RobustnessSamples, lam: float) -> float:
-    """Mean plus lam times the unbiased sample variance (0 when N = 1).
-
-    Not monotone: raising a low sample can raise the variance penalty by
-    more than the mean gain, so this measure is excluded from the
-    monotonicity guarantees the other estimators carry.
-    """
-    _check_lambda(lam)
-    if z.n == 1:
-        return expected(z)
-    srt = z.sorted()
-    return float(srt.mean() + lam * srt.var(ddof=1))
-
-
-def worst_case(z: RobustnessSamples) -> float:
-    """Largest observed cost."""
-    return float(z.values.max())
-
-
 def format_number(v: float) -> str:
     """Text form of every number the tools print: 12 significant digits,
     with unbounded values as the tokens "inf" and "-inf"."""
@@ -245,8 +173,9 @@ class RiskResult(Record):
     key order of ``result.json`` and of ``risk``'s output line.
 
     The fields other than ``measure``, ``value`` and ``n`` are None unless
-    the measure's estimator in ``MEASURES`` fills them: "var" fills all
-    five, "cvar" ``beta``, and "expected" with a support interval
+    the measure's estimator, its entry in ``MEASURES``, fills them from the
+    samples and the ``RiskParams`` that checked them: "var" fills all five,
+    "cvar" ``beta``, and "expected" with a support interval
     ``lower``/``upper``/``delta``/``epsilon`` (the Hoeffding interval).
     """
 
@@ -306,18 +235,64 @@ def _var(z: RobustnessSamples, params: RiskParams) -> dict:
                 beta=params.beta, delta=params.delta, epsilon=triple.epsilon)
 
 
+def _cvar(z: RobustnessSamples, params: RiskParams) -> dict:
+    """Plug-in conditional value-at-risk.
+
+    Minimizes g(a) = a + mean(max(Z - a, 0)) / (1 - beta); the minimum of
+    this piecewise-linear convex function is attained at a sample point, so
+    g is evaluated at every sample value.
+    """
+    srt = z.sorted()
+    n = z.n
+    # Relative to the median, so that a large common offset does not cancel
+    # in tail - above * srt and cost precision.
+    pivot = srt[n // 2]
+    srt = srt - pivot
+    # Sum of (s_j - s_i) over j > i via suffix sums.
+    tail = np.concatenate((np.cumsum(srt[::-1])[::-1][1:], [0.0]))
+    above = n - 1 - np.arange(n)
+    g = srt + (tail - above * srt) / ((1.0 - params.beta) * n)
+    return dict(value=float(g.min() + pivot), beta=params.beta)
+
+
 def _expected(z: RobustnessSamples, params: RiskParams) -> dict:
+    """Sample mean, summed in sorted order so reordering samples can never
+    change the result by even an ulp.
+
+    With ``bounds`` [a, b], also the two-sided mean confidence interval for
+    samples supported there: half-width (b - a) * sqrt(ln(2/delta) / (2 N)),
+    that is (b - a) times ``dkw_epsilon``, valid at level 1 - delta by
+    Hoeffding's inequality.
+    """
+    mean = float(z.sorted().mean())
     if params.bounds is None:
-        return dict(value=expected(z))
-    return _hoeffding(z, params.delta, params.bounds)
+        return dict(value=mean)
+    a, b = params.bounds
+    eps = dkw_epsilon(z.n, params.delta)
+    if (z.values < a).any() or (z.values > b).any():
+        raise BoundsError(f"samples fall outside the declared support [{a}, {b}]")
+    half = (b - a) * eps
+    return dict(value=mean, lower=mean - half, upper=mean + half, delta=params.delta, epsilon=eps)
+
+
+def _meanvar(z: RobustnessSamples, params: RiskParams) -> dict:
+    """Mean plus lambda times the unbiased sample variance (0 when N = 1).
+
+    Not monotone: raising a low sample can raise the variance penalty by
+    more than the mean gain, so this measure is excluded from the
+    monotonicity guarantees the other estimators carry.
+    """
+    srt = z.sorted()
+    value = srt.mean() if z.n == 1 else srt.mean() + params.lam * srt.var(ddof=1)
+    return dict(value=float(value))
 
 
 # Each measure's estimator: (samples, params) -> the RiskResult fields it
 # fills, ``value`` and whichever of lower/upper/beta/delta/epsilon apply.
 MEASURES = {
     "var": _var,
-    "cvar": lambda z, params: dict(value=cvar_point(z, params.beta), beta=params.beta),
+    "cvar": _cvar,
     "expected": _expected,
-    "meanvar": lambda z, params: dict(value=mean_variance(z, params.lam)),
-    "worst": lambda z, params: dict(value=worst_case(z)),
+    "meanvar": _meanvar,
+    "worst": lambda z, params: dict(value=float(z.values.max())),  # the largest observed cost
 }

@@ -54,7 +54,6 @@ __all__ = [
     "CaseStudyRow",
     "CaseStudyResult",
     "DEFAULT_TRAJECTORIES",
-    "DEFAULT_BETAS",
     "build_case_study_formula",
     "nominal_trace",
     "sample_ensemble",
@@ -71,8 +70,6 @@ _DISK_RADIUS = 0.7
 _STEPS = 4
 _STATE_DIM = 10
 _MAX_N = 10**7  # realizations per trajectory: their (n, 4, 10) states alone take 3.2 GB
-
-DEFAULT_BETAS = (0.9, 0.925, 0.95, 0.975)
 
 # Waypoints at times 0..3.  Shared tail: the goal margin at A is exactly
 # 0.25 for trajectories 3..6 (the A waypoint sits 0.25 inside the box), and
@@ -107,7 +104,7 @@ def _numbers(key: str, values, count: Optional[int] = None) -> Tuple[float, ...]
 class CaseStudyConfig(Record):
     seed: int = 42
     n: int = 6500
-    betas: Tuple[float, ...] = DEFAULT_BETAS
+    betas: Tuple[float, ...] = (0.9, 0.925, 0.95, 0.975)
     delta: float = 0.001
     trajectories: Tuple = DEFAULT_TRAJECTORIES
 

@@ -1,4 +1,5 @@
-"""Shared test machinery: independent oracles and random-instance generators.
+"""Shared test machinery: independent oracles, random-instance generators,
+and ``estimate``, which runs a risk measure's estimator by name.
 
 The evaluation oracles below deliberately re-derive the semantics as naive
 nested loops over explicit time-index sets, with the extended inf/sup
@@ -41,6 +42,7 @@ from stlrisk.formula import (
     horizon,
 )
 from stlrisk.predicates import L2, Complement, Halfspace, NormBall, StateSlice
+from stlrisk.risk import MEASURES, RiskParams
 from stlrisk.trace import Trace
 
 INF = math.inf
@@ -304,7 +306,13 @@ def horizon_oracle(f) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# Literal-scan quantile oracles
+# Risk estimators by name, and literal-scan quantile oracles
+
+
+def estimate(measure: str, z, **params) -> float:
+    """The value of ``measure``'s entry in ``risk.MEASURES`` on the samples
+    ``z`` under ``RiskParams(**params)``."""
+    return MEASURES[measure](z, RiskParams(**params))["value"]
 
 
 def var_scan(values, beta: float) -> float:

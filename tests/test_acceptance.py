@@ -13,13 +13,7 @@ import pytest
 from stlrisk.errors import FormulaSyntaxError, IntervalError
 from stlrisk.formula import horizon
 from stlrisk.parser import format_formula, parse
-from stlrisk.risk import (
-    RobustnessSamples,
-    cvar_point,
-    expected,
-    var_bounds,
-    worst_case,
-)
+from stlrisk.risk import RobustnessSamples, var_bounds
 from stlrisk.scenario import (
     DEFAULT_TRAJECTORIES,
     CaseStudyConfig,
@@ -32,6 +26,7 @@ from stlrisk.semantics import eval_boolean, eval_robust
 from .helpers import (
     beta_oracle,
     desugar,
+    estimate,
     random_admissible_case,
     random_formula,
     random_predicates,
@@ -146,9 +141,9 @@ def test_criterion_5_risk_axioms():
     bad = 0
     estimators = {
         "var": lambda z, b: var_bounds(z, b, 0.5).point,
-        "cvar": lambda z, b: cvar_point(z, b),
-        "expected": lambda z, b: expected(z),
-        "worst": lambda z, b: worst_case(z),
+        "cvar": lambda z, b: estimate("cvar", z, beta=b),
+        "expected": lambda z, b: estimate("expected", z),
+        "worst": lambda z, b: estimate("worst", z),
     }
     for _ in range(1000):
         n = int(rng.integers(1, 30))
@@ -172,14 +167,12 @@ def test_criterion_5_risk_axioms():
     # mean-variance monotonicity counterexample: raising (0,1) to (1,1)
     # removes the variance term, so the measure drops exactly when
     # lam * var(0,1) = lam/2 exceeds the mean gain 1/2, i.e. lam > 1.
-    from stlrisk.risk import mean_variance
-
     low, high = RobustnessSamples(np.array([0.0, 1.0])), RobustnessSamples(np.array([1.0, 1.0]))
     lam_threshold = 1.0
     counterexample = (
-        mean_variance(low, 2.0) > mean_variance(high, 2.0)
-        and mean_variance(low, 0.5) < mean_variance(high, 0.5)
-        and abs(mean_variance(low, lam_threshold) - mean_variance(high, lam_threshold)) < tol
+        estimate("meanvar", low, lam=2.0) > estimate("meanvar", high, lam=2.0)
+        and estimate("meanvar", low, lam=0.5) < estimate("meanvar", high, lam=0.5)
+        and abs(estimate("meanvar", low, lam=lam_threshold) - estimate("meanvar", high, lam=lam_threshold)) < tol
     )
     elapsed = time.perf_counter() - start
     report(
@@ -211,9 +204,9 @@ def test_criterion_6_clipped_margin_surrogate():
         beta = float(rng.uniform(0.05, 0.95))
         checks = [
             var_bounds(z_exact, beta, 0.5).point <= var_bounds(z_approx, beta, 0.5).point,
-            cvar_point(z_exact, beta) <= cvar_point(z_approx, beta) + 1e-12,
-            expected(z_exact) <= expected(z_approx) + 1e-12,
-            worst_case(z_exact) <= worst_case(z_approx),
+            estimate("cvar", z_exact, beta=beta) <= estimate("cvar", z_approx, beta=beta) + 1e-12,
+            estimate("expected", z_exact) <= estimate("expected", z_approx) + 1e-12,
+            estimate("worst", z_exact) <= estimate("worst", z_approx),
         ]
         if not all(checks):
             violations += 1

@@ -870,6 +870,22 @@ def test_main_returns_argparse_exit_code(argv, code):
         assert err == "" and out.startswith("usage: stlrisk " if "--help" in argv else f"stlrisk {stlrisk.__version__}\n")
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["--bogus"], "unrecognized arguments: --bogus"),
+        (["--bogus=3"], "unrecognized arguments: --bogus=3"),
+        (["--bogus", "check", "--formula", "p"], "unrecognized arguments: --bogus"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_top_parser_error_names_the_unknown_flag(argv, line):
+    # A subcommand required by argparse was reported missing first, in a
+    # line that did not name the flag.
+    code, out, err = run_main(argv)
+    assert (code, out) == (2, "") and err.startswith("usage: stlrisk ") and err.endswith(f"\nstlrisk: error: {line}\n"), err
+
+
 def plain_argparse(monkeypatch, argv) -> tuple:
     """``run_main(argv)`` with argparse's own ``error``, which quotes the
     command line whole."""
@@ -1568,6 +1584,7 @@ class TestCaseStudy:
             ('{"betas": ["0.9"]}', "betas"),
             ('{"delta": "0.01"}', "delta"),
             ('{"n": 3, "trajectories": [[["1", 0], [1, 1], [2, 2], [3, 3]]]}', "trajectories[0][0]"),
+            ('{"n": 3, "trajectories": [[[0, 0, 0], [1, 1], [2, 2], [3, 3]]]}', "trajectories[0][0]"),
         ],
     )
     def test_bad_config_value_names_its_key(self, tmp_path, capsys, text, key):

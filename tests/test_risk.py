@@ -19,19 +19,15 @@ from stlrisk.risk import (
     RiskParams,
     RobustnessSamples,
     _quantile_index,
-    cvar_point,
     dkw_epsilon,
-    expected,
-    mean_variance,
     risk_of_formula,
     var_bounds,
-    worst_case,
 )
 from stlrisk.cli import main
 from stlrisk.parser import parse
 from stlrisk.trace import Ensemble, Trace, save_trace_csv
 
-from .helpers import cvar_exact, cvar_scan, var_bounds_scan, var_scan
+from .helpers import cvar_exact, cvar_scan, estimate, var_bounds_scan, var_scan
 
 
 def S(*values):
@@ -164,13 +160,13 @@ class TestVarBounds:
 
 class TestCvar:
     def test_quarter_tail(self):
-        assert cvar_point(S(1, 2, 3, 4), 0.75) == pytest.approx(4.0, abs=1e-12)
+        assert estimate("cvar", S(1, 2, 3, 4), beta=0.75) == pytest.approx(4.0, abs=1e-12)
 
     def test_constant(self):
-        assert cvar_point(S(3, 3, 3), 0.4) == pytest.approx(3.0, abs=1e-12)
+        assert estimate("cvar", S(3, 3, 3), beta=0.4) == pytest.approx(3.0, abs=1e-12)
 
     def test_two_point(self):
-        assert cvar_point(S(0, 10), 0.5) == pytest.approx(10.0, abs=1e-12)
+        assert estimate("cvar", S(0, 10), beta=0.5) == pytest.approx(10.0, abs=1e-12)
 
     def test_matches_objective_scan(self):
         rng = np.random.default_rng(34)
@@ -178,7 +174,7 @@ class TestCvar:
             n = int(rng.integers(1, 30))
             z = rng.normal(size=n) * 4
             beta = float(rng.uniform(0.05, 0.95))
-            assert cvar_point(RobustnessSamples(z), beta) == pytest.approx(
+            assert estimate("cvar", RobustnessSamples(z), beta=beta) == pytest.approx(
                 cvar_scan(z, beta), rel=1e-12, abs=1e-12
             )
 
@@ -189,7 +185,7 @@ class TestCvar:
         z = np.random.default_rng(36).normal(size=2000) + offset
         for beta in (0.5, 0.9, 0.99):
             exact = cvar_exact(z, beta)
-            got = cvar_point(RobustnessSamples(z), beta)
+            got = estimate("cvar", RobustnessSamples(z), beta=beta)
             assert abs(Fraction(got) - exact) <= math.ulp(float(exact)) + 1e-12
 
     def test_at_least_var(self):
@@ -197,7 +193,7 @@ class TestCvar:
         for _ in range(300):
             z = RobustnessSamples(rng.normal(size=int(rng.integers(1, 30))))
             beta = float(rng.uniform(0.05, 0.95))
-            assert cvar_point(z, beta) >= var_point(z, beta) - 1e-12
+            assert estimate("cvar", z, beta=beta) >= var_point(z, beta) - 1e-12
 
 
 class TestDkwEpsilon:
@@ -221,7 +217,7 @@ class TestDkwEpsilon:
 
 class TestExpected:
     def test_mean(self):
-        assert expected(S(1, 2, 3)) == 2.0
+        assert estimate("expected", S(1, 2, 3)) == 2.0
 
     def test_hoeffding_half_width(self):
         delta = 2 * math.exp(-1.0)
@@ -232,7 +228,7 @@ class TestExpected:
     @pytest.mark.parametrize("delta", [0.5, 0.05, 1e-3, 1e-200])
     def test_hoeffding_half_width_is_the_dkw_epsilon_scaled(self, delta):
         z = S(-1.0, 0.25, 2.0)
-        mean = expected(z)
+        mean = estimate("expected", z)
         half = 5.0 * math.sqrt(math.log(2.0 / delta) / (2.0 * z.n))
         assert hoeffding(z, delta, (-2.0, 3.0)) == (mean - half, mean + half)
         assert half == 5.0 * dkw_epsilon(z.n, delta)
@@ -255,23 +251,23 @@ class TestExpected:
 
 class TestMeanVarianceWorst:
     def test_mean_variance_hand_case(self):
-        assert mean_variance(S(1, 3), 1.0) == pytest.approx(4.0, abs=1e-12)
+        assert estimate("meanvar", S(1, 3), lam=1.0) == pytest.approx(4.0, abs=1e-12)
 
     def test_single_sample_has_zero_variance(self):
-        assert mean_variance(S(4), 2.5) == 4.0
+        assert estimate("meanvar", S(4), lam=2.5) == 4.0
 
     def test_worst_case(self):
-        assert worst_case(S(-1, 5, 2)) == 5.0
+        assert estimate("worst", S(-1, 5, 2)) == 5.0
 
     def test_negative_lambda_rejected(self):
         with pytest.raises(ParamError):
-            mean_variance(S(1, 2), -0.5)
+            estimate("meanvar", S(1, 2), lam=-0.5)
 
     @pytest.mark.parametrize("lam", [math.inf, -math.inf, math.nan])
     def test_non_finite_lambda_rejected(self, lam):
         # Over equal samples inf * 0 would give a NaN risk.
         with pytest.raises(ParamError, match="finite"):
-            mean_variance(S(1, 1), lam)
+            estimate("meanvar", S(1, 1), lam=lam)
         with pytest.raises(ParamError, match="finite"):
             RiskParams(lam=lam)
 
@@ -280,12 +276,12 @@ class TestMeanVarianceWorst:
         # lam > 1 the measure drops even though every sample went up:
         # R(0,1) = 0.5 + lam * 0.5 > 1 = R(1,1)  iff  lam > 1.
         low, high = S(0, 1), S(1, 1)
-        assert mean_variance(low, 2.0) > mean_variance(high, 2.0)
-        assert mean_variance(low, 0.5) <= mean_variance(high, 0.5)
+        assert estimate("meanvar", low, lam=2.0) > estimate("meanvar", high, lam=2.0)
+        assert estimate("meanvar", low, lam=0.5) <= estimate("meanvar", high, lam=0.5)
         lam_threshold = 1.0
         eps = 1e-9
-        assert mean_variance(low, lam_threshold + eps) > mean_variance(high, lam_threshold + eps)
-        assert mean_variance(low, lam_threshold - eps) < mean_variance(high, lam_threshold - eps)
+        assert estimate("meanvar", low, lam=lam_threshold + eps) > estimate("meanvar", high, lam=lam_threshold + eps)
+        assert estimate("meanvar", low, lam=lam_threshold - eps) < estimate("meanvar", high, lam=lam_threshold - eps)
 
 
 class TestCoherenceAxioms:
@@ -295,9 +291,9 @@ class TestCoherenceAxioms:
         rng = np.random.default_rng(z.n)
         shuffled = RobustnessSamples(rng.permutation(z.values))
         assert var_point(z, beta) == var_point(shuffled, beta)
-        assert cvar_point(z, beta) == cvar_point(shuffled, beta)
-        assert expected(z) == expected(shuffled)
-        assert worst_case(z) == worst_case(shuffled)
+        assert estimate("cvar", z, beta=beta) == estimate("cvar", shuffled, beta=beta)
+        assert estimate("expected", z) == estimate("expected", shuffled)
+        assert estimate("worst", z) == estimate("worst", shuffled)
 
     def test_monotonicity(self):
         rng = np.random.default_rng(37)
@@ -309,9 +305,9 @@ class TestCoherenceAxioms:
             beta = float(rng.uniform(0.05, 0.95))
             delta = float(rng.uniform(0.05, 0.95))
             assert var_point(a, beta) <= var_point(b, beta)
-            assert cvar_point(a, beta) <= cvar_point(b, beta) + 1e-12
-            assert expected(a) <= expected(b) + 1e-12
-            assert worst_case(a) <= worst_case(b)
+            assert estimate("cvar", a, beta=beta) <= estimate("cvar", b, beta=beta) + 1e-12
+            assert estimate("expected", a) <= estimate("expected", b) + 1e-12
+            assert estimate("worst", a) <= estimate("worst", b)
             ta, tb = var_bounds(a, beta, delta), var_bounds(b, beta, delta)
             assert ta.lower <= tb.lower and ta.upper <= tb.upper
 
@@ -327,9 +323,9 @@ class TestCoherenceAxioms:
             scaled = RobustnessSamples(z.values * scale)
             for est in (
                 lambda s: var_point(s, beta),
-                lambda s: cvar_point(s, beta),
-                expected,
-                worst_case,
+                lambda s: estimate("cvar", s, beta=beta),
+                lambda s: estimate("expected", s),
+                lambda s: estimate("worst", s),
             ):
                 assert est(shifted) == pytest.approx(est(z) + c, abs=1e-12)
                 assert est(scaled) == pytest.approx(scale * est(z), abs=1e-12)
@@ -359,9 +355,9 @@ class TestSurrogateOrdering:
             z_exact = RobustnessSamples(-np.maximum(rho, 0.0))
             beta = float(rng.uniform(0.05, 0.95))
             assert var_point(z_exact, beta) <= var_point(z_approx, beta)
-            assert cvar_point(z_exact, beta) <= cvar_point(z_approx, beta) + 1e-12
-            assert expected(z_exact) <= expected(z_approx) + 1e-12
-            assert worst_case(z_exact) <= worst_case(z_approx)
+            assert estimate("cvar", z_exact, beta=beta) <= estimate("cvar", z_approx, beta=beta) + 1e-12
+            assert estimate("expected", z_exact) <= estimate("expected", z_approx) + 1e-12
+            assert estimate("worst", z_exact) <= estimate("worst", z_approx)
 
 
 PREDS = {"p": Halfspace((1.0,), 0.0)}
